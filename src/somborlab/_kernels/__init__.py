@@ -1,8 +1,11 @@
 """Kernel backend selection.
 
 The compiled Cython core is preferred when importable; the pure-Python module
-is a drop-in fallback with identical semantics (and a large slowdown on the
-exhaustive acceptance runs). Set SOMBOR_KERNEL=pure to force the fallback, or
+is a drop-in fallback that returns the same results. With twin pruning the
+pure `enumerate_classes` outruns the compiled one, which has none (1.1 s
+against 1.6 s for every sequence with n <= 9, c <= 3, Python 3.11 on a 2-core
+x86-64 host); the compiled core still speeds up `canon_bits` and the
+subset-filter cross-check. Set SOMBOR_KERNEL=pure to force the fallback, or
 SOMBOR_KERNEL=cython to fail loudly when the extension is missing.
 """
 

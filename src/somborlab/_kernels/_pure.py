@@ -1,9 +1,11 @@
 """Pure-Python compute kernels: canonical labeling and degree-sequence enumeration.
 
-This module is the reference implementation. `_core.pyx` mirrors it statement
-for statement in Cython; both must produce bit-identical results (enforced by
-tests/test_kernels.py). Graphs live here as adjacency bitmasks over at most 16
-vertices, which covers every desk-scale cap in the library.
+This module is the reference implementation. `_core.pyx` is an older Cython
+port: its `canon_bits` and `classes_by_sequence` follow this code, but its
+`enumerate_classes` has no twin pruning, so the two backends agree on class
+lists, not on the search they run (tests/test_kernels.py). Graphs live here
+as adjacency bitmasks over at most 16 vertices, which covers every desk-scale
+cap in the library.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
@@ -156,14 +158,34 @@ def _connected_masks(n: int, adj: list[int]) -> bool:
     return seen == (1 << n) - 1
 
 
+def _twin_choices(groups: list[list[int]], r: int):
+    """Every r-set made of a lowest-index prefix of each twin group."""
+    if not groups:
+        if r == 0:
+            yield ()
+        return
+    first, rest = groups[0], groups[1:]
+    room = sum(len(g) for g in rest)
+    for k in range(max(0, r - room), min(len(first), r) + 1):
+        for tail in _twin_choices(rest, r - k):
+            yield tuple(first[:k]) + tail
+
+
 def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
     """All connected isomorphism classes realizing the degree sequence.
 
     `degrees` must be non-increasing; vertex i is forced to degree degrees[i]
     (every class has such a labeling, so none is lost). Backtracks vertex by
-    vertex over neighbour subsets among higher-indexed vertices, filters
+    vertex over neighbour sets among higher-indexed vertices, filters
     connectivity at the leaves and dedups by canonical bits. Returns canonical
     representatives sorted by their packed bits.
+
+    Twin pruning: open candidates with equal residual degree and equal
+    adjacency so far (hence equal target degree) are interchangeable, since
+    swapping two of them fixes the partial graph and every degree target. So
+    from each such group only a lowest-index prefix is chosen; every other
+    choice is the image of one of these under a twin swap and completes to
+    the same classes.
     """
     degrees = list(degrees)
     n = len(degrees)
@@ -184,10 +206,11 @@ def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
         if r == 0:
             rec(v + 1)
             return
-        cands = [j for j in range(v + 1, n) if res[j] > 0]
-        if len(cands) < r:
-            return
-        for chosen in combinations(cands, r):
+        twins: dict[tuple[int, int], list[int]] = {}
+        for j in range(v + 1, n):
+            if res[j] > 0:
+                twins.setdefault((res[j], adj[j]), []).append(j)
+        for chosen in _twin_choices(list(twins.values()), r):
             for j in chosen:
                 res[j] -= 1
                 adj[v] |= 1 << j

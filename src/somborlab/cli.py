@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 from . import __version__
 from ._kernels import BACKEND
 from .construct import Objective, bfs_bicyclic, bfs_unicyclic, extremal_graph, greedy_tree
-from .errors import SomborlabError, TimeBudgetExceededError, ValidationError
+from .errors import AlphaNotFiniteError, SomborlabError, TimeBudgetExceededError, ValidationError
 from .graphs import (
     DegreeSequence,
     degree_sequence_of,
@@ -63,6 +63,8 @@ def _alpha_list(text: str) -> tuple[float, ...]:
         raise ValidationError("alpha list is empty")
     if any(a == 0 for a in values):
         raise ValidationError("alpha = 0 is not allowed")
+    if not all(math.isfinite(a) for a in values):
+        raise AlphaNotFiniteError(f"alpha must be finite, got {text!r}")
     return values
 
 
@@ -299,7 +301,6 @@ def _verify_theorem1(args, deadline) -> tuple[dict, bool]:
 def cmd_verify(args) -> int:
     deadline = Deadline(args.time_budget)
     caps = load_caps()
-    workers = args.workers if args.workers is not None else min(os.cpu_count() or 1, 8)
     if args.theorem == "prop1":
         record, ok = _verify_prop1(args)
     elif args.theorem == "1":
@@ -315,7 +316,7 @@ def cmd_verify(args) -> int:
             for n in range(2, n_max + 1):
                 deadline.check(partial=reports)
                 rep = verify_theorem2(n, c, alphas, n_max=min(n_max, caps.enum),
-                                      workers=workers, deadline=deadline)
+                                      deadline=deadline)
                 ok = ok and rep.holds
                 reports.append(rep.to_record())
         record = {"theorem": 2, "n_max": n_max, "c": list(cs),
@@ -333,7 +334,7 @@ def cmd_verify(args) -> int:
                     deadline.check(partial=reports)
                     rep = verify_theorem3(n, c, alphas, require_pendant=require_pendant,
                                           n_max=min(n_max, caps.enum),
-                                          workers=workers, deadline=deadline)
+                                          deadline=deadline)
                     ok = ok and rep.holds
                     reports.append(rep.to_record())
         record = {"theorem": 3, "n_max": n_max, "c": list(cs),
@@ -390,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default=None, help="comma-separated cyclomatic numbers")
     p.add_argument("--alpha", default=None)
     p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--workers", type=int, default=None)
+    # verification is serial; the flag is still accepted so that scripts
+    # passing it (perfbench/pin.py) keep working
+    p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--time-budget", type=float, default=None, help="seconds")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(fn=cmd_verify)
@@ -415,6 +418,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SomborlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        # an index value past the float range (e.g. SO_alpha at alpha = 400)
+        # is a bad input, not a counterexample
+        print("error: value out of float range; use a smaller |alpha|", file=sys.stderr)
         return EXIT_USAGE
 
 

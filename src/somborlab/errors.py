@@ -82,6 +82,10 @@ class AlphaZeroError(ValidationError):
     pass
 
 
+class AlphaNotFiniteError(ValidationError):
+    """alpha is NaN or infinite: every comparison would be vacuous."""
+
+
 class AlphaDegenerateError(ValidationError):
     """alpha = 1: every graph in Gamma(pi) has the same index value."""
 

@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import AlphaZeroError, DisconnectedError, ValidationError
+from .errors import AlphaNotFiniteError, AlphaZeroError, DisconnectedError, ValidationError
 from .graphs import Graph, is_connected
 
 #: comparisons of delta against 0, relative to the summed term magnitudes
@@ -43,10 +43,16 @@ class AlphaRegime(enum.Enum):
     DEGENERATE = "degenerate"         # alpha = 1
 
 
-def classify_alpha(alpha: float) -> AlphaRegime:
-    """Analytic regime of h_alpha; alpha = 0 is rejected."""
+def _check_alpha(alpha: float) -> None:
     if alpha == 0:
         raise AlphaZeroError("alpha must be nonzero")
+    if not math.isfinite(alpha):
+        raise AlphaNotFiniteError(f"alpha must be finite, got {alpha!r}")
+
+
+def classify_alpha(alpha: float) -> AlphaRegime:
+    """Analytic regime of h_alpha; alpha = 0 and non-finite alpha are rejected."""
+    _check_alpha(alpha)
     if alpha == 1:
         return AlphaRegime.DEGENERATE
     if 0 < alpha < 1:
@@ -73,8 +79,7 @@ class BivariateFunction:
 
     @classmethod
     def sombor(cls, alpha: float) -> "BivariateFunction":
-        if alpha == 0:
-            raise AlphaZeroError("alpha must be nonzero")
+        _check_alpha(alpha)
         return cls(kind="sombor", alpha=float(alpha), name=f"h_{alpha:g}")
 
     @classmethod
@@ -117,8 +122,7 @@ def connectivity_function(g: Graph, f: BivariateFunction) -> float:
 
 def sombor_general(g: Graph, alpha: float) -> float:
     """General Sombor index SO_alpha(g); alpha = 0.5 is the Sombor index."""
-    if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
+    _check_alpha(alpha)
     if not is_connected(g):
         raise DisconnectedError("SO_alpha is defined on connected graphs")
     return math.fsum(

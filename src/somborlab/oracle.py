@@ -11,18 +11,20 @@ paper-scale claims as finite checks:
               for alpha > 1
 
 The primary enumeration backtracks over neighbour assignments with residual
-pruning and dedups by canonical code (see _kernels); an independent strategy
-filters all edge subsets and is compared class count by class count in
-`verify_enumeration_cross_check`. Values are binary64 with 1e-9 relative
-tolerance; graphs are always compared by canonical code, never by float.
+and twin pruning and dedups by canonical code (see _kernels); its class lists
+are memoized per degree sequence, since the verifiers revisit the same pi. An
+independent strategy filters all edge subsets and is compared class set by
+class set in `verify_enumeration_cross_check`. Values are binary64 with 1e-9
+relative tolerance; graphs are always compared by canonical code, never by
+float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from . import _kernels
@@ -96,31 +98,18 @@ class Deadline:
 
 
 def _pmap(fn, items, workers: int = 1, deadline: Deadline | None = None) -> list:
-    """Order-preserving map with optional process pool and cooperative deadline."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        out = []
-        for it in items:
-            if deadline:
-                deadline.check(partial=out)
-            out.append(fn(it))
-        return out
-    results: dict[int, object] = {}
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending = {ex.submit(fn, it): i for i, it in enumerate(items)}
-        while pending:
-            timeout = deadline.remaining() if deadline else None
-            done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-            if not done:
-                for fut in pending:
-                    fut.cancel()
-                raise TimeBudgetExceededError(
-                    f"time budget of {deadline.seconds}s exhausted",
-                    partial=[results[i] for i in sorted(results)],
-                )
-            for fut in done:
-                results[pending.pop(fut)] = fut.result()
-    return [results[i] for i in sorted(results)]
+    """Order-preserving map that checks the deadline before each unit.
+
+    Every unit runs in this process: once enumeration is memoized and
+    twin-pruned, a process pool per (n, c) costs more than it saves. `workers`
+    is ignored; it stays only because perfbench/layers.py hooks this signature.
+    """
+    out = []
+    for it in items:
+        if deadline:
+            deadline.check(partial=out)
+        out.append(fn(it))
+    return out
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -129,12 +118,19 @@ def enumerate_gamma(pi: DegreeSequence, *, n_max: int = ENUM_N_MAX) -> list[Grap
     """All of Gamma(pi) up to isomorphism, sorted by canonical code.
 
     Representatives are canonically labeled, so the list (and every report
-    built from it) is deterministic regardless of backend or worker count.
+    built from it) is deterministic regardless of backend. The class list is
+    cached per degree sequence; the returned list is a fresh copy.
     """
     validate_connected_c_cyclic(pi)
     if pi.n > n_max:
         raise TooLargeError(f"enumeration capped at n <= {n_max}, got n = {pi.n}")
-    return [Graph(pi.n, edges) for edges in _kernels.enumerate_classes(pi.degrees)]
+    return list(_gamma(pi.degrees))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gamma(degrees: tuple[int, ...]) -> tuple[Graph, ...]:
+    return tuple(Graph(len(degrees), edges)
+                 for edges in _kernels.enumerate_classes(degrees))
 
 
 def _values_for_alphas(g: Graph, alphas) -> dict[float, float]:
@@ -316,7 +312,7 @@ def _theorem2_one(args) -> list[SequenceCheck]:
 
 
 def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.0, 3.0),
-                    *, n_max: int = ENUM_N_MAX, workers: int = 1,
+                    *, n_max: int = ENUM_N_MAX,
                     deadline: Deadline | None = None) -> Theorem2Report:
     """Constructed T/U/B value equals the oracle extremum for every pendant sequence."""
     t0 = time.monotonic()
@@ -325,7 +321,7 @@ def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.
         objective_for_alpha(a)   # validates the pairing is defined
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=True)
     groups = _pmap(_theorem2_one, [(s.degrees, alphas, n_max) for s in seqs],
-                   workers=workers, deadline=deadline)
+                   deadline=deadline)
     checks = tuple(ch for group in groups for ch in group)
     return Theorem2Report(n, c, alphas, checks, all(ch.ok for ch in checks),
                           time.monotonic() - t0)
@@ -385,8 +381,7 @@ def _maxima_one(args) -> list[float]:
 
 def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,
                     require_pendant: bool = False, n_max: int = ENUM_N_MAX,
-                    workers: int = 1, deadline: Deadline | None = None
-                    ) -> Theorem3Report:
+                    deadline: Deadline | None = None) -> Theorem3Report:
     """Strictly larger oracle maximum along every majorization pair, alpha > 1."""
     t0 = time.monotonic()
     alphas = tuple(alpha) if isinstance(alpha, (tuple, list)) else (float(alpha),)
@@ -395,7 +390,7 @@ def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,
             raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=require_pendant)
     maxima = _pmap(_maxima_one, [(s.degrees, alphas, n_max) for s in seqs],
-                   workers=workers, deadline=deadline)
+                   deadline=deadline)
     pairs: list[PairCheck] = []
     for i, lo in enumerate(seqs):
         for j, hi in enumerate(seqs):
@@ -491,7 +486,11 @@ class CrossCheckReport:
 
 
 def verify_enumeration_cross_check(n: int, c: int) -> CrossCheckReport:
-    """Class counts from the backtracking and subset-filter strategies must agree."""
+    """The backtracking and subset-filter strategies must find the same classes.
+
+    Compared per pi as sets of canonical keys (a duplicate class also counts
+    as a mismatch); a mismatch reports both class counts.
+    """
     if n > 7:
         raise TooLargeError(f"subset-filter cross-check capped at n <= 7, got {n}")
     m = n + c - 1
@@ -500,11 +499,12 @@ def verify_enumeration_cross_check(n: int, c: int) -> CrossCheckReport:
     mismatches = []
     total = 0
     for pi in seqs:
-        count_a = len(enumerate_gamma(pi))
-        count_b = len(by_subsets.get(pi.degrees, frozenset()))
-        total += count_a
-        if count_a != count_b:
-            mismatches.append((pi, count_a, count_b))
+        graphs = enumerate_gamma(pi)
+        keys_a = {_kernels.canon_bits(g.n, g.edges) for g in graphs}
+        keys_b = by_subsets.get(pi.degrees, frozenset())
+        total += len(graphs)
+        if len(keys_a) != len(graphs) or keys_a != keys_b:
+            mismatches.append((pi, len(graphs), len(keys_b)))
     # the subset pass must not see sequences the generator misses
     extra = set(by_subsets) - {pi.degrees for pi in seqs}
     for degs in sorted(extra, reverse=True):

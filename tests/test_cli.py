@@ -136,16 +136,32 @@ def test_verify_prop1(capsys):
     assert by_alpha[1]["max_abs_delta"] == 0.0
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0.5,nan"])
+def test_verify_rejects_non_finite_alpha(capsys, alpha):
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_overflow_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--alpha", "200")
+    assert code == 2 and out == ""
+    assert "float range" in err
+    code, out, err = run(capsys, "construct", "--pi", "3,2,2,1,1,1", "--alpha", "400")
+    assert code == 2 and out == ""
+    assert "float range" in err
+
+
 def test_verify_theorem2_small(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "2", "--n-max", "5",
-                       "--c", "0,1", "--alpha", "0.5,2", "--workers", "1")
+                       "--c", "0,1", "--alpha", "0.5,2")
     assert code == 0
     assert json.loads(out)["pass"] is True
 
 
 def test_verify_theorem3_small(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "3", "--n-max", "5",
-                       "--c", "0", "--alpha", "2", "--workers", "1")
+                       "--c", "0", "--alpha", "2")
     assert code == 0
     rec = json.loads(out)
     assert rec["pass"] is True and not rec["violations"]
@@ -160,7 +176,7 @@ def test_verify_theorem1_small(capsys):
 
 def test_verify_time_budget_exit2(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "2", "--n-max", "7",
-                       "--time-budget", "0", "--workers", "1")
+                       "--time-budget", "0")
     assert code == 2
     assert "budget" in err
 
@@ -171,7 +187,7 @@ def test_determinism(capsys):
     outs = []
     for _ in range(2):
         _, out, _ = run(capsys, "verify", "--theorem", "3", "--n-max", "5",
-                        "--c", "0,1", "--alpha", "2", "--workers", "1")
+                        "--c", "0,1", "--alpha", "2")
         outs.append(re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": X', out))
     assert outs[0] == outs[1]
 

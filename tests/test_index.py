@@ -17,7 +17,12 @@ from somborlab import (
     generate_c_cyclic_sequences,
     sombor_general,
 )
-from somborlab.errors import AlphaZeroError, DisconnectedError, ValidationError
+from somborlab.errors import (
+    AlphaNotFiniteError,
+    AlphaZeroError,
+    DisconnectedError,
+    ValidationError,
+)
 from somborlab.indices import (
     REL_TOL,
     Counterexample,
@@ -46,6 +51,17 @@ def test_sombor_rejects_bad_inputs():
         sombor_general(K3, 0.0)
     with pytest.raises(DisconnectedError):
         sombor_general(Graph(4, [(0, 1), (2, 3)]), 0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(AlphaNotFiniteError):
+        sombor_general(K3, alpha)
+    with pytest.raises(AlphaNotFiniteError):
+        BivariateFunction.sombor(alpha)
+    with pytest.raises(AlphaNotFiniteError):
+        classify_alpha(alpha)
+    assert issubclass(AlphaNotFiniteError, ValidationError)
 
 
 def test_connectivity_function_examples():

@@ -1,11 +1,14 @@
-"""Cross-backend contract: the compiled kernel must mirror the pure one exactly."""
+"""Kernel contract: exact canonical labeling, pinned class lists, and results
+that agree with the compiled kernel when it is built."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from somborlab._kernels import _pure
+from somborlab.oracle import generate_c_cyclic_sequences
 
 try:
     from somborlab._kernels import _core
@@ -85,6 +88,35 @@ def test_enumerate_classes_small_counts():
     # odd sum and impossible degrees yield nothing
     assert _pure.enumerate_classes((3, 2, 2)) == []
     assert _pure.enumerate_classes((3, 1, 1)) == []
+
+
+def test_enumerate_classes_pinned_n8():
+    # digest of the class lists of the unpruned enumerator, n <= 8, c <= 3
+    rows = [
+        (pi.degrees, _pure.enumerate_classes(pi.degrees))
+        for n in range(2, 9)
+        for c in range(4)
+        for pi in generate_c_cyclic_sequences(n, c, require_pendant=False)
+    ]
+    assert len(rows) == 202
+    assert sum(len(classes) for _, classes in rows) == 1138
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "09066fa13596ddc5265767c30f5714faf60df683de8fad39d8cb44a23ce1f641"
+    )
+
+
+def test_twin_pruning_canon_calls(monkeypatch):
+    # 3,3,2^7: the unpruned search canonicalizes 40,320 connected leaves
+    calls = []
+    canon = _pure.canon_bits
+
+    def counted(n, edges):
+        calls.append(n)
+        return canon(n, edges)
+
+    monkeypatch.setattr(_pure, "canon_bits", counted)
+    assert len(_pure.enumerate_classes((3, 3, 2, 2, 2, 2, 2, 2, 2))) == 13
+    assert len(calls) == 31
 
 
 @needs_core

@@ -33,7 +33,7 @@ from somborlab.errors import (
     UnsupportedCError,
     UnsupportedObjectiveError,
 )
-from somborlab.oracle import Deadline, load_caps
+from somborlab.oracle import Deadline, _gamma, load_caps
 
 
 def test_enumerate_gamma_unique_realizations():
@@ -54,6 +54,13 @@ def test_enumerate_gamma_is_sorted_and_deduplicated():
     # representatives are canonically labeled already
     for g in graphs:
         assert canonical_code(g).code == format_graph6(g).encode()
+
+
+def test_enumerate_gamma_returns_fresh_lists():
+    pi = parse_degree_sequence("3,3,2,2,1,1")
+    first = enumerate_gamma(pi)
+    first.clear()
+    assert enumerate_gamma(pi) == enumerate_gamma(pi) != []
 
 
 def test_enumerate_gamma_caps_and_errors():
@@ -132,10 +139,12 @@ def test_theorem2_small():
     for c in (0, 1, 2):
         rep = verify_theorem2(6, c, (0.5, 2.0))
         assert rep.holds, rep
-    # parallel path produces identical checks
-    rep1 = verify_theorem2(6, 1, (0.5, 2.0))
-    rep2 = verify_theorem2(6, 1, (0.5, 2.0), workers=2)
-    assert rep1.checks == rep2.checks
+    # the memoized class lists give the same checks as a fresh enumeration
+    _gamma.cache_clear()
+    cold = verify_theorem2(6, 1, (0.5, 2.0))
+    warm = verify_theorem2(6, 1, (0.5, 2.0))
+    assert _gamma.cache_info().hits > 0
+    assert cold.checks == warm.checks
 
 
 def test_theorem3_hand_case():
