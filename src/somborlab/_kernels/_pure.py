@@ -249,6 +249,10 @@ def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]
     canonical bit keys of the connected graphs on exactly n vertices (no
     isolated vertex) among all C(n(n-1)/2, m) edge subsets. Deliberately shares
     no search logic with `enumerate_classes`.
+
+    Symmetry reduction: only subsets whose degrees are non-increasing by vertex
+    label are connectivity-tested and canonicalized. Relabeling by degree maps
+    any graph to such a subset, so every class is still found.
     """
     if n < 2 or n > MAX_VERTICES:
         raise ValueError(f"kernel handles 2 <= n <= {MAX_VERTICES}, got {n}")
@@ -260,10 +264,9 @@ def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         degs = [a.bit_count() for a in adj]
-        if 0 in degs:
+        if degs[-1] == 0 or degs != sorted(degs, reverse=True):
             continue
         if not _connected_masks(n, adj):
             continue
-        key = tuple(sorted(degs, reverse=True))
-        out.setdefault(key, set()).add(canon_bits(n, subset))
+        out.setdefault(tuple(degs), set()).add(canon_bits(n, subset))
     return {k: frozenset(v) for k, v in out.items()}

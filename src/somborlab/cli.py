@@ -4,7 +4,7 @@ Exit codes: 0 success/pass, 1 theorem or assertion violation (a counterexample
 was found), 2 usage or validation error. All commands are deterministic;
 verify reports carry an `elapsed_seconds` field that byte-level comparisons
 should strip. JSON is the default output format; `--format table` is for
-humans. SOMBOR_CAPS (e.g. "enum=10,canon=14") overrides the desk-scale caps.
+humans. SOMBOR_CAPS (e.g. "enum=8") overrides the enumeration cap.
 """
 
 from __future__ import annotations

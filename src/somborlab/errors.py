@@ -86,6 +86,15 @@ class AlphaNotFiniteError(ValidationError):
     """alpha is NaN or infinite: every comparison would be vacuous."""
 
 
+class FunctionNotFiniteError(ValidationError):
+    """f is NaN or infinite at a grid point: every comparison there is vacuous."""
+
+
+class FunctionUnderflowError(ValidationError):
+    """h_alpha is 0.0 or subnormal at a grid point, though positive in exact
+    arithmetic: the grid check cannot resolve its sign there."""
+
+
 class AlphaDegenerateError(ValidationError):
     """alpha = 1: every graph in Gamma(pi) has the same index value."""
 
@@ -122,6 +131,10 @@ class AcyclicError(ValidationError):
 
 class TooLargeError(ValidationError):
     """Instance exceeds a configured desk-scale cap."""
+
+
+class CapsSyntaxError(ValidationError):
+    """SOMBOR_CAPS names an unknown cap or gives a non-integer value."""
 
 
 class LengthMismatchError(ValidationError):

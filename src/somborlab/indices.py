@@ -19,15 +19,31 @@ delta vanishes identically and neither strict verdict applies.
 `check_good_escalating` certifies the stronger conditions behind the
 majorization monotonicity result: positive and convex first-argument partials
 (closed forms below) plus a three-term shift inequality on the grid.
+
+Grid certification is exact and single-pass. f is evaluated once per grid
+point, and a NaN or infinite value, or an h_alpha value that underflows to 0.0
+or a subnormal, is a validation error rather than a verdict. Every report is
+bit for bit the one that evaluating each cell's definition in order would
+give; a bound only skips a cell's tolerance computation where it proves the
+outcome, and tests compare against that per-call definition.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
+from operator import sub
 
-from .errors import AlphaNotFiniteError, AlphaZeroError, DisconnectedError, ValidationError
+from .errors import (
+    AlphaNotFiniteError,
+    AlphaZeroError,
+    DisconnectedError,
+    FunctionNotFiniteError,
+    FunctionUnderflowError,
+    ValidationError,
+)
 from .graphs import Graph, is_connected
 
 #: comparisons of delta against 0, relative to the summed term magnitudes
@@ -163,10 +179,31 @@ class EscalationReport:
     max_abs_delta: float
 
 
-def _table(f, bound: int) -> list[list[float]]:
-    """t[x][y] = f(x, y) for 1 <= x, y <= bound; index 0 is padding, never read."""
-    return [[]] + [[0.0] + [f(x, y) for y in range(1, bound + 1)]
-                   for x in range(1, bound + 1)]
+def _table(f: BivariateFunction, bound: int) -> list[list[float]]:
+    """t[x][y] = f(x, y) for 1 <= x, y <= bound; index 0 is padding, never read.
+
+    Every entry must be finite. h_alpha entries must also be normal floats:
+    h_alpha > 0, so 0.0 or a subnormal there is underflow, and the grid
+    inequalities cannot be resolved from it. A custom f may be 0 or subnormal.
+    """
+    span = range(1, bound + 1)
+    t = [[]] + [[0.0] + [f(x, y) for y in span] for x in span]
+    for x in span:
+        for y in span:
+            v = t[x][y]
+            if not math.isfinite(v):
+                raise FunctionNotFiniteError(f"{f.name}({x}, {y}) = {v!r} is not finite")
+            if f.kind == "sombor" and v < sys.float_info.min:
+                raise FunctionUnderflowError(
+                    f"{f.name}({x}, {y}) = {v!r} is below the normal float range; "
+                    f"use a smaller |alpha| or grid bound"
+                )
+    return t
+
+
+def _block_cells(bound: int) -> list[tuple[int, int]]:
+    """(x2, y2) of every cell of one (x1, y1) block, in grid order."""
+    return [(x2, y2) for x2 in range(1, bound + 1) for y2 in range(1, x2 + 1)]
 
 
 def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
@@ -177,61 +214,98 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     de-escalating: delta <= 0 everywhere, delta < 0 on strict cells
     neither:       otherwise (counterexamples tagged with what they break)
 
-    f is evaluated once per grid point (B^2 calls) and each quadruple reads the
-    table. Counterexamples are the first `max_counterexamples` found in grid
-    order (x1, y1, x2, y2 ascending, x1 outermost): failures of the escalating
+    A cell fails the de-escalating verdict when delta > tol, the escalating
+    verdict when delta < -tol, and, when neither holds on a strict cell
+    (x1 > y1 and x2 > y2), both verdicts with reason "strictness". Here
+    delta = t1 + t2 - t3 - t4 and tol = REL_TOL * (|t1| + |t2| + |t3| + |t4|),
+    each evaluated in that order.
+
+    Single exact pass: f is evaluated once per grid point (a NaN or infinite
+    value raises `FunctionNotFiniteError`; an h_alpha value of 0.0 or a
+    subnormal raises `FunctionUnderflowError`). Each (x1, y1) block computes
+    the delta of every cell, which gives max_abs_delta exactly. The exact tol
+    of each cell is skipped only in a block whose extreme deltas clear a
+    bound proven to lie on the right side of every tol in the block. So the
+    report equals, field for field and bit for bit, that of evaluating the
+    definition cell by cell.
+
+    Counterexamples are the first `max_counterexamples` found in grid order
+    (x1, y1, x2, y2 ascending, x1 outermost): failures of the escalating
     verdict first, then those of the de-escalating verdict.
     """
     grid = grid or GridSpec()
     bound = grid.max_value
     t = _table(f, bound)
+    a = [[abs(v) for v in row] for row in t]
+    a_max = [max(row[1:], default=0.0) for row in a]
+    a_min = [min(row[1:], default=0.0) for row in a]
+    span = range(1, bound + 1)
+    block = _block_cells(bound)
+    strict = [(x2, y2) for x2, y2 in block if y2 < x2]     # when x1 > y1
+    # one kept example records that a verdict failed, even when none is asked for
+    keep = max(max_counterexamples, 1)
     esc_bad: list[Counterexample] = []
     de_bad: list[Counterexample] = []
-    esc_fails = de_fails = 0
-    cells = 0
-    max_abs = 0.0
-    for x1 in range(1, bound + 1):
-        row_x1 = t[x1]
+    hi = lo = 0.0
+    for x1 in span:
+        rx = t[x1]
         for y1 in range(1, x1 + 1):
-            row_y1 = t[y1]
-            strict1 = x1 > y1
-            for x2 in range(1, bound + 1):
-                t1, t3 = row_x1[x2], row_y1[x2]
-                cells += x2
-                for y2 in range(1, x2 + 1):
-                    t2, t4 = row_y1[y2], row_x1[y2]
-                    delta = t1 + t2 - t3 - t4
-                    tol = REL_TOL * (abs(t1) + abs(t2) + abs(t3) + abs(t4))
-                    a = abs(delta)
-                    if a > max_abs:
-                        max_abs = a
-                    strict = strict1 and x2 > y2
-                    reason = None
-                    if delta < -tol:
-                        reason = "sign"
-                    elif strict and delta <= tol:
-                        reason = "strictness"
-                    if reason is not None:
-                        esc_fails += 1
-                        if len(esc_bad) < max_counterexamples:
-                            esc_bad.append(Counterexample(x1, y1, x2, y2, delta, reason))
-                    reason = None
-                    if delta > tol:
-                        reason = "sign"
-                    elif strict and delta >= -tol:
-                        reason = "strictness"
-                    if reason is not None:
-                        de_fails += 1
-                        if len(de_bad) < max_counterexamples:
-                            de_bad.append(Counterexample(x1, y1, x2, y2, delta, reason))
-    if not esc_fails:
+            ry = t[y1]
+            if y1 < x1:
+                ds = [rx[x2] + ry[y2] - ry[x2] - rx[y2] for x2, y2 in strict]
+                ns = [rx[x2] + ry[x2] - ry[x2] - rx[x2] for x2 in span]
+            else:
+                ds = []
+                ns = [rx[x2] + rx[y2] - rx[x2] - rx[y2] for x2, y2 in block]
+            n_lo, n_hi = min(ns), max(ns)
+            d_lo, d_hi = (min(ds), max(ds)) if ds else (n_lo, n_hi)
+            hi = max(hi, d_hi, n_hi)
+            lo = min(lo, d_lo, n_lo)
+            if len(esc_bad) >= keep and len(de_bad) >= keep:
+                continue
+            # Rounding is monotone, so a tol sum taken in the cell's order over
+            # the two rows' largest (smallest) |t| is at least (at most) every
+            # tol in the block, with no slack.
+            ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
+            lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
+            if -lb <= n_lo and n_hi <= lb:      # no non-strict cell fails
+                if not ds:
+                    continue
+                if d_lo > ub:                   # on every strict cell delta > tol
+                    need = keep - len(de_bad)
+                    de_bad += [Counterexample(x1, y1, x2, y2, delta, "sign")
+                               for (x2, y2), delta in zip(strict[:need], ds)]
+                    continue
+                if d_hi < -ub:                  # on every strict cell delta < -tol
+                    need = keep - len(esc_bad)
+                    esc_bad += [Counterexample(x1, y1, x2, y2, delta, "sign")
+                                for (x2, y2), delta in zip(strict[:need], ds)]
+                    continue
+            ax, ay = a[x1], a[y1]
+            for x2, y2 in block:
+                delta = rx[x2] + ry[y2] - ry[x2] - rx[y2]
+                tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
+                if delta > tol:
+                    esc_reason, de_reason = None, "sign"
+                elif delta < -tol:
+                    esc_reason, de_reason = "sign", None
+                elif y1 < x1 and y2 < x2:
+                    esc_reason = de_reason = "strictness"
+                else:
+                    continue
+                if esc_reason and len(esc_bad) < keep:
+                    esc_bad.append(Counterexample(x1, y1, x2, y2, delta, esc_reason))
+                if de_reason and len(de_bad) < keep:
+                    de_bad.append(Counterexample(x1, y1, x2, y2, delta, de_reason))
+    if not esc_bad:
         verdict, examples = "escalating", ()
-    elif not de_fails:
+    elif not de_bad:
         verdict, examples = "de-escalating", ()
     else:
         verdict = "neither"
         examples = tuple((esc_bad + de_bad)[:max_counterexamples])
-    return EscalationReport(f.name, bound, verdict, examples, cells, max_abs)
+    cells = len(block) ** 2
+    return EscalationReport(f.name, bound, verdict, examples, cells, max(hi, -lo))
 
 
 @dataclass(frozen=True)
@@ -260,27 +334,35 @@ def _three_term_failures(t: list[list[float]], bound: int,
     """Three-term shift failures in grid order, stopping at `max_counterexamples`.
 
     `t` is the (bound+1)-table of h. Returns the failures and the number of
-    cells examined up to and including the last one checked.
+    cells examined up to and including the last one checked. A cell fails when
+    lhs - rhs <= tol = REL_TOL * (|lhs| + |rhs|). The exact tol of each cell
+    is skipped only in an (x1, y1) block whose smallest lhs - rhs exceeds a
+    bound proven to be at least every tol in the block.
     """
+    block = _block_cells(bound)
     bad: list[Counterexample] = []
-    cells = 0
+    blocks_done = 0
     for x1 in range(2, bound + 1):
         row_next, row_x1 = t[x1 + 1], t[x1]
         for y1 in range(2, x1 + 1):
             row_y1 = t[y1]
             lhs_c, rhs_c = row_next[y1 - 1], row_x1[y1]
-            for x2 in range(1, bound + 1):
-                lhs_a, rhs_a = row_next[x2], row_x1[x2]
-                for y2 in range(1, x2 + 1):
-                    cells += 1
-                    lhs = lhs_a + row_next[y2] + lhs_c
-                    rhs = rhs_a + row_y1[y2] + rhs_c
-                    tol = REL_TOL * (abs(lhs) + abs(rhs))
-                    if lhs - rhs <= tol:
-                        bad.append(Counterexample(x1, y1, x2, y2, lhs - rhs, "three-term"))
+            lhs = [row_next[x2] + row_next[y2] + lhs_c for x2, y2 in block]
+            rhs = [row_x1[x2] + row_y1[y2] + rhs_c for x2, y2 in block]
+            # monotone rounding: this tol over the largest |lhs|, |rhs| is at
+            # least every tol in the block. A gap of inf - inf is NaN and never
+            # fails; `not >` sends a block whose min() came out NaN to the
+            # exact check.
+            ub = REL_TOL * (max(map(abs, lhs)) + max(map(abs, rhs)))
+            if not min(map(sub, lhs, rhs)) > ub:
+                for k, (x2, y2) in enumerate(block):
+                    gap = lhs[k] - rhs[k]
+                    if gap <= REL_TOL * (abs(lhs[k]) + abs(rhs[k])):
+                        bad.append(Counterexample(x1, y1, x2, y2, gap, "three-term"))
                         if len(bad) >= max_counterexamples:
-                            return bad, cells
-    return bad, cells
+                            return bad, blocks_done * len(block) + k + 1
+            blocks_done += 1
+    return bad, blocks_done * len(block)
 
 
 def check_good_escalating(alpha: float, grid: GridSpec | None = None,

@@ -33,6 +33,7 @@ from .construct import Objective, extremal_graph
 from .errors import (
     AlphaNotAboveOneError,
     AlphaZeroError,
+    CapsSyntaxError,
     LengthMismatchError,
     TimeBudgetExceededError,
     TooLargeError,
@@ -47,7 +48,7 @@ from .graphs import (
 )
 from .indices import REL_TOL, edge_pair_counts
 
-#: hard desk-scale caps; override per call or via SOMBOR_CAPS
+#: hard desk-scale caps; override per call, or `enum` via SOMBOR_CAPS
 ENUM_N_MAX = 9
 ENUM_N_MAX_C3 = 7        # recognizer cost bound for c >= 3 existence runs
 SEQUENCE_N_MAX = 10
@@ -56,13 +57,13 @@ SEQUENCE_N_MAX = 10
 @dataclass(frozen=True)
 class Caps:
     enum: int = ENUM_N_MAX
-    sequence: int = SEQUENCE_N_MAX
-    recognizer: int = 12
-    canon: int = 16
 
 
 def load_caps(text: str | None = None) -> Caps:
-    """Parse a SOMBOR_CAPS-style override, e.g. "enum=10,canon=14"."""
+    """Parse a SOMBOR_CAPS-style override, e.g. "enum=8".
+
+    An unknown key or a non-integer value raises `CapsSyntaxError`.
+    """
     if text is None:
         text = os.environ.get("SOMBOR_CAPS", "")
     values = {}
@@ -71,9 +72,14 @@ def load_caps(text: str | None = None) -> Caps:
         if not part:
             continue
         key, _, val = part.partition("=")
-        if key.strip() not in ("enum", "sequence", "recognizer", "canon"):
-            raise ValueError(f"unknown cap {key.strip()!r} in SOMBOR_CAPS")
-        values[key.strip()] = int(val)
+        key = key.strip()
+        if key not in Caps.__dataclass_fields__:
+            raise CapsSyntaxError(f"unknown cap {key!r} in SOMBOR_CAPS")
+        try:
+            values[key] = int(val)
+        except ValueError:
+            raise CapsSyntaxError(f"cap {key!r} in SOMBOR_CAPS needs an integer, "
+                                  f"got {val.strip()!r}") from None
     return Caps(**values)
 
 

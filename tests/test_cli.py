@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,33 @@ def test_overflow_is_a_validation_error(capsys):
     code, out, err = run(capsys, "construct", "--pi", "3,2,2,1,1,1", "--alpha", "400")
     assert code == 2 and out == ""
     assert "float range" in err
+
+
+def test_verify_prop1_default_report_pinned(capsys):
+    # sha256 of the default report (12 alphas, B = 20) re-dumped as in
+    # perfbench/reference.json; prop1 reports carry no timing keys
+    code, out, _ = run(capsys, "verify", "--theorem", "prop1")
+    assert code == 0 and "elapsed_seconds" not in out
+    canonical = json.dumps(json.loads(out), indent=2, sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "5749cef06d273b12368adca7259ba5736a3a5b150ee49e33d3b7dc2f3d7f5143"
+    )
+
+
+def test_underflow_is_a_validation_error(capsys):
+    # h values near the float floor cannot resolve the grid inequality; this
+    # used to read as a "neither" counterexample (exit 1)
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--alpha=-400")
+    assert code == 2 and out == ""
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("caps", ["bogus=1", "enum=x", "canon=14"])
+def test_bad_sombor_caps_exit2(capsys, monkeypatch, caps):
+    monkeypatch.setenv("SOMBOR_CAPS", caps)
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "3")
+    assert code == 2 and out == ""
+    assert "SOMBOR_CAPS" in err
 
 
 def test_verify_theorem2_small(capsys):

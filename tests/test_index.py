@@ -17,10 +17,13 @@ from somborlab import (
     generate_c_cyclic_sequences,
     sombor_general,
 )
+from somborlab.cli import DEFAULT_PROP1_ALPHAS
 from somborlab.errors import (
     AlphaNotFiniteError,
     AlphaZeroError,
     DisconnectedError,
+    FunctionNotFiniteError,
+    FunctionUnderflowError,
     ValidationError,
 )
 from somborlab.indices import (
@@ -130,6 +133,11 @@ def _mixed(x, y):
     return (x * y) if (x + y) % 2 == 0 else -(x * y)
 
 
+def _near_tol(x, y):
+    # deltas and shift gaps of the order of REL_TOL: outcomes turn on the exact tol
+    return 1 + 1e-10 * x * y
+
+
 def _grid_cells(bound, y1_min):
     for x1 in range(y1_min, bound + 1):
         for y1 in range(y1_min, x1 + 1):
@@ -213,26 +221,74 @@ def _reference_good_escalating(alpha, bound, max_counterexamples=10):
     return GoodEscalatingReport(alpha, bound, True, None, (), cells)
 
 
+def _bits(v):
+    # type and exact bits: == would equate 0.0 with -0.0 and 1 with 1.0
+    return type(v).__name__, float(v).hex()
+
+
+def _report_bits(report):
+    return (_bits(report.max_abs_delta),
+            [_bits(c.delta) for c in report.counterexamples])
+
+
 def test_grid_tables_match_per_call_definition():
-    grid = GridSpec(6)
-    functions = [BivariateFunction.sombor(a) for a in (-1, 0.5, 1, 2)]
+    # at alpha = 1 - 1e-8 and 1 + 3e-8, delta crosses tol inside the grid
+    alphas = DEFAULT_PROP1_ALPHAS + (1 - 1e-8, 1 + 3e-8)
+    functions = [BivariateFunction.sombor(a) for a in alphas]
     functions.append(BivariateFunction.custom(_mixed, name="mixed"))
-    for f in functions:
-        for limit in (3, 10, 1000):
-            assert check_escalating(f, grid, limit) == _reference_escalating(f, 6, limit)
-    conditions = {}
-    for a in (-1, 0.5, 1.5):
-        report = check_good_escalating(a, grid)
-        assert report == _reference_good_escalating(a, 6)
-        conditions[a] = report.failed_condition
-    assert conditions == {-1: "first-partial", 0.5: "escalating", 1.5: None}
-    # h_alpha never fails the shift inequality; a sign-flipping f reaches the
-    # early stop at max_counterexamples
-    mixed = BivariateFunction.custom(_mixed, name="mixed")
-    for limit in (3, 10, 1000):
-        bad, cells = _three_term_failures(_table(mixed, 7), 6, limit)
-        assert (bad, cells) == _reference_three_term(mixed, 6, limit)
-        assert bad
+    functions.append(BivariateFunction.custom(_near_tol, name="near-tol"))
+    for bound in (3, 6, 9):
+        grid = GridSpec(bound)
+        for f in functions:
+            for limit in (0, 1, 10, 1000):
+                got = check_escalating(f, grid, limit)
+                want = _reference_escalating(f, bound, limit)
+                assert got == want
+                assert _report_bits(got) == _report_bits(want)
+        conditions = {}
+        for a in (-1, 0.5, 1.5):
+            got = check_good_escalating(a, grid)
+            want = _reference_good_escalating(a, bound)
+            assert got == want
+            assert [_bits(c.delta) for c in got.counterexamples] == \
+                [_bits(c.delta) for c in want.counterexamples]
+            conditions[a] = got.failed_condition
+        assert conditions == {-1: "first-partial", 0.5: "escalating", 1.5: None}
+        # the shift inequality on every function, including those that fail it
+        # and reach the early stop at max_counterexamples
+        stopped = set()
+        for f in functions:
+            for limit in (0, 1, 10, 1000):
+                bad, cells = _three_term_failures(_table(f, bound + 1), bound, limit)
+                want_bad, want_cells = _reference_three_term(f, bound, limit)
+                assert (bad, cells) == (want_bad, want_cells)
+                assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
+                if limit == 1 and bad:
+                    stopped.add(f.name)
+        assert {"mixed", "near-tol"} <= stopped
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_function_value_rejected(value):
+    # (6, 6) lies outside the symmetry spot-check of BivariateFunction.custom
+    f = BivariateFunction.custom(lambda x, y: value if x == y == 6 else x * y,
+                                 name="spiky")
+    with pytest.raises(FunctionNotFiniteError, match=r"spiky\(6, 6\)"):
+        check_escalating(f, GridSpec(8))
+    assert issubclass(FunctionNotFiniteError, ValidationError)
+
+
+def test_underflow_rejected_for_h_alpha_only():
+    # at B = 20, h_alpha(20, 20) = 800**alpha is subnormal from alpha = -106
+    with pytest.raises(FunctionUnderflowError, match=r"h_-106\(20, 20\)"):
+        check_escalating(BivariateFunction.sombor(-106), GridSpec(20))
+    report = check_escalating(BivariateFunction.sombor(-100), GridSpec(20))
+    assert report.verdict == "escalating"
+    assert issubclass(FunctionUnderflowError, ValidationError)
+    # 0 is a legitimate value of a custom f
+    zero = BivariateFunction.custom(lambda x, y: 0.0, name="zero")
+    report = check_escalating(zero, GridSpec(5))
+    assert report.verdict == "neither" and report.max_abs_delta == 0.0
 
 
 def test_good_escalating():

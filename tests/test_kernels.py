@@ -119,6 +119,29 @@ def test_twin_pruning_canon_calls(monkeypatch):
     assert len(calls) == 31
 
 
+def _classes_by_sequence_unfiltered(n, m):
+    out = {}
+    for subset in itertools.combinations(itertools.combinations(range(n), 2), m):
+        adj = [0] * n
+        for u, v in subset:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        degs = [a.bit_count() for a in adj]
+        if 0 in degs or not _pure._connected_masks(n, adj):
+            continue
+        key = tuple(sorted(degs, reverse=True))
+        out.setdefault(key, set()).add(_pure.canon_bits(n, subset))
+    return {k: frozenset(v) for k, v in out.items()}
+
+
+def test_subset_filter_degree_order_keeps_every_class():
+    # classes_by_sequence canonicalizes only subsets whose degrees are
+    # non-increasing by label; brute force over every subset, c <= 3
+    for n in range(2, 7):
+        for m in range(n - 1, min(n + 2, n * (n - 1) // 2) + 1):
+            assert _pure.classes_by_sequence(n, m) == _classes_by_sequence_unfiltered(n, m)
+
+
 @needs_core
 def test_backends_agree_on_random_graphs():
     rng = random.Random(42)

@@ -26,6 +26,7 @@ from somborlab import (
 )
 from somborlab.errors import (
     AlphaNotAboveOneError,
+    CapsSyntaxError,
     LengthMismatchError,
     NotGraphicalError,
     TimeBudgetExceededError,
@@ -33,7 +34,7 @@ from somborlab.errors import (
     UnsupportedCError,
     UnsupportedObjectiveError,
 )
-from somborlab.oracle import Deadline, _gamma, load_caps
+from somborlab.oracle import ENUM_N_MAX, Deadline, _gamma, load_caps
 
 
 def test_enumerate_gamma_unique_realizations():
@@ -191,7 +192,8 @@ def test_deadline_fires():
 
 
 def test_load_caps():
-    caps = load_caps("enum=10, canon=14")
-    assert caps.enum == 10 and caps.canon == 14 and caps.recognizer == 12
-    with pytest.raises(ValueError):
-        load_caps("bogus=3")
+    assert load_caps(" enum=8 ").enum == 8
+    assert load_caps("").enum == ENUM_N_MAX
+    for text in ("bogus=3", "canon=14", "enum=x", "enum="):
+        with pytest.raises(CapsSyntaxError):
+            load_caps(text)
