@@ -1,11 +1,7 @@
-"""Pure-Python compute kernels: canonical labeling and degree-sequence enumeration.
+"""Compute kernels: canonical labeling and degree-sequence enumeration.
 
-This module is the reference implementation. `_core.pyx` is an older Cython
-port: its `canon_bits` and `classes_by_sequence` follow this code, but its
-`enumerate_classes` has no twin pruning, so the two backends agree on class
-lists, not on the search they run (tests/test_kernels.py). Graphs live here
-as adjacency bitmasks over at most 16 vertices, which covers every desk-scale
-cap in the library.
+Graphs live here as adjacency bitmasks over at most 16 vertices, which covers
+every desk-scale cap in the library.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
@@ -19,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+# the only kernel; run contexts record it as the backend
 BACKEND = "pure"
 
 MAX_VERTICES = 16
@@ -37,9 +34,9 @@ def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
 
     Each pass recomputes every vertex's signature (neighbour count per current
     cell, packed in 4-bit nibbles) against the cells at the start of the pass;
-    split cells are ordered by ascending signature. Loops until stable. Both
-    the signature packing and the ascending order are part of the cross-backend
-    contract.
+    split cells are ordered by ascending signature. Loops until stable. The
+    signature packing and the ascending order decide which labeling is
+    canonical, so every pinned class list and canonical code depends on both.
     """
     while True:
         masks = [0] * len(cells)
@@ -127,7 +124,7 @@ def canon_bits(n: int, edges) -> int:
 
 
 def bits_to_edges(n: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Inverse of `_pack_bits` under the identity labeling."""
+    """Edges of a packed bitstring in graph6 pair order (inverse of `_pack_bits`)."""
     edges = []
     k = n * (n - 1) // 2
     for j in range(1, n):
@@ -143,7 +140,8 @@ def canon_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     return bits_to_edges(n, canon_bits(n, edges))
 
 
-def _connected_masks(n: int, adj: list[int]) -> bool:
+def connected_masks(n: int, adj) -> bool:
+    """Whether the graph with adjacency bitmasks `adj` on n vertices is connected."""
     seen = 1
     frontier = 1
     while frontier:
@@ -199,7 +197,7 @@ def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
 
     def rec(v: int) -> None:
         if v == n:
-            if _connected_masks(n, adj):
+            if connected_masks(n, adj):
                 reps.add(canon_bits(n, _mask_edges(n, adj)))
             return
         r = res[v]
@@ -266,7 +264,7 @@ def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]
         degs = [a.bit_count() for a in adj]
         if degs[-1] == 0 or degs != sorted(degs, reverse=True):
             continue
-        if not _connected_masks(n, adj):
+        if not connected_masks(n, adj):
             continue
         out.setdefault(tuple(degs), set()).add(canon_bits(n, subset))
     return {k: frozenset(v) for k, v in out.items()}

@@ -15,7 +15,6 @@ import math
 import sys
 
 from . import __version__
-from ._kernels import BACKEND
 from .construct import Objective, bfs_bicyclic, bfs_unicyclic, extremal_graph, greedy_tree
 from .errors import AlphaNotFiniteError, SomborlabError, TimeBudgetExceededError, ValidationError
 from .graphs import (
@@ -252,12 +251,13 @@ def cmd_majorize(args) -> int:
     return EXIT_OK
 
 
-def _verify_prop1(args) -> tuple[dict, bool]:
+def _verify_prop1(args, deadline) -> tuple[dict, bool]:
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_PROP1_ALPHAS
     grid = GridSpec(args.grid)
     results = []
     ok = True
     for a in alphas:
+        deadline.check(partial=results)
         report = check_escalating(BivariateFunction.sombor(a), grid)
         expected = classify_alpha(a).value
         if expected == "degenerate":
@@ -302,7 +302,7 @@ def cmd_verify(args) -> int:
     deadline = Deadline(args.time_budget)
     caps = load_caps()
     if args.theorem == "prop1":
-        record, ok = _verify_prop1(args)
+        record, ok = _verify_prop1(args, deadline)
     elif args.theorem == "1":
         record, ok = _verify_theorem1(args, deadline)
     elif args.theorem == "2":

@@ -35,10 +35,6 @@ from .errors import (
     ValidationError,
 )
 
-#: refinement-based canonizer stays exact and fast through this bound
-CANONICAL_N_MAX = 16
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with a normalized edge tuple."""
@@ -173,19 +169,7 @@ def degree_sequence_of(g: Graph) -> DegreeSequence:
 
 
 def is_connected(g: Graph) -> bool:
-    masks = g.adjacency_masks
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            reach |= masks[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return _kernels.connected_masks(g.n, g.adjacency_masks)
 
 
 def validate_connected_c_cyclic(pi: DegreeSequence) -> int:
@@ -239,16 +223,18 @@ def reduced_graph(g: Graph) -> Graph:
     return Graph(len(order), edges)
 
 
-def canonical_form(g: Graph, *, n_max: int = CANONICAL_N_MAX) -> Graph:
+def canonical_form(g: Graph) -> Graph:
     """Canonically relabeled copy of g (identical for isomorphic inputs)."""
-    if g.n > n_max:
-        raise TooLargeError(f"canonical labeling capped at n <= {n_max}, got {g.n}")
+    if g.n > _kernels.MAX_VERTICES:
+        raise TooLargeError(
+            f"canonical labeling capped at n <= {_kernels.MAX_VERTICES}, got {g.n}"
+        )
     return Graph(g.n, _kernels.canon_edges(g.n, g.edges))
 
 
-def canonical_code(g: Graph, *, n_max: int = CANONICAL_N_MAX) -> CanonicalCode:
+def canonical_code(g: Graph) -> CanonicalCode:
     """graph6 bytes of the canonical labeling."""
-    return CanonicalCode(format_graph6(canonical_form(g, n_max=n_max)).encode("ascii"))
+    return CanonicalCode(format_graph6(canonical_form(g)).encode("ascii"))
 
 
 # -- graph6 (bit-exact per the public format specification) -------------------
@@ -323,14 +309,7 @@ def parse_graph6(text: str) -> Graph:
     if pad and bits & ((1 << pad) - 1):
         raise Graph6LengthError("nonzero padding bits")
     bits >>= pad
-    edges = []
-    k = nbits
-    for j in range(1, n):
-        for i in range(j):
-            k -= 1
-            if (bits >> k) & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+    return Graph(n, _kernels.bits_to_edges(n, bits))
 
 
 # -- edge-list text and DOT ----------------------------------------------------

@@ -86,6 +86,7 @@ class BivariateFunction:
 
     Custom callables have their symmetry spot-checked on a small integer grid
     at construction (callables are opaque; this is a sanity check, not a proof).
+    A NaN or infinite value there raises `FunctionNotFiniteError`.
     """
 
     kind: str
@@ -103,6 +104,9 @@ class BivariateFunction:
         for x in (1, 2, 3, 5, 8):
             for y in (1, 2, 4, 7):
                 a, b = fn(x, y), fn(y, x)
+                for (p, q), v in (((x, y), a), ((y, x), b)):
+                    if not math.isfinite(v):
+                        raise FunctionNotFiniteError(f"{name}({p}, {q}) = {v!r} is not finite")
                 if not math.isclose(a, b, rel_tol=REL_TOL, abs_tol=REL_TOL):
                     raise ValidationError(
                         f"{name} is not symmetric: f({x},{y})={a!r} != f({y},{x})={b!r}"

@@ -124,12 +124,14 @@ def enumerate_gamma(pi: DegreeSequence, *, n_max: int = ENUM_N_MAX) -> list[Grap
     """All of Gamma(pi) up to isomorphism, sorted by canonical code.
 
     Representatives are canonically labeled, so the list (and every report
-    built from it) is deterministic regardless of backend. The class list is
-    cached per degree sequence; the returned list is a fresh copy.
+    built from it) is deterministic. The class list is cached per degree
+    sequence; the returned list is a fresh copy. An n above `n_max`, or above
+    the kernel's `MAX_VERTICES` whatever `n_max` says, raises `TooLargeError`.
     """
     validate_connected_c_cyclic(pi)
-    if pi.n > n_max:
-        raise TooLargeError(f"enumeration capped at n <= {n_max}, got n = {pi.n}")
+    cap = min(n_max, _kernels.MAX_VERTICES)
+    if pi.n > cap:
+        raise TooLargeError(f"enumeration capped at n <= {cap}, got n = {pi.n}")
     return list(_gamma(pi.degrees))
 
 

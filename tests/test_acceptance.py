@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, at the stated scale and tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion. The exhaustive sweeps (criteria 2, 3, 4, 7 and 8) run faster with
-the compiled kernel and still pass on the pure backend. Criteria 1, 5 and 6
-never touch `_kernels`; their wall-clock bound of 1 s holds on either backend.
+criterion. Criteria 2, 3, 4, 7 and 8 are exhaustive sweeps over `_kernels`;
+criteria 1, 5 and 6 never touch it and carry a wall-clock bound of 1 s.
 """
 
 import itertools

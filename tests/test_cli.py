@@ -113,6 +113,13 @@ def test_enumerate_over_cap_exit2(capsys):
     assert code == 2
 
 
+def test_enumerate_above_kernel_bound_exit2(capsys):
+    # exit 1 means a counterexample; n = 17 is past the kernel, not a finding
+    code, out, err = run(capsys, "enumerate", "--pi", "2^17", "--n-max", "17")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "n <= 16" in err
+
+
 def test_majorize(capsys):
     code, out, _ = run(capsys, "majorize", "2,2,2", "3,2,1")
     assert code == 0
@@ -207,6 +214,14 @@ def test_verify_time_budget_exit2(capsys):
                        "--time-budget", "0")
     assert code == 2
     assert "budget" in err
+
+
+def test_verify_prop1_time_budget_exit2(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "50",
+                         "--alpha", "2", "--time-budget", "0")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert "budget" in rec["error"] and rec["partial"] == []
 
 
 def test_determinism(capsys):

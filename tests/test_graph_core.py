@@ -32,6 +32,7 @@ from somborlab.errors import (
     NotGraphicalError,
     OddSumError,
     SequenceSyntaxError,
+    TooLargeError,
     TooSparseError,
     ValidationError,
 )
@@ -132,6 +133,16 @@ def test_canonical_code_detects_isomorphism():
     assert canonical_code(P3) == canonical_code(relabeled)
     assert canonical_code(K3) != canonical_code(P3)
     assert canonical_form(P3) == canonical_form(relabeled)
+
+
+def test_canonical_labeling_capped_at_kernel_bound():
+    # the kernel labels at most 16 vertices; above that the error says so
+    p16 = Graph(16, [(i, i + 1) for i in range(15)])
+    assert canonical_form(p16).n == 16
+    p17 = Graph(17, [(i, i + 1) for i in range(16)])
+    for fn in (canonical_form, canonical_code):
+        with pytest.raises(TooLargeError, match="n <= 16, got 17"):
+            fn(p17)
 
 
 def test_canonical_code_permutation_invariance():

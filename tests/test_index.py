@@ -276,6 +276,12 @@ def test_non_finite_function_value_rejected(value):
     with pytest.raises(FunctionNotFiniteError, match=r"spiky\(6, 6\)"):
         check_escalating(f, GridSpec(8))
     assert issubclass(FunctionNotFiniteError, ValidationError)
+    # inside the spot-check the value is named too, not taken for an asymmetry
+    with pytest.raises(FunctionNotFiniteError, match=r"flat\(1, 1\) = (nan|-?inf) is not finite"):
+        BivariateFunction.custom(lambda x, y: value, name="flat")
+    with pytest.raises(FunctionNotFiniteError, match=r"edge\(1, 2\)"):
+        BivariateFunction.custom(lambda x, y: value if (x, y) == (1, 2) else 1.0,
+                                 name="edge")
 
 
 def test_underflow_rejected_for_h_alpha_only():

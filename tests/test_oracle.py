@@ -67,6 +67,9 @@ def test_enumerate_gamma_returns_fresh_lists():
 def test_enumerate_gamma_caps_and_errors():
     with pytest.raises(TooLargeError):
         enumerate_gamma(parse_degree_sequence("2^18,1^2"))
+    # a cap above the kernel's 16 vertices does not lift it
+    with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
+        enumerate_gamma(parse_degree_sequence("2^17"), n_max=17)
     with pytest.raises(NotGraphicalError):
         enumerate_gamma(DegreeSequence((3, 3, 1, 1)))
 
