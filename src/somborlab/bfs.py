@@ -28,11 +28,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DisconnectedError, MinDegreeNotOneError, TooLargeError, ValidationError
+from .errors import DisconnectedError, MinDegreeNotOneError, ValidationError
 from .graphs import Graph, is_connected
-
-#: backtracking recognizer bound; the direct validator has no cap
-DEFAULT_RECOGNIZER_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -91,11 +88,6 @@ def witness_violation(g: Graph, ordering, *, require_triangle: bool = False
         if not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
             return "first three vertices do not form a triangle"
     return None
-
-
-def witness_layers(g: Graph, ordering) -> tuple[int, ...]:
-    h = bfs_distances(g, ordering[0])
-    return tuple(h[v] for v in ordering)
 
 
 def _search(g: Graph, require_triangle: bool) -> BfsWitness | None:
@@ -172,21 +164,15 @@ def _search(g: Graph, require_triangle: bool) -> BfsWitness | None:
     return None
 
 
-def is_bfs_graph(g: Graph, *, n_max: int = DEFAULT_RECOGNIZER_CAP) -> BfsWitness | None:
+def is_bfs_graph(g: Graph) -> BfsWitness | None:
     """Witness ordering satisfying Definition 1 conditions, or None."""
-    if g.n > n_max:
-        raise TooLargeError(f"recognizer capped at n <= {n_max}, got {g.n}")
     if not is_connected(g):
         raise DisconnectedError("BFS-graph recognition needs a connected graph")
     return _search(g, require_triangle=False)
 
 
-def is_special_extremal_bfs(g: Graph, c: int | None = None,
-                            *, n_max: int = DEFAULT_RECOGNIZER_CAP
-                            ) -> BfsWitness | None:
+def is_special_extremal_bfs(g: Graph, c: int | None = None) -> BfsWitness | None:
     """Witness for the special extremal variant: triangle on top when c >= 1."""
-    if g.n > n_max:
-        raise TooLargeError(f"recognizer capped at n <= {n_max}, got {g.n}")
     if not is_connected(g):
         raise DisconnectedError("BFS-graph recognition needs a connected graph")
     if g.n < 3:

@@ -4,7 +4,9 @@ Exit codes: 0 success/pass, 1 theorem or assertion violation (a counterexample
 was found), 2 usage or validation error. All commands are deterministic;
 verify reports carry an `elapsed_seconds` field that byte-level comparisons
 should strip. JSON is the default output format; `--format table` is for
-humans. SOMBOR_CAPS (e.g. "enum=8") overrides the enumeration cap.
+humans. The enumeration cap bounds the n of `enumerate --pi` and the
+`--n-max` of every verify sweep; it is checked here, once, before any work.
+SOMBOR_CAPS (e.g. "enum=12") is its only override, up to the kernel's 16.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import json
 import math
 import sys
 
-from . import __version__
+from . import __version__, _kernels
 from .construct import Objective, bfs_bicyclic, bfs_unicyclic, extremal_graph, greedy_tree
-from .errors import AlphaNotFiniteError, SomborlabError, TimeBudgetExceededError, ValidationError
+from .errors import (AlphaNotFiniteError, SomborlabError, TimeBudgetExceededError,
+                     TooLargeError, ValidationError)
 from .graphs import (
     DegreeSequence,
     degree_sequence_of,
@@ -31,6 +34,7 @@ from .graphs import (
 )
 from .indices import GridSpec, BivariateFunction, check_escalating, classify_alpha, sombor_general
 from .oracle import (
+    Caps,
     Deadline,
     _values_for_alphas,
     enumerate_gamma,
@@ -51,6 +55,14 @@ DEFAULT_MAX_ALPHAS = (-1.0, -0.5, 1.5, 2.0, 3.0)
 DEFAULT_T1_ALPHAS = (0.5, 2.0)
 DEFAULT_T3_ALPHAS = (1.5, 2.0, 3.0)
 DEFAULT_PROP1_ALPHAS = (-3.0, -1.0, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 2.0, 5.0)
+DEFAULT_N_MAX = {"1": 7, "2": 8, "3": 8}
+
+
+def _check_cap(n: int, caps: Caps) -> None:
+    cap = min(caps.enum, _kernels.MAX_VERTICES)
+    if n > cap:
+        raise TooLargeError(f"enumeration capped at n <= {cap}, got n = {n}; SOMBOR_CAPS="
+                            f"enum=N sets the cap, up to {_kernels.MAX_VERTICES}")
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
@@ -190,9 +202,9 @@ def cmd_eval(args) -> int:
 def cmd_enumerate(args) -> int:
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
-    n_max = args.n_max if args.n_max is not None else caps.enum
+    _check_cap(pi.n, caps)
     alphas = _alpha_list(args.alpha) if args.alpha else ()
-    graphs = enumerate_gamma(pi, n_max=n_max)
+    graphs = enumerate_gamma(pi)
     values = [_values_for_alphas(g, alphas) for g in graphs]
     classes = []
     for g, vals in zip(graphs, values):
@@ -277,9 +289,7 @@ def _verify_prop1(args, deadline) -> tuple[dict, bool]:
     return {"proposition": 1, "grid": args.grid, "results": results}, ok
 
 
-def _verify_theorem1(args, deadline) -> tuple[dict, bool]:
-    caps = load_caps()
-    n_max = args.n_max if args.n_max is not None else 7
+def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
     cs = _int_list(args.c) if args.c else (0, 1, 2, 3)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T1_ALPHAS
     results = []
@@ -289,7 +299,7 @@ def _verify_theorem1(args, deadline) -> tuple[dict, bool]:
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
                 for a in alphas:
                     deadline.check(partial=results)
-                    rep = verify_special_bfs_existence(pi, a, n_max=min(n_max, caps.enum))
+                    rep = verify_special_bfs_existence(pi, a)
                     ok = ok and rep.holds
                     results.append(rep.to_record())
     return {"theorem": 1, "n_max": n_max, "c": list(cs), "alphas": list(alphas),
@@ -298,50 +308,53 @@ def _verify_theorem1(args, deadline) -> tuple[dict, bool]:
             "results": results}, ok
 
 
+def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
+    cs = _int_list(args.c) if args.c else (0, 1, 2)
+    alphas = (_alpha_list(args.alpha) if args.alpha
+              else DEFAULT_MIN_ALPHAS + DEFAULT_MAX_ALPHAS)
+    reports = []
+    ok = True
+    for c in cs:
+        for n in range(2, n_max + 1):
+            deadline.check(partial=reports)
+            rep = verify_theorem2(n, c, alphas, deadline=deadline)
+            ok = ok and rep.holds
+            reports.append(rep.to_record())
+    return {"theorem": 2, "n_max": n_max, "c": list(cs),
+            "alphas": list(alphas), "reports": reports,
+            "violations": [v for r in reports for v in r["violations"]]}, ok
+
+
+def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
+    cs = _int_list(args.c) if args.c else (0, 1, 2)
+    alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T3_ALPHAS
+    reports = []
+    ok = True
+    for require_pendant in (False, True):
+        for c in cs:
+            for n in range(2, n_max + 1):
+                deadline.check(partial=reports)
+                rep = verify_theorem3(n, c, alphas, require_pendant=require_pendant,
+                                      deadline=deadline)
+                ok = ok and rep.holds
+                reports.append(rep.to_record())
+    return {"theorem": 3, "n_max": n_max, "c": list(cs),
+            "alphas": list(alphas), "reports": reports,
+            "violations": [v for r in reports for v in r["violations"]]}, ok
+
+
+_SWEEPS = {"1": _verify_theorem1, "2": _verify_theorem2, "3": _verify_theorem3}
+
+
 def cmd_verify(args) -> int:
     deadline = Deadline(args.time_budget)
     caps = load_caps()
     if args.theorem == "prop1":
         record, ok = _verify_prop1(args, deadline)
-    elif args.theorem == "1":
-        record, ok = _verify_theorem1(args, deadline)
-    elif args.theorem == "2":
-        n_max = args.n_max if args.n_max is not None else 8
-        cs = _int_list(args.c) if args.c else (0, 1, 2)
-        alphas = (_alpha_list(args.alpha) if args.alpha
-                  else DEFAULT_MIN_ALPHAS + DEFAULT_MAX_ALPHAS)
-        reports = []
-        ok = True
-        for c in cs:
-            for n in range(2, n_max + 1):
-                deadline.check(partial=reports)
-                rep = verify_theorem2(n, c, alphas, n_max=min(n_max, caps.enum),
-                                      deadline=deadline)
-                ok = ok and rep.holds
-                reports.append(rep.to_record())
-        record = {"theorem": 2, "n_max": n_max, "c": list(cs),
-                  "alphas": list(alphas), "reports": reports,
-                  "violations": [v for r in reports for v in r["violations"]]}
-    elif args.theorem == "3":
-        n_max = args.n_max if args.n_max is not None else 8
-        cs = _int_list(args.c) if args.c else (0, 1, 2)
-        alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T3_ALPHAS
-        reports = []
-        ok = True
-        for require_pendant in (False, True):
-            for c in cs:
-                for n in range(2, n_max + 1):
-                    deadline.check(partial=reports)
-                    rep = verify_theorem3(n, c, alphas, require_pendant=require_pendant,
-                                          n_max=min(n_max, caps.enum),
-                                          deadline=deadline)
-                    ok = ok and rep.holds
-                    reports.append(rep.to_record())
-        record = {"theorem": 3, "n_max": n_max, "c": list(cs),
-                  "alphas": list(alphas), "reports": reports,
-                  "violations": [v for r in reports for v in r["violations"]]}
     else:
-        raise ValidationError(f"unknown theorem {args.theorem!r}")
+        n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX[args.theorem]
+        _check_cap(n_max, caps)
+        record, ok = _SWEEPS[args.theorem](args, n_max, deadline)
     record["pass"] = ok
 
     def table():
@@ -381,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list Gamma(pi) up to isomorphism")
     p.add_argument("--pi", required=True)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--format", choices=["json", "table", "graph6"], default="json")
     p.set_defaults(fn=cmd_enumerate)
 

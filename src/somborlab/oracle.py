@@ -17,6 +17,9 @@ independent strategy filters all edge subsets and is compared class set by
 class set in `verify_enumeration_cross_check`. Values are binary64 with 1e-9
 relative tolerance; graphs are always compared by canonical code, never by
 float.
+
+The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
+`Caps.enum` is checked once, by the CLI, where outside input enters.
 """
 
 from __future__ import annotations
@@ -48,14 +51,13 @@ from .graphs import (
 )
 from .indices import REL_TOL, edge_pair_counts
 
-#: hard desk-scale caps; override per call, or `enum` via SOMBOR_CAPS
-ENUM_N_MAX = 9
-ENUM_N_MAX_C3 = 7        # recognizer cost bound for c >= 3 existence runs
-SEQUENCE_N_MAX = 10
+#: default desk-scale cap on n for `enumerate` and every `verify` sweep
+ENUM_N_MAX = 10
 
 
 @dataclass(frozen=True)
 class Caps:
+    """Desk-scale caps, overridden only by SOMBOR_CAPS (e.g. "enum=12")."""
     enum: int = ENUM_N_MAX
 
 
@@ -120,18 +122,18 @@ def _pmap(fn, items, workers: int = 1, deadline: Deadline | None = None) -> list
 
 # -- enumeration -----------------------------------------------------------------
 
-def enumerate_gamma(pi: DegreeSequence, *, n_max: int = ENUM_N_MAX) -> list[Graph]:
+def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
     """All of Gamma(pi) up to isomorphism, sorted by canonical code.
 
     Representatives are canonically labeled, so the list (and every report
     built from it) is deterministic. The class list is cached per degree
-    sequence; the returned list is a fresh copy. An n above `n_max`, or above
-    the kernel's `MAX_VERTICES` whatever `n_max` says, raises `TooLargeError`.
+    sequence; the returned list is a fresh copy. An n above the kernel's
+    `MAX_VERTICES` raises `TooLargeError`; the desk-scale cap is the CLI's.
     """
     validate_connected_c_cyclic(pi)
-    cap = min(n_max, _kernels.MAX_VERTICES)
-    if pi.n > cap:
-        raise TooLargeError(f"enumeration capped at n <= {cap}, got n = {pi.n}")
+    if pi.n > _kernels.MAX_VERTICES:
+        raise TooLargeError(f"enumeration capped at n <= {_kernels.MAX_VERTICES}, "
+                            f"got n = {pi.n}")
     return list(_gamma(pi.degrees))
 
 
@@ -171,11 +173,10 @@ class ExtremaReport:
         }
 
 
-def oracle_extrema(pi: DegreeSequence, alpha: float, *,
-                   n_max: int = ENUM_N_MAX) -> ExtremaReport:
+def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
     if alpha == 0:
         raise AlphaZeroError("alpha must be nonzero")
-    graphs = enumerate_gamma(pi, n_max=n_max)
+    graphs = enumerate_gamma(pi)
     values = [_values_for_alphas(g, (alpha,))[alpha] for g in graphs]
     lo, hi = min(values), max(values)
     min_w = tuple(g for g, v in zip(graphs, values) if v <= lo * (1 + REL_TOL))
@@ -211,14 +212,13 @@ def is_majorized(x: DegreeSequence, y: DegreeSequence) -> MajorizationVerdict:
 
 # -- sequence generation -----------------------------------------------------------
 
-def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool,
-                                *, n_max: int = SEQUENCE_N_MAX
-                                ) -> list[DegreeSequence]:
-    """All connected-realizable c-cyclic sequences of length n, descending lex order."""
+def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[DegreeSequence]:
+    """All connected-realizable c-cyclic sequences of length n, descending lex order.
+
+    No desk-scale cap applies here; the CLI checks n against `Caps.enum`.
+    """
     if c < 0 or c > 3:
         raise UnsupportedCError(f"c = {c} outside supported range 0..3")
-    if n > n_max:
-        raise TooLargeError(f"sequence generation capped at n <= {n_max}, got {n}")
     if n < 2:
         raise TooLargeError("need n >= 2")
     target = 2 * (n + c - 1)
@@ -302,9 +302,9 @@ class Theorem2Report:
 
 
 def _theorem2_one(args) -> list[SequenceCheck]:
-    degrees, alphas, n_max = args
+    degrees, alphas = args
     pi = DegreeSequence(degrees)
-    graphs = enumerate_gamma(pi, n_max=n_max)
+    graphs = enumerate_gamma(pi)
     per_graph = [_values_for_alphas(g, alphas) for g in graphs]
     checks = []
     for alpha in alphas:
@@ -320,15 +320,14 @@ def _theorem2_one(args) -> list[SequenceCheck]:
 
 
 def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.0, 3.0),
-                    *, n_max: int = ENUM_N_MAX,
-                    deadline: Deadline | None = None) -> Theorem2Report:
+                    *, deadline: Deadline | None = None) -> Theorem2Report:
     """Constructed T/U/B value equals the oracle extremum for every pendant sequence."""
     t0 = time.monotonic()
     alphas = tuple(alphas)
     for a in alphas:
         objective_for_alpha(a)   # validates the pairing is defined
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=True)
-    groups = _pmap(_theorem2_one, [(s.degrees, alphas, n_max) for s in seqs],
+    groups = _pmap(_theorem2_one, [(s.degrees, alphas) for s in seqs],
                    deadline=deadline)
     checks = tuple(ch for group in groups for ch in group)
     return Theorem2Report(n, c, alphas, checks, all(ch.ok for ch in checks),
@@ -380,15 +379,15 @@ class Theorem3Report:
 
 
 def _maxima_one(args) -> list[float]:
-    degrees, alphas, n_max = args
+    degrees, alphas = args
     pi = DegreeSequence(degrees)
-    graphs = enumerate_gamma(pi, n_max=n_max)
+    graphs = enumerate_gamma(pi)
     per_graph = [_values_for_alphas(g, alphas) for g in graphs]
     return [max(v[a] for v in per_graph) for a in alphas]
 
 
 def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,
-                    require_pendant: bool = False, n_max: int = ENUM_N_MAX,
+                    require_pendant: bool = False,
                     deadline: Deadline | None = None) -> Theorem3Report:
     """Strictly larger oracle maximum along every majorization pair, alpha > 1."""
     t0 = time.monotonic()
@@ -397,7 +396,7 @@ def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,
         if a <= 1:
             raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=require_pendant)
-    maxima = _pmap(_maxima_one, [(s.degrees, alphas, n_max) for s in seqs],
+    maxima = _pmap(_maxima_one, [(s.degrees, alphas) for s in seqs],
                    deadline=deadline)
     pairs: list[PairCheck] = []
     for i, lo in enumerate(seqs):
@@ -442,8 +441,8 @@ class ExistenceReport:
 
 
 def verify_special_bfs_existence(pi: DegreeSequence, alpha: float,
-                                 objective: Objective | None = None, *,
-                                 n_max: int = ENUM_N_MAX) -> ExistenceReport:
+                                 objective: Objective | None = None
+                                 ) -> ExistenceReport:
     """Some oracle-extremal class passes is_special_extremal_bfs (theorem 1)."""
     paired = objective_for_alpha(alpha)
     if objective is None:
@@ -455,10 +454,7 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float,
     if pi.degrees[-1] != 1:
         raise UnsupportedObjectiveError("theorem 1 needs a pendant sequence (d_n = 1)")
     c = validate_connected_c_cyclic(pi)
-    cap = min(n_max, ENUM_N_MAX_C3) if c >= 3 else n_max
-    if pi.n > cap:
-        raise TooLargeError(f"existence check capped at n <= {cap} for c = {c}")
-    report = oracle_extrema(pi, alpha, n_max=cap)
+    report = oracle_extrema(pi, alpha)
     pool = report.min_witnesses if objective is Objective.MIN else report.max_witnesses
     value = report.min_value if objective is Objective.MIN else report.max_value
     for g in pool:
@@ -497,10 +493,9 @@ def verify_enumeration_cross_check(n: int, c: int) -> CrossCheckReport:
     """The backtracking and subset-filter strategies must find the same classes.
 
     Compared per pi as sets of canonical keys (a duplicate class also counts
-    as a mismatch); a mismatch reports both class counts.
+    as a mismatch); a mismatch reports both class counts. The subset filter
+    visits C(n(n-1)/2, n+c-1) edge subsets, which is practical for n <= 7.
     """
-    if n > 7:
-        raise TooLargeError(f"subset-filter cross-check capped at n <= 7, got {n}")
     m = n + c - 1
     by_subsets = _kernels.classes_by_sequence(n, m)
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=False)

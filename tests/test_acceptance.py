@@ -145,20 +145,20 @@ def test_criterion_6_good_escalating():
                f"refuted for 0.5 ({elapsed:.2f}s)")
 
 
-def _corpus_n7():
+def _corpus_n9():
     for c in (0, 1, 2, 3):
-        for n in range(2, 8):
+        for n in range(2, 10):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
                 yield from enumerate_gamma(pi)
 
 
-# Connected graphs by cyclomatic number c (rows) and order n = 2..7 (columns):
+# Connected graphs by cyclomatic number c (rows) and order n = 2..9 (columns):
 # OEIS A000055 (trees), A001429, A001435, A001436.
-CLASSES_N7 = {
-    0: (1, 1, 2, 3, 6, 11),
-    1: (0, 1, 2, 5, 13, 33),
-    2: (0, 0, 1, 5, 19, 67),
-    3: (0, 0, 1, 4, 22, 107),
+CLASSES = {
+    0: (1, 1, 2, 3, 6, 11, 23, 47),
+    1: (0, 1, 2, 5, 13, 33, 89, 240),
+    2: (0, 0, 1, 5, 19, 67, 236, 797),
+    3: (0, 0, 1, 4, 22, 107, 486, 2075),
 }
 
 
@@ -166,25 +166,27 @@ def test_criterion_7_structural_identities():
     t0 = time.time()
     count = 0
     by_cell = Counter()
-    for g in _corpus_n7():
+    for g in _corpus_n9():
         count += 1
         by_cell[g.n, g.m - g.n + 1] += 1
         assert math.isclose(
             sombor_general(g, 1.0), sum(d ** 3 for d in g.degrees), rel_tol=1e-12
         )
         assert parse_graph6(format_graph6(g)) == g
-    expected = {(n, c): row[n - 2] for c, row in CLASSES_N7.items()
-                for n in range(2, 8) if row[n - 2]}
+    expected = {(n, c): row[n - 2] for c, row in CLASSES.items()
+                for n in range(2, 10) if row[n - 2]}
     assert dict(by_cell) == expected
-    assert count == 304
+    assert count == 4297
+    # the subset filter visits C(28, 10) ~ 1.3e7 subsets at n = 8, c = 3
     for c in (0, 1, 2, 3):
         for n in range(2, 8):
             if n + c - 1 > n * (n - 1) // 2:
                 continue
             rep = verify_enumeration_cross_check(n, c)
             assert rep.holds, rep.to_record()
-    _report(7, f"SO_1 identity + graph6 round trip on {count} graphs; "
-               f"both enumeration strategies agree for n <= 7, c <= 3 "
+    _report(7, f"SO_1 identity + graph6 round trip on {count} graphs "
+               f"(n <= 9, c <= 3); both enumeration strategies agree for "
+               f"n <= 7, c <= 3 "
                f"({time.time() - t0:.1f}s)")
 
 

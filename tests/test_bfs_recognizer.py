@@ -17,7 +17,7 @@ from somborlab import (
     parse_degree_sequence,
     witness_violation,
 )
-from somborlab.errors import DisconnectedError, MinDegreeNotOneError, TooLargeError
+from somborlab.errors import DisconnectedError, MinDegreeNotOneError
 
 
 def spider(legs):
@@ -61,10 +61,8 @@ def test_paths_have_witnesses_rooted_at_center():
 def test_h1_is_bfs_h2_is_not():
     h1 = spider([3, 3, 3, 3])
     h2 = spider([2, 2, 4, 4])
-    assert is_bfs_graph(h1, n_max=13) is not None
-    assert is_bfs_graph(h2, n_max=13) is None
-    with pytest.raises(TooLargeError):
-        is_bfs_graph(h1)   # default cap is 12
+    assert is_bfs_graph(h1) is not None
+    assert is_bfs_graph(h2) is None
 
 
 def test_recognizer_requires_connected():

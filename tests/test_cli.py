@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from somborlab import cli
 from somborlab.cli import main
 
 H1_EDGES = "\n".join(
@@ -113,9 +114,10 @@ def test_enumerate_over_cap_exit2(capsys):
     assert code == 2
 
 
-def test_enumerate_above_kernel_bound_exit2(capsys):
+def test_enumerate_above_kernel_bound_exit2(capsys, monkeypatch):
     # exit 1 means a counterexample; n = 17 is past the kernel, not a finding
-    code, out, err = run(capsys, "enumerate", "--pi", "2^17", "--n-max", "17")
+    monkeypatch.setenv("SOMBOR_CAPS", "enum=17")
+    code, out, err = run(capsys, "enumerate", "--pi", "2^17")
     assert code == 2 and out == ""
     assert "Traceback" not in err and "n <= 16" in err
 
@@ -207,6 +209,44 @@ def test_verify_theorem1_small(capsys):
                        "--c", "0,1,2", "--alpha", "0.5,2")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("theorem,n_max,cs", [
+    ("1", "8", "3"),
+    ("1", "9", "0,1,2,3"),
+    ("2", "9", "0,1,2"),
+    ("3", "9", "0,1,2"),
+])
+def test_verify_theorems_under_default_cap(capsys, monkeypatch, theorem, n_max, cs):
+    monkeypatch.delenv("SOMBOR_CAPS", raising=False)
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", n_max,
+                       "--c", cs)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["pass"] is True and rec["n_max"] == int(n_max) and not rec["violations"]
+
+
+def test_verify_cap_lifted_by_sombor_caps(capsys, monkeypatch):
+    monkeypatch.setenv("SOMBOR_CAPS", "enum=11")
+    code, out, _ = run(capsys, "verify", "--theorem", "2", "--n-max", "11",
+                       "--c", "0", "--alpha", "2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["pass"] is True and rec["reports"][-1]["n"] == 11
+
+
+@pytest.mark.parametrize("theorem", ["1", "2", "3"])
+def test_verify_above_cap_exit2_before_any_sweep(capsys, monkeypatch, theorem):
+    monkeypatch.delenv("SOMBOR_CAPS", raising=False)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran past the cap check")
+
+    for name in ("generate_c_cyclic_sequences", "verify_theorem2", "verify_theorem3"):
+        monkeypatch.setattr(cli, name, no_sweep)
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--n-max", "11")
+    assert code == 2 and out == ""
+    assert "SOMBOR_CAPS" in err and "n <= 10" in err
 
 
 def test_verify_time_budget_exit2(capsys):

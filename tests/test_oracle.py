@@ -67,9 +67,9 @@ def test_enumerate_gamma_returns_fresh_lists():
 def test_enumerate_gamma_caps_and_errors():
     with pytest.raises(TooLargeError):
         enumerate_gamma(parse_degree_sequence("2^18,1^2"))
-    # a cap above the kernel's 16 vertices does not lift it
+    # the kernel's 16 vertices are the library's only bound
     with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
-        enumerate_gamma(parse_degree_sequence("2^17"), n_max=17)
+        enumerate_gamma(parse_degree_sequence("2^17"))
     with pytest.raises(NotGraphicalError):
         enumerate_gamma(DegreeSequence((3, 3, 1, 1)))
 
@@ -124,8 +124,8 @@ def test_generate_sequences_examples():
     assert (3, 3, 3, 2, 1) in five
     with pytest.raises(UnsupportedCError):
         generate_c_cyclic_sequences(6, 4, require_pendant=False)
-    with pytest.raises(TooLargeError):
-        generate_c_cyclic_sequences(11, 0, require_pendant=False)
+    # trees on 11 vertices: one sequence per partition of 9
+    assert len(generate_c_cyclic_sequences(11, 0, require_pendant=False)) == 30
     # descending lexicographic order
     degs = [pi.degrees for pi in generate_c_cyclic_sequences(7, 1, require_pendant=False)]
     assert degs == sorted(degs, reverse=True)
@@ -177,9 +177,9 @@ def test_existence_small():
     with pytest.raises(UnsupportedObjectiveError):
         verify_special_bfs_existence(parse_degree_sequence("3,2,2,1,1,1"), 0.5,
                                      Objective.MAX)
-    # c = 3 capped at n <= 7
-    with pytest.raises(TooLargeError):
-        verify_special_bfs_existence(parse_degree_sequence("4,3,3,3,2,2,2,1"), 2.0)
+    # c = 3 at n = 8
+    rep = verify_special_bfs_existence(parse_degree_sequence("4,3,3,3,2,2,2,1"), 2.0)
+    assert rep.holds
 
 
 def test_cross_check_small():
