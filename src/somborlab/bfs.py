@@ -26,14 +26,13 @@ of the search (it scans all ordered pairs with no layer shortcuts).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DisconnectedError, MinDegreeNotOneError, ValidationError
 from .graphs import Graph, is_connected
 
 
-@dataclass(frozen=True)
-class BfsWitness:
+class BfsWitness(NamedTuple):
     ordering: tuple[int, ...]
     layers: tuple[int, ...]            # layers[i] = h(ordering[i])
 

@@ -1,7 +1,8 @@
 """Command-line surface: construct, eval, enumerate, verify, majorize.
 
 Exit codes: 0 success/pass, 1 theorem or assertion violation (a counterexample
-was found), 2 usage or validation error. All commands are deterministic;
+was found), 2 usage or validation error, which includes a theorem sweep whose
+range holds nothing to check. All commands are deterministic;
 verify reports carry an `elapsed_seconds` field that byte-level comparisons
 should strip. JSON is the default output format; `--format table` is for
 humans. The enumeration cap bounds the n of `enumerate --pi` and the
@@ -18,8 +19,8 @@ import sys
 
 from . import __version__, _kernels
 from .construct import Objective, bfs_bicyclic, bfs_unicyclic, extremal_graph, greedy_tree
-from .errors import (AlphaNotFiniteError, SomborlabError, TimeBudgetExceededError,
-                     TooLargeError, ValidationError)
+from .errors import (AlphaNotFiniteError, EmptySweepError, SomborlabError,
+                     TimeBudgetExceededError, TooLargeError, ValidationError)
 from .graphs import (
     DegreeSequence,
     degree_sequence_of,
@@ -281,12 +282,19 @@ def _verify_prop1(args, deadline) -> tuple[dict, bool]:
             "alpha": a,
             "expected": expected,
             "verdict": report.verdict,
-            "counterexamples": [vars(c) for c in report.counterexamples],
+            "counterexamples": [c._asdict() for c in report.counterexamples],
             "cells_checked": report.cells_checked,
             "max_abs_delta": report.max_abs_delta,
             "ok": matches,
         })
     return {"proposition": 1, "grid": args.grid, "results": results}, ok
+
+
+def _require_checks(theorem: str, n_max: int, cs, count: int, what: str) -> None:
+    """A sweep that checked nothing would pass vacuously, so it is a usage error."""
+    if count == 0:
+        raise EmptySweepError(f"theorem {theorem} with --n-max {n_max} and --c "
+                              f"{','.join(map(str, cs))} has no {what} to check")
 
 
 def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
@@ -302,6 +310,7 @@ def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
                     rep = verify_special_bfs_existence(pi, a)
                     ok = ok and rep.holds
                     results.append(rep.to_record())
+    _require_checks("1", n_max, cs, len(results), "pendant sequence")
     return {"theorem": 1, "n_max": n_max, "c": list(cs), "alphas": list(alphas),
             "checked": len(results),
             "violations": [r for r in results if not r["holds"]],
@@ -320,6 +329,8 @@ def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
             rep = verify_theorem2(n, c, alphas, deadline=deadline)
             ok = ok and rep.holds
             reports.append(rep.to_record())
+    _require_checks("2", n_max, cs, sum(len(r["checks"]) for r in reports),
+                    "pendant sequence")
     return {"theorem": 2, "n_max": n_max, "c": list(cs),
             "alphas": list(alphas), "reports": reports,
             "violations": [v for r in reports for v in r["violations"]]}, ok
@@ -338,6 +349,8 @@ def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
                                       deadline=deadline)
                 ok = ok and rep.holds
                 reports.append(rep.to_record())
+    _require_checks("3", n_max, cs, sum(r["pairs_checked"] for r in reports),
+                    "majorization pair")
     return {"theorem": 3, "n_max": n_max, "c": list(cs),
             "alphas": list(alphas), "reports": reports,
             "violations": [v for r in reports for v in r["violations"]]}, ok

@@ -21,7 +21,7 @@ validator accepts them by construction (tested exhaustively at small n).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AlphaDegenerateError,
@@ -44,8 +44,7 @@ class Objective(enum.Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     graph: Graph
     ordering: tuple[int, ...]          # identity by construction, kept explicit
     layers: tuple[int, ...]

@@ -133,6 +133,10 @@ class TooLargeError(ValidationError):
     """Instance exceeds a configured desk-scale cap."""
 
 
+class EmptySweepError(ValidationError):
+    """A verify sweep whose range holds nothing to check; it would pass vacuously."""
+
+
 class CapsSyntaxError(ValidationError):
     """SOMBOR_CAPS names an unknown cap or gives a non-integer value."""
 

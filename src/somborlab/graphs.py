@@ -16,8 +16,8 @@ realization without changing degrees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import (
@@ -35,8 +35,33 @@ from .errors import (
     ValidationError,
 )
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Immutable value object: equal and hashed by `_key()`, fields set once.
+
+    Fields are written in `__init__` with `object.__setattr__`; any later
+    assignment or deletion raises `AttributeError`. Cached properties write to
+    the instance dict directly, so they still work.
+    """
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Value):
     """Simple undirected graph on vertices 0..n-1 with a normalized edge tuple."""
 
     n: int
@@ -59,6 +84,9 @@ class Graph:
             norm.append(e)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+
+    def _key(self) -> tuple:
+        return (self.n, self.edges)
 
     @property
     def m(self) -> int:
@@ -104,19 +132,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(_Value):
     """Non-increasing sequence of positive integer degrees.
 
     The constructor is strict about order; use :meth:`of` to sort silently or
     :func:`parse_degree_sequence` to sort with the `resorted` warning flag set.
+    `resorted` takes no part in equality or hashing.
     """
 
     degrees: tuple[int, ...]
-    resorted: bool = field(default=False, compare=False)
+    resorted: bool
 
-    def __post_init__(self) -> None:
-        degs = tuple(int(d) for d in self.degrees)
+    def __init__(self, degrees, resorted: bool = False) -> None:
+        degs = tuple(int(d) for d in degrees)
         if len(degs) < 2:
             raise ValidationError(f"need at least 2 degrees, got {len(degs)}")
         if any(d < 1 for d in degs):
@@ -124,6 +152,10 @@ class DegreeSequence:
         if any(degs[i] < degs[i + 1] for i in range(len(degs) - 1)):
             raise ValidationError(f"degrees must be non-increasing: {degs}")
         object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "resorted", resorted)
+
+    def _key(self) -> tuple:
+        return (self.degrees,)
 
     @classmethod
     def of(cls, iterable) -> "DegreeSequence":
@@ -157,8 +189,7 @@ class DegreeSequence:
         return f"DegreeSequence({format_degree_sequence(self)!r})"
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Isomorphism-invariant byte code; equal codes <=> isomorphic graphs."""
 
     code: bytes

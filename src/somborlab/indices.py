@@ -33,8 +33,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
 from operator import sub
+from typing import NamedTuple
 
 from .errors import (
     AlphaNotFiniteError,
@@ -44,7 +44,7 @@ from .errors import (
     FunctionUnderflowError,
     ValidationError,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph, _Value, is_connected
 
 #: comparisons of delta against 0, relative to the summed term magnitudes
 REL_TOL = 1e-9
@@ -80,19 +80,33 @@ def sombor_value(a: int, b: int, alpha: float) -> float:
     return (a * a + b * b) ** alpha
 
 
-@dataclass(frozen=True)
-class BivariateFunction:
+class BivariateFunction(_Value):
     """Symmetric positive-domain function: the built-in h_alpha or a callable.
 
     Custom callables have their symmetry spot-checked on a small integer grid
     at construction (callables are opaque; this is a sanity check, not a proof).
-    A NaN or infinite value there raises `FunctionNotFiniteError`.
+    A NaN or infinite value there raises `FunctionNotFiniteError`. `fn` takes
+    no part in equality or hashing.
     """
 
     kind: str
-    alpha: float | None = None
-    fn: object = field(default=None, compare=False)
-    name: str = ""
+    alpha: float | None
+    fn: object
+    name: str
+
+    def __init__(self, kind: str, alpha: float | None = None, fn: object = None,
+                 name: str = "") -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "name", name)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.alpha, self.name)
+
+    def __repr__(self) -> str:
+        return (f"BivariateFunction(kind={self.kind!r}, alpha={self.alpha!r}, "
+                f"fn={self.fn!r}, name={self.name!r})")
 
     @classmethod
     def sombor(cls, alpha: float) -> "BivariateFunction":
@@ -152,19 +166,24 @@ def sombor_general(g: Graph, alpha: float) -> float:
 
 # -- finite-grid certification ---------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Value):
     """Integer quadruple domain: B >= x1 >= y1 >= 1, B >= x2 >= y2 >= 1."""
 
-    max_value: int = DEFAULT_GRID_MAX
+    max_value: int
 
-    def __post_init__(self) -> None:
-        if self.max_value < 3:
-            raise ValidationError(f"grid bound must be >= 3, got {self.max_value}")
+    def __init__(self, max_value: int = DEFAULT_GRID_MAX) -> None:
+        if max_value < 3:
+            raise ValidationError(f"grid bound must be >= 3, got {max_value}")
+        object.__setattr__(self, "max_value", max_value)
+
+    def _key(self) -> tuple:
+        return (self.max_value,)
+
+    def __repr__(self) -> str:
+        return f"GridSpec(max_value={self.max_value!r})"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     x1: int
     y1: int
     x2: int
@@ -173,8 +192,7 @@ class Counterexample:
     reason: str
 
 
-@dataclass(frozen=True)
-class EscalationReport:
+class EscalationReport(NamedTuple):
     function: str
     grid_max: int
     verdict: str                       # "escalating" | "de-escalating" | "neither"
@@ -312,8 +330,7 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     return EscalationReport(f.name, bound, verdict, examples, cells, max(hi, -lo))
 
 
-@dataclass(frozen=True)
-class GoodEscalatingReport:
+class GoodEscalatingReport(NamedTuple):
     alpha: float
     grid_max: int
     holds: bool

@@ -28,7 +28,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .bfs import BfsWitness, is_special_extremal_bfs
@@ -55,8 +55,7 @@ from .indices import REL_TOL, edge_pair_counts
 ENUM_N_MAX = 10
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Desk-scale caps, overridden only by SOMBOR_CAPS (e.g. "enum=12")."""
     enum: int = ENUM_N_MAX
 
@@ -75,7 +74,7 @@ def load_caps(text: str | None = None) -> Caps:
             continue
         key, _, val = part.partition("=")
         key = key.strip()
-        if key not in Caps.__dataclass_fields__:
+        if key not in Caps._fields:
             raise CapsSyntaxError(f"unknown cap {key!r} in SOMBOR_CAPS")
         try:
             values[key] = int(val)
@@ -131,10 +130,14 @@ def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
     `MAX_VERTICES` raises `TooLargeError`; the desk-scale cap is the CLI's.
     """
     validate_connected_c_cyclic(pi)
-    if pi.n > _kernels.MAX_VERTICES:
-        raise TooLargeError(f"enumeration capped at n <= {_kernels.MAX_VERTICES}, "
-                            f"got n = {pi.n}")
+    _check_kernel_bound(pi.n)
     return list(_gamma(pi.degrees))
+
+
+def _check_kernel_bound(n: int) -> None:
+    if n > _kernels.MAX_VERTICES:
+        raise TooLargeError(f"enumeration capped at n <= {_kernels.MAX_VERTICES}, "
+                            f"got n = {n}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -151,8 +154,7 @@ def _values_for_alphas(g: Graph, alphas) -> dict[float, float]:
     }
 
 
-@dataclass(frozen=True)
-class ExtremaReport:
+class ExtremaReport(NamedTuple):
     pi: DegreeSequence
     alpha: float
     min_value: float
@@ -186,8 +188,7 @@ def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
 
 # -- majorization ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MajorizationVerdict:
+class MajorizationVerdict(NamedTuple):
     holds: bool
     failing_prefix: int | None      # 1-based j with sum x[:j] > sum y[:j]
 
@@ -256,8 +257,7 @@ def objective_for_alpha(alpha: float) -> Objective:
     return Objective.MIN if 0 < alpha < 1 else Objective.MAX
 
 
-@dataclass(frozen=True)
-class SequenceCheck:
+class SequenceCheck(NamedTuple):
     pi: DegreeSequence
     alpha: float
     objective: str
@@ -278,8 +278,7 @@ class SequenceCheck:
         }
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     n: int
     c: int
     alphas: tuple[float, ...]
@@ -306,13 +305,17 @@ def _theorem2_one(args) -> list[SequenceCheck]:
     pi = DegreeSequence(degrees)
     graphs = enumerate_gamma(pi)
     per_graph = [_values_for_alphas(g, alphas) for g in graphs]
+    built_values = None
     checks = []
     for alpha in alphas:
         objective = objective_for_alpha(alpha)
         values = [v[alpha] for v in per_graph]
         oracle_value = min(values) if objective is Objective.MIN else max(values)
-        built = extremal_graph(pi, alpha, objective)
-        built_value = _values_for_alphas(built.graph, (alpha,))[alpha]
+        if built_values is None:
+            # the construction depends on pi alone once the pairing is valid
+            built = extremal_graph(pi, alpha, objective)
+            built_values = _values_for_alphas(built.graph, alphas)
+        built_value = built_values[alpha]
         ok = math.isclose(built_value, oracle_value, rel_tol=REL_TOL)
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
                                     oracle_value, len(graphs), ok))
@@ -334,8 +337,7 @@ def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.
                           time.monotonic() - t0)
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     lower: DegreeSequence
     upper: DegreeSequence
     alpha: float
@@ -354,8 +356,7 @@ class PairCheck:
         }
 
 
-@dataclass(frozen=True)
-class Theorem3Report:
+class Theorem3Report(NamedTuple):
     n: int
     c: int
     alphas: tuple[float, ...]
@@ -411,8 +412,7 @@ def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,
                           all(p.ok for p in pairs), time.monotonic() - t0)
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     pi: DegreeSequence
     alpha: float
     objective: str
@@ -466,8 +466,7 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float,
                            len(pool), False, None, None)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     n: int
     c: int
     sequences_checked: int
@@ -496,9 +495,9 @@ def verify_enumeration_cross_check(n: int, c: int) -> CrossCheckReport:
     as a mismatch); a mismatch reports both class counts. The subset filter
     visits C(n(n-1)/2, n+c-1) edge subsets, which is practical for n <= 7.
     """
-    m = n + c - 1
-    by_subsets = _kernels.classes_by_sequence(n, m)
+    _check_kernel_bound(n)
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=False)
+    by_subsets = _kernels.classes_by_sequence(n, n + c - 1)
     mismatches = []
     total = 0
     for pi in seqs:

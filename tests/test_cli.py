@@ -249,6 +249,19 @@ def test_verify_above_cap_exit2_before_any_sweep(capsys, monkeypatch, theorem):
     assert "SOMBOR_CAPS" in err and "n <= 10" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "2", "--n-max", "1"),
+    ("--theorem", "2", "--n-max=-5"),
+    ("--theorem", "1", "--n-max", "2"),
+    ("--theorem", "1", "--c", "3", "--n-max", "4"),
+    ("--theorem", "3", "--n-max", "3"),
+])
+def test_verify_sweep_that_checks_nothing_exit2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "to check" in err
+
+
 def test_verify_time_budget_exit2(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "2", "--n-max", "7",
                        "--time-budget", "0")

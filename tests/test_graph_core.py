@@ -1,10 +1,14 @@
 """Graph/degree-sequence model, realizability, reduction, formats."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import somborlab
 from somborlab import (
     DegreeSequence,
     Graph,
@@ -23,6 +27,7 @@ from somborlab import (
     validate_connected_c_cyclic,
 )
 from somborlab.construct import bfs_bicyclic
+from somborlab.graphs import CanonicalCode
 from somborlab.errors import (
     AcyclicError,
     DegreeTooLargeError,
@@ -54,6 +59,45 @@ def test_graph_normalizes_and_validates():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphStructureError):
         Graph(1, [])
+
+
+def test_value_types_are_immutable():
+    g = Graph(3, [(0, 1), (1, 2)])
+    g.adjacency                          # cached properties still fill in
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    with pytest.raises(AttributeError):
+        del g.n
+    pi = DegreeSequence((2, 1, 1))
+    with pytest.raises(AttributeError):
+        pi.degrees = (1, 1)
+    assert g == Graph(3, [(2, 1), (1, 0)]) and hash(g) == hash(Graph(3, [(1, 2), (0, 1)]))
+    assert g != P3.relabel((1, 0, 2)) and g != "Graph(n=3, m=2)"
+    assert repr(g) == "Graph(n=3, m=2)" and repr(pi) == "DegreeSequence('2,1^2')"
+
+
+def test_degree_sequence_equality_ignores_resorted():
+    plain = DegreeSequence((3, 1, 1, 1))
+    flagged = parse_degree_sequence("1,3,1,1")
+    assert flagged.resorted and not plain.resorted
+    assert flagged == plain and hash(flagged) == hash(plain)
+    assert len({plain, flagged}) == 1
+
+
+def test_canonical_code_orders_by_bytes():
+    codes = [CanonicalCode(b"Bw"), CanonicalCode(b"Bg"), CanonicalCode(b"A_")]
+    assert sorted(codes) == [CanonicalCode(b"A_"), CanonicalCode(b"Bg"), CanonicalCode(b"Bw")]
+    assert canonical_code(K3).code == format_graph6(canonical_form(K3)).encode("ascii")
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    src = os.path.dirname(os.path.dirname(somborlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = ("import somborlab.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_degree_sequence_of():

@@ -350,3 +350,29 @@ def test_monotone_in_alpha():
 def test_grid_spec_bounds():
     with pytest.raises(ValidationError):
         GridSpec(2)
+    grid = GridSpec(3)
+    with pytest.raises(AttributeError):
+        grid.max_value = 2
+    assert grid == GridSpec(3) and hash(grid) == hash(GridSpec(3)) and grid != GridSpec()
+    assert repr(GridSpec()) == "GridSpec(max_value=20)"
+
+
+def test_bivariate_function_equality_ignores_fn():
+    f = BivariateFunction.custom(lambda x, y: x + y, name="sum")
+    g = BivariateFunction.custom(lambda x, y: y + x, name="sum")
+    assert f == g and hash(f) == hash(g) and f.fn is not g.fn
+    h = BivariateFunction.sombor(0.5)
+    assert h == BivariateFunction.sombor(0.5) and h != f
+    assert repr(h) == "BivariateFunction(kind='sombor', alpha=0.5, fn=None, name='h_0.5')"
+    with pytest.raises(AttributeError):
+        h.alpha = 2.0
+
+
+def test_reports_are_named_tuples():
+    report = check_escalating(BivariateFunction.sombor(1.0), GridSpec(3))
+    assert report._fields[:3] == ("function", "grid_max", "verdict")
+    example = report.counterexamples[0]
+    assert example._asdict() == {"x1": example.x1, "y1": example.y1, "x2": example.x2,
+                                 "y2": example.y2, "delta": example.delta,
+                                 "reason": example.reason}
+    assert example == tuple(example)

@@ -24,6 +24,7 @@ from somborlab import (
     verify_theorem2,
     verify_theorem3,
 )
+from somborlab import oracle
 from somborlab.errors import (
     AlphaNotAboveOneError,
     CapsSyntaxError,
@@ -32,6 +33,7 @@ from somborlab.errors import (
     TimeBudgetExceededError,
     TooLargeError,
     UnsupportedCError,
+    UnsupportedCyclomaticError,
     UnsupportedObjectiveError,
 )
 from somborlab.oracle import ENUM_N_MAX, Deadline, _gamma, load_caps
@@ -151,6 +153,33 @@ def test_theorem2_small():
     assert cold.checks == warm.checks
 
 
+def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
+    built = []
+    original = oracle.extremal_graph
+
+    def counted(pi, alpha, objective):
+        result = original(pi, alpha, objective)
+        built.append((pi, result.graph))
+        return result
+
+    monkeypatch.setattr(oracle, "extremal_graph", counted)
+    alphas = (0.5, 2.0, -1.0)
+    for c in (0, 1, 2):
+        built.clear()
+        rep = verify_theorem2(6, c, alphas)
+        seqs = generate_c_cyclic_sequences(6, c, require_pendant=True)
+        assert [pi for pi, _ in built] == seqs
+        assert len(rep.checks) == len(alphas) * len(seqs)
+        graphs = dict(built)
+        for check in rep.checks:
+            # the same fsum as a construction built for this alpha alone
+            assert check.constructed_value == sombor_general(graphs[check.pi], check.alpha)
+    built.clear()
+    assert verify_theorem2(6, 1, ()).checks == () and built == []
+    with pytest.raises(UnsupportedCyclomaticError):
+        verify_theorem2(6, 3, alphas)
+
+
 def test_theorem3_hand_case():
     rep = verify_theorem3(4, 0, (2.0,))
     assert rep.holds
@@ -186,6 +215,11 @@ def test_cross_check_small():
     for c in (0, 1, 2):
         rep = verify_enumeration_cross_check(6, c)
         assert rep.holds and rep.sequences_checked > 0
+
+
+def test_cross_check_above_kernel_bound_is_too_large():
+    with pytest.raises(TooLargeError):
+        verify_enumeration_cross_check(17, 0)
 
 
 def test_deadline_fires():
