@@ -3,6 +3,13 @@
 Graphs live here as adjacency bitmasks over at most 16 vertices, which covers
 every desk-scale cap in the library.
 
+One realization walker, `_realizations`, backtracks over the labeled
+realizations of a degree sequence with residual and twin pruning and yields
+the connected leaves. It has two consumers: `enumerate_classes` dedups the
+leaves by canonical bits into isomorphism classes, and `joint_degree_matrices`
+collects their edge degree-pair multisets, which is all that an index summed
+over edges can see and needs no canonical labeling.
+
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
 non-singleton cell, and take the minimum packed adjacency bitstring over all
@@ -169,40 +176,39 @@ def _twin_choices(groups: list[list[int]], r: int):
             yield tuple(first[:k]) + tail
 
 
-def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
-    """All connected isomorphism classes realizing the degree sequence.
+def _realizations(degrees):
+    """Adjacency masks of the connected labeled leaves realizing `degrees`.
 
     `degrees` must be non-increasing; vertex i is forced to degree degrees[i]
     (every class has such a labeling, so none is lost). Backtracks vertex by
-    vertex over neighbour sets among higher-indexed vertices, filters
-    connectivity at the leaves and dedups by canonical bits. Returns canonical
-    representatives sorted by their packed bits.
+    vertex over neighbour sets among higher-indexed vertices, with a residual
+    feasibility check, and yields each connected leaf as a tuple of masks.
+    Impossible degrees or an odd sum yield nothing.
 
     Twin pruning: open candidates with equal residual degree and equal
     adjacency so far (hence equal target degree) are interchangeable, since
     swapping two of them fixes the partial graph and every degree target. So
     from each such group only a lowest-index prefix is chosen; every other
     choice is the image of one of these under a twin swap and completes to
-    the same classes.
+    the same classes. Every class therefore has at least one leaf, and some
+    have several.
     """
-    degrees = list(degrees)
     n = len(degrees)
     if n < 1 or n > MAX_VERTICES:
         raise ValueError(f"kernel handles 1 <= n <= {MAX_VERTICES}, got {n}")
     if any(d < 1 or d > n - 1 for d in degrees) or sum(degrees) % 2:
-        return []
+        return
     res = list(degrees)
     adj = [0] * n
-    reps: set[int] = set()
 
-    def rec(v: int) -> None:
+    def rec(v: int):
         if v == n:
             if connected_masks(n, adj):
-                reps.add(canon_bits(n, _mask_edges(n, adj)))
+                yield tuple(adj)
             return
         r = res[v]
         if r == 0:
-            rec(v + 1)
+            yield from rec(v + 1)
             return
         twins: dict[tuple[int, int], list[int]] = {}
         for j in range(v + 1, n):
@@ -217,14 +223,51 @@ def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
             open_after = [j for j in range(v + 1, n) if res[j] > 0]
             limit = len(open_after) - 1
             if all(res[j] <= limit for j in open_after):
-                rec(v + 1)
+                yield from rec(v + 1)
             for j in chosen:
                 res[j] += 1
                 adj[v] &= ~(1 << j)
                 adj[j] &= ~(1 << v)
 
-    rec(0)
+    yield from rec(0)
+
+
+def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
+    """All connected isomorphism classes realizing the non-increasing `degrees`.
+
+    Dedups the leaves of `_realizations` by canonical bits and returns the
+    canonical representatives sorted by their packed bits.
+    """
+    n = len(degrees)
+    reps = {canon_bits(n, _mask_edges(n, adj)) for adj in _realizations(degrees)}
     return [bits_to_edges(n, b) for b in sorted(reps)]
+
+
+def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...]]:
+    """Joint degree matrices of the connected realizations of `degrees`.
+
+    Each matrix is the sorted tuple of ((d_u, d_v), count) over edge degree
+    pairs with d_u >= d_v, the form `indices.edge_pair_counts` returns. Since
+    `degrees` is non-increasing, u < v gives d_u >= d_v, so the key is read
+    off the labels. The matrix is an isomorphism invariant, so the set needs
+    no canonical labeling; non-isomorphic classes may share one.
+    """
+    n = len(degrees)
+    out = set()
+    for adj in _realizations(degrees):
+        counts: dict[tuple[int, int], int] = {}
+        for u in range(n - 1):
+            du = degrees[u]
+            m = adj[u] >> (u + 1)
+            v = u + 1
+            while m:
+                if m & 1:
+                    key = (du, degrees[v])
+                    counts[key] = counts.get(key, 0) + 1
+                m >>= 1
+                v += 1
+        out.add(tuple(sorted(counts.items())))
+    return out
 
 
 def _mask_edges(n: int, adj: list[int]) -> list[tuple[int, int]]:

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success/pass, 1 theorem or assertion violation (a counterexample
 was found), 2 usage or validation error, which includes a theorem sweep whose
-range holds nothing to check. All commands are deterministic;
-verify reports carry an `elapsed_seconds` field that byte-level comparisons
-should strip. JSON is the default output format; `--format table` is for
+range holds nothing to check and a stdout closed before the output was
+written. All commands are deterministic; verify reports carry an
+`elapsed_seconds` field that byte-level comparisons should strip. JSON is the default output format; `--format table` is for
 humans. The enumeration cap bounds the n of `enumerate --pi` and the
 `--n-max` of every verify sweep; it is checked here, once, before any work.
 SOMBOR_CAPS (e.g. "enum=12") is its only override, up to the kernel's 16.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__, _kernels
@@ -37,7 +38,7 @@ from .indices import GridSpec, BivariateFunction, check_escalating, classify_alp
 from .oracle import (
     Caps,
     Deadline,
-    _values_for_alphas,
+    _class_values,
     enumerate_gamma,
     generate_c_cyclic_sequences,
     is_majorized,
@@ -206,7 +207,7 @@ def cmd_enumerate(args) -> int:
     _check_cap(pi.n, caps)
     alphas = _alpha_list(args.alpha) if args.alpha else ()
     graphs = enumerate_gamma(pi)
-    values = [_values_for_alphas(g, alphas) for g in graphs]
+    values = _class_values(graphs, alphas)
     classes = []
     for g, vals in zip(graphs, values):
         entry = {"graph6": format_graph6(g), "so": {_alpha_key(a): vals[a] for a in alphas}}
@@ -436,7 +437,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`): no verdict was
+        # delivered, which is not a counterexample. Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except TimeBudgetExceededError as exc:
         print(json.dumps({"error": str(exc), "partial": _safe(exc.partial)},
                          indent=2, sort_keys=True), file=sys.stderr)

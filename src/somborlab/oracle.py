@@ -12,9 +12,13 @@ paper-scale claims as finite checks:
 
 The primary enumeration backtracks over neighbour assignments with residual
 and twin pruning and dedups by canonical code (see _kernels); its class lists
-are memoized per degree sequence, since the verifiers revisit the same pi. An
-independent strategy filters all edge subsets and is compared class set by
-class set in `verify_enumeration_cross_check`. Values are binary64 with 1e-9
+are memoized per degree sequence, since the verifiers revisit the same pi.
+SO_alpha sums over edges, so a graph's value depends only on its joint degree
+matrix: values are computed once per matrix, and Theorem 3, which reports no
+class, takes its maxima over the matrices the same walk yields without
+building or canonically labeling a class. An independent strategy filters
+all edge subsets and is compared class set by class set in
+`verify_enumeration_cross_check`. Values are binary64 with 1e-9
 relative tolerance; graphs are always compared by canonical code, never by
 float.
 
@@ -42,6 +46,7 @@ from .errors import (
     TooLargeError,
     UnsupportedCError,
     UnsupportedObjectiveError,
+    ValidationError,
 )
 from .graphs import (
     DegreeSequence,
@@ -146,12 +151,38 @@ def _gamma(degrees: tuple[int, ...]) -> tuple[Graph, ...]:
                  for edges in _kernels.enumerate_classes(degrees))
 
 
-def _values_for_alphas(g: Graph, alphas) -> dict[float, float]:
-    pairs = edge_pair_counts(g)
+@functools.lru_cache(maxsize=1024)
+def _jdms(degrees: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, int], int], ...], ...]:
+    """The distinct joint degree matrices over Gamma(pi), sorted."""
+    return tuple(sorted(_kernels.joint_degree_matrices(degrees)))
+
+
+def _values_for_alphas(pairs, alphas) -> dict[float, float]:
+    """SO_alpha per alpha from edge degree pairs ((x, y), count).
+
+    `math.fsum` is correctly rounded, so the value depends on the multiset of
+    pairs alone: equal joint degree matrices give bit-identical floats.
+    """
     return {
         a: math.fsum(cnt * (x * x + y * y) ** a for (x, y), cnt in pairs)
         for a in alphas
     }
+
+
+def _class_values(graphs, alphas) -> list[dict[float, float]]:
+    """`_values_for_alphas` per graph, computed once per joint degree matrix.
+
+    Graphs with the same matrix share one dict.
+    """
+    by_jdm: dict[tuple, dict[float, float]] = {}
+    out = []
+    for g in graphs:
+        pairs = tuple(edge_pair_counts(g))
+        values = by_jdm.get(pairs)
+        if values is None:
+            values = by_jdm[pairs] = _values_for_alphas(pairs, alphas)
+        out.append(values)
+    return out
 
 
 class ExtremaReport(NamedTuple):
@@ -179,7 +210,7 @@ def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
     if alpha == 0:
         raise AlphaZeroError("alpha must be nonzero")
     graphs = enumerate_gamma(pi)
-    values = [_values_for_alphas(g, (alpha,))[alpha] for g in graphs]
+    values = [v[alpha] for v in _class_values(graphs, (alpha,))]
     lo, hi = min(values), max(values)
     min_w = tuple(g for g, v in zip(graphs, values) if v <= lo * (1 + REL_TOL))
     max_w = tuple(g for g, v in zip(graphs, values) if v >= hi * (1 - REL_TOL))
@@ -221,7 +252,7 @@ def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[D
     if c < 0 or c > 3:
         raise UnsupportedCError(f"c = {c} outside supported range 0..3")
     if n < 2:
-        raise TooLargeError("need n >= 2")
+        raise ValidationError(f"n = {n} is too small: need n >= 2")
     target = 2 * (n + c - 1)
     out: list[DegreeSequence] = []
 
@@ -304,7 +335,7 @@ def _theorem2_one(args) -> list[SequenceCheck]:
     degrees, alphas = args
     pi = DegreeSequence(degrees)
     graphs = enumerate_gamma(pi)
-    per_graph = [_values_for_alphas(g, alphas) for g in graphs]
+    per_graph = _class_values(graphs, alphas)
     built_values = None
     checks = []
     for alpha in alphas:
@@ -314,7 +345,7 @@ def _theorem2_one(args) -> list[SequenceCheck]:
         if built_values is None:
             # the construction depends on pi alone once the pairing is valid
             built = extremal_graph(pi, alpha, objective)
-            built_values = _values_for_alphas(built.graph, alphas)
+            built_values = _values_for_alphas(edge_pair_counts(built.graph), alphas)
         built_value = built_values[alpha]
         ok = math.isclose(built_value, oracle_value, rel_tol=REL_TOL)
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
@@ -380,11 +411,16 @@ class Theorem3Report(NamedTuple):
 
 
 def _maxima_one(args) -> list[float]:
+    """Max SO_alpha over Gamma(pi) per alpha, read off the joint degree matrices.
+
+    No class is reported, so no class is built: the values depend only on
+    each graph's matrix, and `_jdms` holds every matrix Gamma(pi) realizes.
+    """
     degrees, alphas = args
-    pi = DegreeSequence(degrees)
-    graphs = enumerate_gamma(pi)
-    per_graph = [_values_for_alphas(g, alphas) for g in graphs]
-    return [max(v[a] for v in per_graph) for a in alphas]
+    validate_connected_c_cyclic(DegreeSequence(degrees))
+    _check_kernel_bound(len(degrees))
+    per_jdm = [_values_for_alphas(pairs, alphas) for pairs in _jdms(degrees)]
+    return [max(v[a] for v in per_jdm) for a in alphas]
 
 
 def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -171,6 +174,39 @@ def test_verify_prop1_default_report_pinned(capsys):
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "5749cef06d273b12368adca7259ba5736a3a5b150ee49e33d3b7dc2f3d7f5143"
     )
+
+
+def _strip_elapsed(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_elapsed(v) for k, v in obj.items() if k != "elapsed_seconds"}
+    if isinstance(obj, list):
+        return [_strip_elapsed(v) for v in obj]
+    return obj
+
+
+def test_verify_theorem3_default_report_pinned(capsys):
+    # sha256 of the default report with elapsed_seconds stripped at every
+    # depth, re-dumped as in perfbench/reference.json
+    code, out, _ = run(capsys, "verify", "--theorem", "3")
+    assert code == 0
+    canonical = json.dumps(_strip_elapsed(json.loads(out)), indent=2, sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "4b443cb6bf6470c6ef44f35176da456364790609b96237699e06d950d071f9f1"
+    )
+
+
+def test_closed_stdout_is_not_a_counterexample():
+    # the reader stops after 10 bytes of a ~300 KB report, as `| head -c 10` does
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "somborlab.cli", "verify", "--theorem", "2"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_USAGE != cli.EXIT_VIOLATION
+    assert err == b""
 
 
 def test_underflow_is_a_validation_error(capsys):

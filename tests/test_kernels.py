@@ -1,12 +1,19 @@
 """Kernel contract: exact canonical labeling, pinned class lists, twin pruning,
-and the subset-filter cross-check enumerator."""
+joint degree matrices, and the subset-filter cross-check enumerator."""
 
 import hashlib
 import itertools
 import random
+from collections import defaultdict
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from somborlab import _kernels
-from somborlab.oracle import generate_c_cyclic_sequences
+from somborlab.indices import edge_pair_counts
+from somborlab.oracle import enumerate_gamma, generate_c_cyclic_sequences
 
 
 def test_backend_name():
@@ -113,6 +120,82 @@ def test_twin_pruning_canon_calls(monkeypatch):
     monkeypatch.setattr(_kernels, "canon_bits", counted)
     assert len(_kernels.enumerate_classes((3, 3, 2, 2, 2, 2, 2, 2, 2))) == 13
     assert len(calls) == 31
+
+
+def _sequences(n_range, cs=range(4)):
+    return [pi for n in n_range for c in cs
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=False)]
+
+
+def _jdms_of_classes(pi):
+    return {tuple(edge_pair_counts(g)) for g in enumerate_gamma(pi)}
+
+
+def test_joint_degree_matrices_match_classes_n9():
+    seqs = _sequences(range(2, 10))
+    assert len(seqs) == 337
+    for pi in seqs:
+        assert _kernels.joint_degree_matrices(pi.degrees) == _jdms_of_classes(pi), pi
+
+
+def test_joint_degree_matrices_small():
+    # P4 and the star realize one matrix each; the two trees of 3,2,2,1,1,1
+    # (legs 2,2,1 or 3,1,1 at the centre) differ
+    assert _kernels.joint_degree_matrices((2, 2, 1, 1)) == {(((2, 1), 2), ((2, 2), 1))}
+    assert _kernels.joint_degree_matrices((3, 1, 1, 1)) == {(((3, 1), 3),)}
+    assert len(_kernels.joint_degree_matrices((3, 2, 2, 1, 1, 1))) == 2
+    assert _kernels.joint_degree_matrices((3, 2, 2)) == set()
+
+
+def _invariant(h):
+    # isomorphic graphs agree on it, so graphs in different buckets are not
+    # isomorphic and only same-bucket pairs need networkx
+    return tuple(sorted((h.degree(v), tuple(sorted(h.degree(w) for w in h[v])))
+                        for v in h))
+
+
+def test_class_representatives_pairwise_non_isomorphic_n8():
+    # canon_bits must not split a class: no two representatives of a pi are
+    # isomorphic by networkx's independent VF2 matcher
+    checked = 0
+    for pi in _sequences(range(2, 9)):
+        buckets = defaultdict(list)
+        for g in enumerate_gamma(pi):
+            h = nx.Graph(list(g.edges))
+            buckets[_invariant(h)].append(h)
+        for hs in buckets.values():
+            for a, b in itertools.combinations(hs, 2):
+                assert not nx.is_isomorphic(a, b), pi
+                checked += 1
+    assert checked > 200
+
+
+@st.composite
+def _relabeled_graph(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    perm = draw(st.permutations(range(n)))
+    return n, edges, [(perm[u], perm[v]) for u, v in edges]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_relabeled_graph())
+def test_canon_bits_invariant_under_random_relabeling(case):
+    n, edges, relabeled = case
+    assert _kernels.canon_bits(n, relabeled) == _kernels.canon_bits(n, edges)
+
+
+@pytest.mark.slow
+def test_class_table_and_joint_degree_matrices_n10():
+    # OEIS A000055, A001429, A001435, A001436 at n = 10
+    expected = {0: 106, 1: 657, 2: 2678, 3: 8548}
+    for c, count in expected.items():
+        total = 0
+        for pi in _sequences((10,), (c,)):
+            total += len(enumerate_gamma(pi))
+            assert _kernels.joint_degree_matrices(pi.degrees) == _jdms_of_classes(pi), pi
+        assert total == count, c
 
 
 def _classes_by_sequence_unfiltered(n, m):

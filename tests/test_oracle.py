@@ -24,7 +24,7 @@ from somborlab import (
     verify_theorem2,
     verify_theorem3,
 )
-from somborlab import oracle
+from somborlab import _kernels, oracle
 from somborlab.errors import (
     AlphaNotAboveOneError,
     CapsSyntaxError,
@@ -35,6 +35,7 @@ from somborlab.errors import (
     UnsupportedCError,
     UnsupportedCyclomaticError,
     UnsupportedObjectiveError,
+    ValidationError,
 )
 from somborlab.oracle import ENUM_N_MAX, Deadline, _gamma, load_caps
 
@@ -196,6 +197,48 @@ def test_theorem3_small_all_cases():
         for pendant in (False, True):
             rep = verify_theorem3(6, c, (1.5, 2.0), require_pendant=pendant)
             assert rep.holds, rep.to_record()["violations"]
+
+
+def test_maxima_one_equals_max_over_classes():
+    alphas = (1.5, 2.0, 3.0)
+    for n in range(2, 9):
+        for c in range(4):
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
+                graphs = enumerate_gamma(pi)
+                expected = [max(sombor_general(g, a) for g in graphs) for a in alphas]
+                got = oracle._maxima_one((pi.degrees, alphas))
+                assert [x.hex() for x in got] == [x.hex() for x in expected], pi
+
+
+def test_theorem3_makes_no_canon_calls(monkeypatch):
+    calls = []
+    canon = _kernels.canon_bits
+
+    def counted(n, edges):
+        calls.append(n)
+        return canon(n, edges)
+
+    monkeypatch.setattr(_kernels, "canon_bits", counted)
+    _gamma.cache_clear()
+    oracle._jdms.cache_clear()
+    for pendant in (False, True):
+        rep = verify_theorem3(8, 2, (1.5, 2.0, 3.0), require_pendant=pendant)
+        assert rep.holds and rep.pairs
+    assert calls == []
+    assert oracle._jdms.cache_info().currsize > 0
+    # the matrix path keeps enumerate_gamma's input checks
+    with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
+        verify_theorem3(17, 0)
+    with pytest.raises(NotGraphicalError):
+        oracle._maxima_one(((3, 3, 1, 1), (2.0,)))
+
+
+def test_too_small_n_is_a_validation_error():
+    for call in (lambda: verify_theorem2(1, 0), lambda: verify_theorem3(1, 0),
+                 lambda: verify_enumeration_cross_check(1, 0)):
+        with pytest.raises(ValidationError, match="too small") as info:
+            call()
+        assert not isinstance(info.value, TooLargeError)
 
 
 def test_existence_small():
