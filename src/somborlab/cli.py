@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import __version__, _kernels
-from .construct import Objective, bfs_bicyclic, bfs_unicyclic, extremal_graph, greedy_tree
-from .errors import (AlphaNotFiniteError, EmptySweepError, SomborlabError,
-                     TimeBudgetExceededError, TooLargeError, ValidationError)
+from .construct import extremal_graph
+from .errors import (EmptySweepError, SomborlabError, TimeBudgetExceededError,
+                     TooLargeError, UnsupportedObjectiveError, ValidationError)
 from .graphs import (
-    DegreeSequence,
     degree_sequence_of,
     format_degree_sequence,
     format_graph6,
@@ -32,9 +30,9 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
     to_dot,
-    validate_connected_c_cyclic,
 )
-from .indices import GridSpec, BivariateFunction, check_escalating, classify_alpha, sombor_general
+from .indices import (REL_TOL, GridSpec, BivariateFunction, check_escalating, classify_alpha,
+                      sombor_general)
 from .oracle import (
     Caps,
     Deadline,
@@ -43,6 +41,7 @@ from .oracle import (
     generate_c_cyclic_sequences,
     is_majorized,
     load_caps,
+    objective_for_alpha,
     verify_special_bfs_existence,
     verify_theorem2,
     verify_theorem3,
@@ -74,10 +73,8 @@ def _alpha_list(text: str) -> tuple[float, ...]:
         raise ValidationError(f"bad alpha list {text!r}")
     if not values:
         raise ValidationError("alpha list is empty")
-    if any(a == 0 for a in values):
-        raise ValidationError("alpha = 0 is not allowed")
-    if not all(math.isfinite(a) for a in values):
-        raise AlphaNotFiniteError(f"alpha must be finite, got {text!r}")
+    for a in values:
+        classify_alpha(a)
     return values
 
 
@@ -118,26 +115,17 @@ def _read_graph(path: str, input_format: str):
     return parse_graph6(text)
 
 
-def _construct_for(pi: DegreeSequence, alpha=None, objective=None):
-    if objective is not None:
-        return extremal_graph(pi, alpha, objective)
-    c = validate_connected_c_cyclic(pi)
-    if c == 0:
-        return greedy_tree(pi)
-    if c == 1:
-        return bfs_unicyclic(pi)
-    if c == 2:
-        return bfs_bicyclic(pi)
-    raise ValidationError(f"no canonical construction for c = {c}; use enumerate")
-
-
 def cmd_construct(args) -> int:
+    """Build `extremal_graph(pi)`; `--objective` must be the one its alpha pairs with."""
     pi = parse_degree_sequence(args.pi)
     alphas = _alpha_list(args.alpha)
-    objective = Objective(args.objective) if args.objective else None
-    if objective is not None and len(alphas) != 1:
-        raise ValidationError("--objective needs exactly one --alpha value")
-    result = _construct_for(pi, alphas[0] if objective else None, objective)
+    if args.objective:
+        if len(alphas) != 1:
+            raise ValidationError("--objective needs exactly one --alpha value")
+        if objective_for_alpha(alphas[0]).value != args.objective:
+            raise UnsupportedObjectiveError(
+                f"objective {args.objective} does not pair with alpha = {alphas[0]:g}")
+    result = extremal_graph(pi)
     g = result.graph
     so = {_alpha_key(a): sombor_general(g, a) for a in alphas}
     record = {
@@ -216,8 +204,8 @@ def cmd_enumerate(args) -> int:
         lo = min(v[a] for v in values)
         hi = max(v[a] for v in values)
         for entry, vals in zip(classes, values):
-            entry.setdefault("is_min", {})[_alpha_key(a)] = vals[a] <= lo * (1 + 1e-9)
-            entry.setdefault("is_max", {})[_alpha_key(a)] = vals[a] >= hi * (1 - 1e-9)
+            entry.setdefault("is_min", {})[_alpha_key(a)] = vals[a] <= lo * (1 + REL_TOL)
+            entry.setdefault("is_max", {})[_alpha_key(a)] = vals[a] >= hi * (1 - REL_TOL)
     record = {
         "command": "enumerate",
         "pi": list(pi.degrees),
@@ -298,19 +286,34 @@ def _require_checks(theorem: str, n_max: int, cs, count: int, what: str) -> None
                               f"{','.join(map(str, cs))} has no {what} to check")
 
 
+def _sweep(units, run, deadline) -> tuple[list[dict], bool]:
+    """Records of `run(*unit)` for each unit in order, and whether all hold.
+
+    An expired budget, here or inside the library call, reports the records
+    completed so far as its partial result.
+    """
+    records = []
+    ok = True
+    try:
+        for unit in units:
+            deadline.check()
+            rep = run(*unit)
+            ok = ok and rep.holds
+            records.append(rep.to_record())
+    except TimeBudgetExceededError as exc:
+        exc.partial = records
+        raise
+    return records, ok
+
+
 def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
     cs = _int_list(args.c) if args.c else (0, 1, 2, 3)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T1_ALPHAS
-    results = []
-    ok = True
-    for c in cs:
-        for n in range(3, n_max + 1):   # definition needs n >= 3
-            for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
-                for a in alphas:
-                    deadline.check(partial=results)
-                    rep = verify_special_bfs_existence(pi, a)
-                    ok = ok and rep.holds
-                    results.append(rep.to_record())
+    units = ((pi, a) for c in cs
+             for n in range(3, n_max + 1)   # definition needs n >= 3
+             for pi in generate_c_cyclic_sequences(n, c, require_pendant=True)
+             for a in alphas)
+    results, ok = _sweep(units, verify_special_bfs_existence, deadline)
     _require_checks("1", n_max, cs, len(results), "pendant sequence")
     return {"theorem": 1, "n_max": n_max, "c": list(cs), "alphas": list(alphas),
             "checked": len(results),
@@ -322,14 +325,9 @@ def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
     cs = _int_list(args.c) if args.c else (0, 1, 2)
     alphas = (_alpha_list(args.alpha) if args.alpha
               else DEFAULT_MIN_ALPHAS + DEFAULT_MAX_ALPHAS)
-    reports = []
-    ok = True
-    for c in cs:
-        for n in range(2, n_max + 1):
-            deadline.check(partial=reports)
-            rep = verify_theorem2(n, c, alphas, deadline=deadline)
-            ok = ok and rep.holds
-            reports.append(rep.to_record())
+    reports, ok = _sweep(
+        ((n, c) for c in cs for n in range(2, n_max + 1)),
+        lambda n, c: verify_theorem2(n, c, alphas, deadline=deadline), deadline)
     _require_checks("2", n_max, cs, sum(len(r["checks"]) for r in reports),
                     "pendant sequence")
     return {"theorem": 2, "n_max": n_max, "c": list(cs),
@@ -340,16 +338,11 @@ def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
 def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
     cs = _int_list(args.c) if args.c else (0, 1, 2)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T3_ALPHAS
-    reports = []
-    ok = True
-    for require_pendant in (False, True):
-        for c in cs:
-            for n in range(2, n_max + 1):
-                deadline.check(partial=reports)
-                rep = verify_theorem3(n, c, alphas, require_pendant=require_pendant,
-                                      deadline=deadline)
-                ok = ok and rep.holds
-                reports.append(rep.to_record())
+    reports, ok = _sweep(
+        ((n, c, pendant) for pendant in (False, True) for c in cs
+         for n in range(2, n_max + 1)),
+        lambda n, c, pendant: verify_theorem3(n, c, alphas, require_pendant=pendant,
+                                              deadline=deadline), deadline)
     _require_checks("3", n_max, cs, sum(r["pairs_checked"] for r in reports),
                     "majorization pair")
     return {"theorem": 3, "n_max": n_max, "c": list(cs),
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", required=True, help='degree sequence, e.g. "5,4,3^3,2^10,1^8"')
     p.add_argument("--alpha", default="0.5", help="comma-separated alpha list")
     p.add_argument("--objective", choices=["min", "max"],
-                   help="validate the (objective, alpha) pairing explicitly")
+                   help="check that the single --alpha pairs with this extremum")
     p.add_argument("--format", choices=["json", "dot", "graph6", "table"], default="json")
     p.set_defaults(fn=cmd_construct)
 
@@ -447,7 +440,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     except TimeBudgetExceededError as exc:
-        print(json.dumps({"error": str(exc), "partial": _safe(exc.partial)},
+        print(json.dumps({"error": str(exc), "partial": exc.partial},
                          indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_USAGE
     except SomborlabError as exc:
@@ -458,14 +451,6 @@ def main(argv=None) -> int:
         # is a bad input, not a counterexample
         print("error: value out of float range; use a smaller |alpha|", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _safe(obj):
-    try:
-        json.dumps(obj)
-        return obj
-    except (TypeError, ValueError):
-        return repr(obj)
 
 
 if __name__ == "__main__":

@@ -16,16 +16,17 @@ ordering 0..n-1 is simultaneously the degree ordering and the layer ordering.
 
 Every result self-reports its BFS ordering and layers; the bfs module's direct
 validator accepts them by construction (tested exhaustively at small n).
+
+`extremal_graph(pi)` picks the builder by c. The graph depends on pi alone:
+which extremum of SO_alpha it attains is the alpha rule's business
+(`oracle.objective_for_alpha`), not the builder's.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from .errors import (
-    AlphaDegenerateError,
-    AlphaZeroError,
     InfeasibleCaseError,
     MinDegreeNotOneError,
     NotBicyclicSequenceError,
@@ -34,14 +35,8 @@ from .errors import (
     TooFewUnitsError,
     TriangleInfeasibleError,
     UnsupportedCyclomaticError,
-    UnsupportedObjectiveError,
 )
 from .graphs import DegreeSequence, Graph, degree_sequence_of, validate_connected_c_cyclic
-
-
-class Objective(enum.Enum):
-    MIN = "min"
-    MAX = "max"
 
 
 class ConstructionResult(NamedTuple):
@@ -185,17 +180,14 @@ def split_almost_equal(total: int, parts: int) -> tuple[int, ...]:
     return tuple([q + 1] * r + [q] * (parts - r))
 
 
-def extremal_graph(pi: DegreeSequence, alpha: float, objective: Objective
-                   ) -> ConstructionResult:
-    """Canonical precisely-extremal graph for the matched (objective, alpha) pairing.
+def extremal_graph(pi: DegreeSequence) -> ConstructionResult:
+    """The canonical extremal graph of a pendant pi with c <= 2, by c.
 
-    MIN pairs with 0 < alpha < 1, MAX with alpha > 1 or alpha < 0; the
-    mismatched pairing has no known construction and is rejected.
+    The greedy tree (c = 0), BFS-unicyclic (c = 1) or BFS-bicyclic graph
+    (c = 2). The same graph minimizes SO_alpha over Gamma(pi) where h_alpha
+    de-escalates and maximizes it where h_alpha escalates, so it does not
+    depend on alpha; `oracle.objective_for_alpha` says which extremum it is.
     """
-    if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
-    if alpha == 1:
-        raise AlphaDegenerateError("alpha = 1: all graphs in Gamma(pi) tie")
     if pi.degrees[-1] != 1:
         raise MinDegreeNotOneError(f"minimum degree is {pi.degrees[-1]}, need 1")
     c = validate_connected_c_cyclic(pi)
@@ -203,16 +195,4 @@ def extremal_graph(pi: DegreeSequence, alpha: float, objective: Objective
         raise UnsupportedCyclomaticError(
             f"no canonical construction for c = {c}; use the oracle"
         )
-    matched = (objective is Objective.MIN and 0 < alpha < 1) or (
-        objective is Objective.MAX and (alpha > 1 or alpha < 0)
-    )
-    if not matched:
-        raise UnsupportedObjectiveError(
-            f"objective {objective.value} with alpha = {alpha} is outside the "
-            "precisely-extremal pairing"
-        )
-    if c == 0:
-        return greedy_tree(pi)
-    if c == 1:
-        return bfs_unicyclic(pi)
-    return bfs_bicyclic(pi)
+    return (greedy_tree, bfs_unicyclic, bfs_bicyclic)[c](pi)

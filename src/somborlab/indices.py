@@ -403,11 +403,9 @@ def check_good_escalating(alpha: float, grid: GridSpec | None = None,
     `max_counterexamples` found in grid order (x1, y1, x2, y2 ascending, x1
     outermost) of the first condition that fails.
     """
-    if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
+    h = BivariateFunction.sombor(alpha)     # rejects zero and non-finite alpha
     grid = grid or GridSpec()
     bound = grid.max_value
-    h = BivariateFunction.sombor(alpha)
     cells = 0
 
     esc = check_escalating(h, grid)

@@ -28,6 +28,7 @@ The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import os
@@ -36,16 +37,17 @@ from typing import NamedTuple
 
 from . import _kernels
 from .bfs import BfsWitness, is_special_extremal_bfs
-from .construct import Objective, extremal_graph
+from .construct import extremal_graph
 from .errors import (
+    AlphaDegenerateError,
     AlphaNotAboveOneError,
-    AlphaZeroError,
     CapsSyntaxError,
     LengthMismatchError,
+    MinDegreeNotOneError,
     TimeBudgetExceededError,
     TooLargeError,
+    UnrealizableError,
     UnsupportedCError,
-    UnsupportedObjectiveError,
     ValidationError,
 )
 from .graphs import (
@@ -54,7 +56,7 @@ from .graphs import (
     format_graph6,
     validate_connected_c_cyclic,
 )
-from .indices import REL_TOL, edge_pair_counts
+from .indices import REL_TOL, AlphaRegime, classify_alpha, edge_pair_counts
 
 #: default desk-scale cap on n for `enumerate` and every `verify` sweep
 ENUM_N_MAX = 10
@@ -151,12 +153,6 @@ def _gamma(degrees: tuple[int, ...]) -> tuple[Graph, ...]:
                  for edges in _kernels.enumerate_classes(degrees))
 
 
-@functools.lru_cache(maxsize=1024)
-def _jdms(degrees: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, int], int], ...], ...]:
-    """The distinct joint degree matrices over Gamma(pi), sorted."""
-    return tuple(sorted(_kernels.joint_degree_matrices(degrees)))
-
-
 def _values_for_alphas(pairs, alphas) -> dict[float, float]:
     """SO_alpha per alpha from edge degree pairs ((x, y), count).
 
@@ -194,21 +190,9 @@ class ExtremaReport(NamedTuple):
     max_witnesses: tuple[Graph, ...]
     class_size: int
 
-    def to_record(self) -> dict:
-        return {
-            "pi": list(self.pi.degrees),
-            "alpha": self.alpha,
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-            "min_witnesses": [format_graph6(g) for g in self.min_witnesses],
-            "max_witnesses": [format_graph6(g) for g in self.max_witnesses],
-            "class_size": self.class_size,
-        }
-
 
 def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
-    if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
+    classify_alpha(alpha)       # rejects zero and non-finite alpha; at 1 all tie
     graphs = enumerate_gamma(pi)
     values = [v[alpha] for v in _class_values(graphs, (alpha,))]
     lo, hi = min(values), max(values)
@@ -262,7 +246,7 @@ def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[D
                 pi = DegreeSequence(tuple(prefix))
                 try:
                     validate_connected_c_cyclic(pi)
-                except Exception:
+                except UnrealizableError:
                     return
                 if not require_pendant or pi.degrees[-1] == 1:
                     out.append(pi)
@@ -279,13 +263,23 @@ def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[D
 
 # -- theorem verifiers --------------------------------------------------------------
 
+class Objective(enum.Enum):
+    MIN = "min"
+    MAX = "max"
+
+
 def objective_for_alpha(alpha: float) -> Objective:
-    """The paper's pairing: minimize for 0 < alpha < 1, maximize otherwise."""
-    if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
-    if alpha == 1:
-        raise UnsupportedObjectiveError("alpha = 1 is degenerate: all values tie")
-    return Objective.MIN if 0 < alpha < 1 else Objective.MAX
+    """Which extremum over Gamma(pi) the canonical extremal graph attains.
+
+    It follows from `classify_alpha`: MIN where h_alpha de-escalates
+    (0 < alpha < 1), MAX where it escalates (alpha > 1 or alpha < 0). At
+    alpha = 1 every graph in Gamma(pi) ties, which raises
+    `AlphaDegenerateError`; classify_alpha rejects zero and non-finite alpha.
+    """
+    regime = classify_alpha(alpha)
+    if regime is AlphaRegime.DEGENERATE:
+        raise AlphaDegenerateError("alpha = 1: all graphs in Gamma(pi) tie")
+    return Objective.MIN if regime is AlphaRegime.DE_ESCALATING else Objective.MAX
 
 
 class SequenceCheck(NamedTuple):
@@ -343,8 +337,7 @@ def _theorem2_one(args) -> list[SequenceCheck]:
         values = [v[alpha] for v in per_graph]
         oracle_value = min(values) if objective is Objective.MIN else max(values)
         if built_values is None:
-            # the construction depends on pi alone once the pairing is valid
-            built = extremal_graph(pi, alpha, objective)
+            built = extremal_graph(pi)
             built_values = _values_for_alphas(edge_pair_counts(built.graph), alphas)
         built_value = built_values[alpha]
         ok = math.isclose(built_value, oracle_value, rel_tol=REL_TOL)
@@ -355,11 +348,14 @@ def _theorem2_one(args) -> list[SequenceCheck]:
 
 def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.0, 3.0),
                     *, deadline: Deadline | None = None) -> Theorem2Report:
-    """Constructed T/U/B value equals the oracle extremum for every pendant sequence."""
+    """Constructed T/U/B value equals the oracle extremum for every pendant sequence.
+
+    Each alpha must pair with an extremum (`objective_for_alpha`).
+    """
     t0 = time.monotonic()
     alphas = tuple(alphas)
     for a in alphas:
-        objective_for_alpha(a)   # validates the pairing is defined
+        objective_for_alpha(a)
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=True)
     groups = _pmap(_theorem2_one, [(s.degrees, alphas) for s in seqs],
                    deadline=deadline)
@@ -410,26 +406,39 @@ class Theorem3Report(NamedTuple):
         }
 
 
-def _maxima_one(args) -> list[float]:
+def _maxima_one(args) -> tuple[float, ...]:
     """Max SO_alpha over Gamma(pi) per alpha, read off the joint degree matrices.
 
     No class is reported, so no class is built: the values depend only on
-    each graph's matrix, and `_jdms` holds every matrix Gamma(pi) realizes.
+    each graph's matrix, and the realization walk yields every matrix
+    Gamma(pi) realizes. The maxima are cached per (pi, alphas), since the
+    pendant pass of a sweep revisits every pendant pi.
     """
     degrees, alphas = args
     validate_connected_c_cyclic(DegreeSequence(degrees))
     _check_kernel_bound(len(degrees))
-    per_jdm = [_values_for_alphas(pairs, alphas) for pairs in _jdms(degrees)]
-    return [max(v[a] for v in per_jdm) for a in alphas]
+    return _maxima(degrees, alphas)
 
 
-def verify_theorem3(n: int, c: int, alpha=(1.5, 2.0, 3.0), *,
+@functools.lru_cache(maxsize=1024)
+def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float, ...]:
+    per_jdm = [_values_for_alphas(pairs, alphas)
+               for pairs in _kernels.joint_degree_matrices(degrees)]
+    return tuple(max(v[a] for v in per_jdm) for a in alphas)
+
+
+def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
                     require_pendant: bool = False,
                     deadline: Deadline | None = None) -> Theorem3Report:
-    """Strictly larger oracle maximum along every majorization pair, alpha > 1."""
+    """Strictly larger oracle maximum along every majorization pair.
+
+    `alphas` is a sequence; each must be finite and above 1, where h_alpha
+    is escalating.
+    """
     t0 = time.monotonic()
-    alphas = tuple(alpha) if isinstance(alpha, (tuple, list)) else (float(alpha),)
+    alphas = tuple(alphas)
     for a in alphas:
+        classify_alpha(a)
         if a <= 1:
             raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=require_pendant)
@@ -476,19 +485,14 @@ class ExistenceReport(NamedTuple):
         }
 
 
-def verify_special_bfs_existence(pi: DegreeSequence, alpha: float,
-                                 objective: Objective | None = None
-                                 ) -> ExistenceReport:
-    """Some oracle-extremal class passes is_special_extremal_bfs (theorem 1)."""
-    paired = objective_for_alpha(alpha)
-    if objective is None:
-        objective = paired
-    elif objective is not paired:
-        raise UnsupportedObjectiveError(
-            f"objective {objective.value} does not pair with alpha = {alpha}"
-        )
+def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceReport:
+    """Some oracle-extremal class passes is_special_extremal_bfs (theorem 1).
+
+    The extremum is the one `objective_for_alpha` pairs with alpha.
+    """
+    objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:
-        raise UnsupportedObjectiveError("theorem 1 needs a pendant sequence (d_n = 1)")
+        raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")
     c = validate_connected_c_cyclic(pi)
     report = oracle_extrema(pi, alpha)
     pool = report.min_witnesses if objective is Objective.MIN else report.max_witnesses

@@ -10,6 +10,7 @@ import pytest
 
 from somborlab import cli
 from somborlab.cli import main
+from somborlab.errors import TimeBudgetExceededError
 
 H1_EDGES = "\n".join(
     f"{u} {v}"
@@ -67,6 +68,17 @@ def test_construct_objective_pairing(capsys):
     code, _, err = run(capsys, "construct", "--pi", "3,2,2,1,1,1",
                        "--alpha", "0.5", "--objective", "max")
     assert code == 2
+
+
+def test_construct_depends_on_pi_alone(capsys):
+    # alpha = 1 pairs with no extremum, but the graph needs no pairing
+    code, out, _ = run(capsys, "construct", "--pi", "3,2,2,1,1,1", "--alpha", "1")
+    assert code == 0 and json.loads(out)["class"] == "tree"
+    code, _, err = run(capsys, "construct", "--pi", "3,2,2,1,1,1", "--alpha", "1",
+                       "--objective", "max")
+    assert code == 2 and "alpha = 1" in err
+    code, _, err = run(capsys, "construct", "--pi", "3,3,3,3,3,2,1")
+    assert code == 2 and "c = 3" in err
 
 
 def test_eval_graph6_k3(capsys, tmp_path):
@@ -311,6 +323,44 @@ def test_verify_prop1_time_budget_exit2(capsys):
     assert code == 2 and out == ""
     rec = json.loads(err)
     assert "budget" in rec["error"] and rec["partial"] == []
+
+
+def _expiring_deadline(k, seen):
+    """A Deadline stand-in that expires on its k-th check."""
+    class Expiring:
+        def __init__(self, seconds=None):
+            self.checks = 0
+
+        def check(self, partial=None):
+            self.checks += 1
+            if self.checks == k:
+                seen.append(partial)
+                raise TimeBudgetExceededError("time budget of 0s exhausted",
+                                              partial=partial)
+
+    return Expiring
+
+
+@pytest.mark.parametrize("theorem", ["2", "3"])
+def test_budget_expiring_in_library_reports_completed_records(capsys, monkeypatch,
+                                                              theorem):
+    argv = ("verify", "--theorem", theorem, "--n-max", "5", "--c", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    full = json.loads(out)["reports"]
+    seen = []
+    # checks 1-6: n = 2, 3 complete and n = 4 begins; the 7th is inside the
+    # library call for n = 4, after its first sequence
+    monkeypatch.setattr(cli, "Deadline", _expiring_deadline(7, seen))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert seen and seen[0], "the budget must expire inside the library call"
+    partial = json.loads(err)["partial"]
+    assert [r["n"] for r in partial] == [2, 3]
+    for got, want in zip(partial, full):
+        got.pop("elapsed_seconds")
+        want.pop("elapsed_seconds")
+        assert got == want
 
 
 def test_determinism(capsys):

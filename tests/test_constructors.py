@@ -13,6 +13,7 @@ from somborlab import (
     extremal_graph,
     greedy_tree,
     is_connected,
+    objective_for_alpha,
     parse_degree_sequence,
     reduced_graph,
     split_almost_equal,
@@ -26,7 +27,6 @@ from somborlab.errors import (
     NotUnicyclicSequenceError,
     TooFewUnitsError,
     UnsupportedCyclomaticError,
-    UnsupportedObjectiveError,
 )
 from somborlab.oracle import generate_c_cyclic_sequences
 
@@ -148,19 +148,18 @@ def test_construction_contract_round_trip():
 
 def test_extremal_graph_dispatch_and_pairing():
     pi = parse_degree_sequence("3,2,2,1,1,1")
-    assert extremal_graph(pi, 0.5, Objective.MIN).klass == "tree"
-    assert extremal_graph(pi, 2, Objective.MAX).klass == "tree"
+    assert extremal_graph(pi).klass == "tree"
     uni = parse_degree_sequence("3,2,2,2,1")
-    assert extremal_graph(uni, 2, Objective.MAX).klass == "unicyclic"
+    assert extremal_graph(uni).klass == "unicyclic"
     bi = parse_degree_sequence("3,3,3,2,1")
-    assert extremal_graph(bi, -1, Objective.MAX).klass == "bicyclic"
-    with pytest.raises(UnsupportedObjectiveError):
-        extremal_graph(pi, 2, Objective.MIN)
-    with pytest.raises(UnsupportedObjectiveError):
-        extremal_graph(pi, 0.5, Objective.MAX)
-    with pytest.raises(AlphaDegenerateError):
-        extremal_graph(pi, 1, Objective.MIN)
+    assert extremal_graph(bi).klass == "bicyclic"
     with pytest.raises(UnsupportedCyclomaticError):
-        extremal_graph(parse_degree_sequence("3,3,3,3,3,2,1"), 2, Objective.MAX)
+        extremal_graph(parse_degree_sequence("3,3,3,3,3,2,1"))
     with pytest.raises(MinDegreeNotOneError):
-        extremal_graph(DegreeSequence((2, 2, 2)), 0.5, Objective.MIN)
+        extremal_graph(DegreeSequence((2, 2, 2)))
+    # the pairing is the alpha rule alone: which extremum the one graph attains
+    assert objective_for_alpha(0.5) is Objective.MIN
+    assert objective_for_alpha(2) is Objective.MAX
+    assert objective_for_alpha(-1) is Objective.MAX
+    with pytest.raises(AlphaDegenerateError):
+        objective_for_alpha(1)

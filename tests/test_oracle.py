@@ -7,7 +7,6 @@ import pytest
 from somborlab import (
     DegreeSequence,
     Graph,
-    Objective,
     canonical_code,
     degree_sequence_of,
     enumerate_gamma,
@@ -16,6 +15,7 @@ from somborlab import (
     greedy_tree,
     is_connected,
     is_majorized,
+    objective_for_alpha,
     oracle_extrema,
     parse_degree_sequence,
     sombor_general,
@@ -26,15 +26,17 @@ from somborlab import (
 )
 from somborlab import _kernels, oracle
 from somborlab.errors import (
+    AlphaDegenerateError,
     AlphaNotAboveOneError,
+    AlphaNotFiniteError,
     CapsSyntaxError,
     LengthMismatchError,
+    MinDegreeNotOneError,
     NotGraphicalError,
     TimeBudgetExceededError,
     TooLargeError,
     UnsupportedCError,
     UnsupportedCyclomaticError,
-    UnsupportedObjectiveError,
     ValidationError,
 )
 from somborlab.oracle import ENUM_N_MAX, Deadline, _gamma, load_caps
@@ -158,8 +160,8 @@ def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
     built = []
     original = oracle.extremal_graph
 
-    def counted(pi, alpha, objective):
-        result = original(pi, alpha, objective)
+    def counted(pi):
+        result = original(pi)
         built.append((pi, result.graph))
         return result
 
@@ -220,12 +222,12 @@ def test_theorem3_makes_no_canon_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "canon_bits", counted)
     _gamma.cache_clear()
-    oracle._jdms.cache_clear()
+    oracle._maxima.cache_clear()
     for pendant in (False, True):
         rep = verify_theorem3(8, 2, (1.5, 2.0, 3.0), require_pendant=pendant)
         assert rep.holds and rep.pairs
     assert calls == []
-    assert oracle._jdms.cache_info().currsize > 0
+    assert oracle._maxima.cache_info().currsize > 0
     # the matrix path keeps enumerate_gamma's input checks
     with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
         verify_theorem3(17, 0)
@@ -246,12 +248,60 @@ def test_existence_small():
     assert rep.holds and rep.objective == "max"
     rep = verify_special_bfs_existence(parse_degree_sequence("3,2,2,1,1,1"), 0.5)
     assert rep.holds and rep.objective == "min"
-    with pytest.raises(UnsupportedObjectiveError):
-        verify_special_bfs_existence(parse_degree_sequence("3,2,2,1,1,1"), 0.5,
-                                     Objective.MAX)
     # c = 3 at n = 8
     rep = verify_special_bfs_existence(parse_degree_sequence("4,3,3,3,2,2,2,1"), 2.0)
     assert rep.holds
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_rejected_everywhere(alpha):
+    pi = parse_degree_sequence("3,2,2,1,1,1")
+    for call in (lambda: objective_for_alpha(alpha),
+                 lambda: oracle_extrema(pi, alpha),
+                 lambda: verify_special_bfs_existence(pi, alpha),
+                 lambda: verify_theorem2(5, 0, (alpha,)),
+                 lambda: verify_theorem3(6, 0, (alpha,))):
+        with pytest.raises(AlphaNotFiniteError):
+            call()
+
+
+def test_degenerate_alpha_pairs_with_no_extremum():
+    with pytest.raises(AlphaDegenerateError):
+        verify_theorem2(5, 0, (1.0,))
+    with pytest.raises(AlphaDegenerateError):
+        verify_special_bfs_existence(parse_degree_sequence("3,2,2,1,1,1"), 1.0)
+    with pytest.raises(MinDegreeNotOneError):
+        verify_special_bfs_existence(parse_degree_sequence("2,2,2"), 2.0)
+
+
+def test_sequence_generation_propagates_validator_bugs(monkeypatch):
+    def broken(pi):
+        raise RuntimeError("validator bug")
+
+    monkeypatch.setattr(oracle, "validate_connected_c_cyclic", broken)
+    with pytest.raises(RuntimeError, match="validator bug"):
+        generate_c_cyclic_sequences(5, 0, require_pendant=False)
+
+
+def test_theorem3_pendant_pass_reuses_maxima(monkeypatch):
+    calls = []
+    values = oracle._values_for_alphas
+
+    def counted(pairs, alphas):
+        calls.append(pairs)
+        return values(pairs, alphas)
+
+    monkeypatch.setattr(oracle, "_values_for_alphas", counted)
+    oracle._maxima.cache_clear()
+    everything = verify_theorem3(7, 1, (1.5, 2.0))
+    assert calls
+    calls.clear()
+    pendant = verify_theorem3(7, 1, (1.5, 2.0), require_pendant=True)
+    assert calls == [] and pendant.pairs
+    # every pendant maximum is the one the first pass computed
+    first = {(p.lower, p.alpha): p.lower_max for p in everything.pairs}
+    for p in pendant.pairs:
+        assert first.get((p.lower, p.alpha), p.lower_max) == p.lower_max
 
 
 def test_cross_check_small():
