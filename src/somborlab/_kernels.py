@@ -8,14 +8,31 @@ realizations of a degree sequence with residual and twin pruning and yields
 the connected leaves. It has two consumers: `enumerate_classes` dedups the
 leaves by canonical bits into isomorphism classes, and `joint_degree_matrices`
 collects their edge degree-pair multisets, which is all that an index summed
-over edges can see and needs no canonical labeling.
+over edges can see and needs no canonical labeling. The walk is one loop over
+an explicit stack, and it hands the consumer the leaves of the vertex-by-vertex
+backtracking one at a time, in backtracking order; their count over every
+sequence with c <= 3 is pinned in the tests.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
 non-singleton cell, and take the minimum packed adjacency bitstring over all
 discrete leaves. Without automorphism pruning this is exponential in theory but
 runs in microseconds at this scale, and, unlike a pure degree partition, stays
-exact on regular graphs.
+exact on regular graphs. Two identities keep it cheap without changing a code:
+
+- Nibble identity. A refinement signature packs v's neighbour count in cell k
+  into nibble k: sum over k of |N(v) & C_k| << 4k. A degree is at most 15, so
+  no nibble carries and the signature equals the sum of 1 << 4 cell(u) over
+  the neighbours u of v: one precomputed weight per neighbour, summed over
+  neighbour lists built once per call.
+- Twin cells. Let the first non-singleton cell of an equitable partition be
+  mutual twins: one open neighbourhood for all, or one closed neighbourhood.
+  Every other vertex sees all of the cell or none of it, and each cell vertex
+  sees all its cellmates or none, so individualizing any one of them leaves
+  the partition equitable: the refine that follows is a no-op, and twin skip
+  keeps only the first branch. Level after level this splits the cell into
+  singletons in order, which `canon_bits` does in one step. The leaves are the
+  same, so the codes are too.
 """
 
 from __future__ import annotations
@@ -28,30 +45,25 @@ BACKEND = "pure"
 MAX_VERTICES = 16
 
 
-def _adjacency(n: int, edges) -> list[int]:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def _refine(nbrs: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement of an ordered partition of the vertices 0..n-1.
 
-
-def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition.
-
-    Each pass recomputes every vertex's signature (neighbour count per current
-    cell, packed in 4-bit nibbles) against the cells at the start of the pass;
-    split cells are ordered by ascending signature. Loops until stable. The
-    signature packing and the ascending order decide which labeling is
-    canonical, so every pinned class list and canonical code depends on both.
+    Each pass gives every vertex the signature sum of 1 << 4k over its
+    neighbours, k being the neighbour's cell index at the start of the pass:
+    the neighbour count per cell, packed in 4-bit nibbles. Split cells are
+    ordered by ascending signature. Loops until stable, or until the partition
+    is discrete. The signature packing and the ascending order decide which
+    labeling is canonical, so every pinned class list and canonical code
+    depends on both.
     """
-    while True:
-        masks = [0] * len(cells)
-        for k, cell in enumerate(cells):
-            m = 0
+    n = len(nbrs)
+    while len(cells) < n:
+        weight = [0] * n
+        w = 1
+        for cell in cells:
             for v in cell:
-                m |= 1 << v
-            masks[k] = m
+                weight[v] = w
+            w <<= 4
         out: list[list[int]] = []
         changed = False
         for cell in cells:
@@ -60,60 +72,80 @@ def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
                 continue
             groups: dict[int, list[int]] = {}
             for v in cell:
-                a = adj[v]
                 sig = 0
-                for k, m in enumerate(masks):
-                    sig |= (a & m).bit_count() << (4 * k)
-                groups.setdefault(sig, []).append(v)
+                for u in nbrs[v]:
+                    sig += weight[u]
+                if sig in groups:
+                    groups[sig].append(v)
+                else:
+                    groups[sig] = [v]
             if len(groups) == 1:
                 out.append(cell)
             else:
                 changed = True
                 for sig in sorted(groups):
                     out.append(groups[sig])
-        cells = out
         if not changed:
-            return cells
-
-
-def _pack_bits(n: int, adj: list[int], order: list[int]) -> int:
-    # graph6 column order: pair (i,j), i<j, of the *relabeled* graph; first
-    # pair lands in the most significant position so integer order equals
-    # lexicographic bitstring order.
-    bits = 0
-    for j in range(1, n):
-        vj = order[j]
-        for i in range(j):
-            bits = (bits << 1) | ((adj[order[i]] >> vj) & 1)
-    return bits
+            break
+        cells = out
+    return cells
 
 
 def canon_bits(n: int, edges) -> int:
-    """Packed upper-triangle bitstring of the canonical labeling (iso-invariant)."""
+    """Packed upper-triangle bitstring of the canonical labeling (iso-invariant).
+
+    `edges` are those of a simple graph on 0..n-1. The bitstring is that of
+    graph6: pair (i, j), i < j, of the relabeled graph in column order, the
+    first pair most significant, so integer order is lexicographic bitstring
+    order. The canonical labeling is the leaf with the smallest bitstring.
+    """
     if n < 1 or n > MAX_VERTICES:
         raise ValueError(f"kernel handles 1 <= n <= {MAX_VERTICES}, got {n}")
-    adj = _adjacency(n, edges)
+    adj = [0] * n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    cells = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    best: int | None = None
+        by_degree.setdefault(len(nbrs[v]), []).append(v)
+    best = -1
 
     def rec(cells: list[list[int]]) -> None:
         nonlocal best
-        cells = _refine(adj, cells)
-        target = -1
-        for i, c in enumerate(cells):
-            if len(c) > 1:
-                target = i
+        cells = _refine(nbrs, cells)
+        target = 0
+        while True:
+            while target < len(cells) and len(cells[target]) == 1:
+                target += 1
+            if target == len(cells):
+                # leaf: with vertex order[i] weighted 1 << (n - 1 - i), the
+                # neighbour sum of order[j] shifted right by n - j is column
+                # j of the bitstring, order[0] its most significant bit
+                weight = [0] * n
+                for i, c in enumerate(cells):
+                    weight[c[0]] = 1 << (n - 1 - i)
+                bits = 0
+                for j in range(1, n):
+                    col = 0
+                    for u in nbrs[cells[j][0]]:
+                        col += weight[u]
+                    bits = (bits << j) | (col >> (n - j))
+                if best < 0 or bits < best:
+                    best = bits
+                return
+            cell = cells[target]
+            a = adj[cell[0]]
+            b = a | (1 << cell[0])
+            if not (all(adj[v] == a for v in cell)
+                    or all(adj[v] | (1 << v) == b for v in cell)):
                 break
-        if target < 0:
-            order = [v for c in cells for v in c]
-            bits = _pack_bits(n, adj, order)
-            if best is None or bits < best:
-                best = bits
-            return
-        cell = cells[target]
+            # twin cell: every refine after individualizing one of its
+            # vertices is a no-op and twin skip keeps one branch per level,
+            # so the cell splits into singletons in order
+            cells = cells[:target] + [[v] for v in cell] + cells[target + 1:]
         for idx, v in enumerate(cell):
             # twin skip: if an earlier cellmate differs from v by a transposition
             # automorphism, that branch already produced this subtree's leaves
@@ -125,13 +157,12 @@ def canon_bits(n: int, edges) -> int:
             rest = [w for w in cell if w != v]
             rec(cells[:target] + [[v], rest] + cells[target + 1:])
 
-    rec(cells)
-    assert best is not None
+    rec([by_degree[d] for d in sorted(by_degree, reverse=True)])
     return best
 
 
 def bits_to_edges(n: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Edges of a packed bitstring in graph6 pair order (inverse of `_pack_bits`)."""
+    """Edges of a packed bitstring in graph6 pair order (`canon_bits` packs them)."""
     edges = []
     k = n * (n - 1) // 2
     for j in range(1, n):
@@ -163,19 +194,6 @@ def connected_masks(n: int, adj) -> bool:
     return seen == (1 << n) - 1
 
 
-def _twin_choices(groups: list[list[int]], r: int):
-    """Every r-set made of a lowest-index prefix of each twin group."""
-    if not groups:
-        if r == 0:
-            yield ()
-        return
-    first, rest = groups[0], groups[1:]
-    room = sum(len(g) for g in rest)
-    for k in range(max(0, r - room), min(len(first), r) + 1):
-        for tail in _twin_choices(rest, r - k):
-            yield tuple(first[:k]) + tail
-
-
 def _realizations(degrees):
     """Adjacency masks of the connected labeled leaves realizing `degrees`.
 
@@ -192,6 +210,11 @@ def _realizations(degrees):
     choice is the image of one of these under a twin swap and completes to
     the same classes. Every class therefore has at least one leaf, and some
     have several.
+
+    The walk is one loop over an explicit stack of vertices with choices
+    left. A vertex's choices are built when the walk reaches it: the prefix
+    counts per twin group in lexicographic order, first group outermost, as
+    masks, with every choice that fails the residual check dropped.
     """
     n = len(degrees)
     if n < 1 or n > MAX_VERTICES:
@@ -200,36 +223,100 @@ def _realizations(degrees):
         return
     res = list(degrees)
     adj = [0] * n
-
-    def rec(v: int):
+    stack: list[list] = []      # [vertex, choice masks, index of the next one]
+    v = 0
+    while True:
+        while v < n and not res[v]:
+            v += 1
         if v == n:
             if connected_masks(n, adj):
                 yield tuple(adj)
-            return
-        r = res[v]
-        if r == 0:
-            yield from rec(v + 1)
-            return
-        twins: dict[tuple[int, int], list[int]] = {}
-        for j in range(v + 1, n):
-            if res[j] > 0:
-                twins.setdefault((res[j], adj[j]), []).append(j)
-        for chosen in _twin_choices(list(twins.values()), r):
-            for j in chosen:
-                res[j] -= 1
-                adj[v] |= 1 << j
-                adj[j] |= 1 << v
-            # residual feasibility: every open vertex needs enough open partners
-            open_after = [j for j in range(v + 1, n) if res[j] > 0]
-            limit = len(open_after) - 1
-            if all(res[j] <= limit for j in open_after):
-                yield from rec(v + 1)
-            for j in chosen:
+        else:
+            stack.append([v, _choices(v, res, adj), 0])
+        # move the top vertex from its last choice to its next, touching only
+        # the vertices the two masks differ in; pop it when none is left
+        while stack:
+            frame = stack[-1]
+            u, masks, i = frame
+            bit = 1 << u
+            last = masks[i - 1] if i else 0
+            nxt = masks[i] if i < len(masks) else 0
+            m = last & ~nxt
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
                 res[j] += 1
-                adj[v] &= ~(1 << j)
-                adj[j] &= ~(1 << v)
+                adj[j] ^= bit
+                m ^= low
+            m = nxt & ~last
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                res[j] -= 1
+                adj[j] |= bit
+                m ^= low
+            adj[u] = (adj[u] & (bit - 1)) | nxt
+            if i == len(masks):
+                stack.pop()
+                continue
+            frame[2] = i + 1
+            v = u + 1
+            break
+        else:
+            return
 
-    yield from rec(0)
+
+def _choices(v: int, res: list[int], adj: list[int]) -> list[int]:
+    """Masks of vertex v's feasible neighbour choices, in walk order.
+
+    Residual feasibility: after the choice, every open vertex after v needs
+    as many open partners as its residual degree. That is a running count
+    and maximum: the count drops by the chosen vertices of residual 1, and
+    the maximum drops by one if every vertex holding it was chosen.
+    """
+    r = res[v]
+    open_ = [j for j in range(v + 1, len(res)) if res[j]]
+    count = len(open_)
+    if r > count:
+        return []
+    every = ones = top = top_mask = 0
+    for j in open_:
+        d = res[j]
+        bit = 1 << j
+        every |= bit
+        if d == 1:
+            ones |= bit
+        if d > top:
+            top, top_mask = d, bit
+        elif d == top:
+            top_mask |= bit
+    if r == count:
+        partial = [(every, 0)]
+    else:
+        twins: dict[int, list[int]] = {}
+        for j in open_:
+            key = adj[j] << 4 | res[j]      # adjacency so far, residual below 16
+            if key in twins:
+                twins[key].append(j)
+            else:
+                twins[key] = [j]
+        # (mask, still to choose) per prefix choice over the groups so far
+        partial = [(0, r)]
+        room = count
+        for group in twins.values():
+            room -= len(group)
+            prefixes = [0]
+            for j in group:
+                prefixes.append(prefixes[-1] | (1 << j))
+            partial = [(mask | prefixes[k], left - k)
+                       for mask, left in partial
+                       for k in range(max(0, left - room), min(len(group), left) + 1)]
+    out = []
+    for mask, _ in partial:
+        after = count - (mask & ones).bit_count()
+        if not after or (top if mask & top_mask != top_mask else top - 1) < after:
+            out.append(mask)
+    return out
 
 
 def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
@@ -258,14 +345,12 @@ def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...
         counts: dict[tuple[int, int], int] = {}
         for u in range(n - 1):
             du = degrees[u]
-            m = adj[u] >> (u + 1)
-            v = u + 1
+            m = adj[u] >> (u + 1) << (u + 1)
             while m:
-                if m & 1:
-                    key = (du, degrees[v])
-                    counts[key] = counts.get(key, 0) + 1
-                m >>= 1
-                v += 1
+                low = m & -m
+                key = (du, degrees[low.bit_length() - 1])
+                counts[key] = counts.get(key, 0) + 1
+                m ^= low
         out.add(tuple(sorted(counts.items())))
     return out
 
@@ -273,13 +358,11 @@ def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...
 def _mask_edges(n: int, adj: list[int]) -> list[tuple[int, int]]:
     edges = []
     for u in range(n):
-        m = adj[u] >> (u + 1)
-        j = u + 1
+        m = adj[u] >> (u + 1) << (u + 1)
         while m:
-            if m & 1:
-                edges.append((u, j))
-            m >>= 1
-            j += 1
+            low = m & -m
+            edges.append((u, low.bit_length() - 1))
+            m ^= low
     return edges
 
 

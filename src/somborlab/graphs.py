@@ -16,7 +16,7 @@ realization without changing degrees.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import _kernels
@@ -206,10 +206,17 @@ def is_connected(g: Graph) -> bool:
 def validate_connected_c_cyclic(pi: DegreeSequence) -> int:
     """Return the cyclomatic number c iff pi has a connected simple realization.
 
-    Checks, in order: even sum, d1 <= n-1, sum >= 2(n-1), Erdos-Gallai.
+    Checks, in order: even sum, d1 <= n-1, sum >= 2(n-1), Erdos-Gallai. The
+    answer depends on the degrees alone and is cached per degree tuple, since
+    the sweeps and the builders ask again for the same pi; a rejection is not
+    cached and raises again.
     """
-    degs = pi.degrees
-    n = pi.n
+    return _connected_c(pi.degrees)
+
+
+@lru_cache(maxsize=4096)
+def _connected_c(degs: tuple[int, ...]) -> int:
+    n = len(degs)
     total = sum(degs)
     if total % 2:
         raise OddSumError(f"degree sum {total} is odd")

@@ -154,14 +154,38 @@ def connectivity_function(g: Graph, f: BivariateFunction) -> float:
     return math.fsum(cnt * f(a, b) for (a, b), cnt in edge_pair_counts(g))
 
 
+def check_no_underflow(pairs, alphas) -> None:
+    """The grid's rule on an SO_alpha sum: no h_alpha term may be 0.0 or subnormal.
+
+    `pairs` are edge degree pairs ((x, y), count). Such a term carries no
+    information, so graphs would tie at 0.0; `FunctionUnderflowError` is
+    raised instead. For alpha > 0 every term is at least 2^alpha > 1; for
+    alpha < 0 the smallest term is that of the most negative alpha at the
+    largest x^2 + y^2, so one term is checked per call.
+    """
+    low = min(alphas, default=0.0)
+    if low >= 0 or not pairs:
+        return
+    top = max(x * x + y * y for (x, y), _ in pairs)
+    v = top ** low
+    if v < sys.float_info.min:
+        raise FunctionUnderflowError(
+            f"h_{low:g} = {v!r} at x^2 + y^2 = {top} is below the normal float "
+            f"range; use a smaller |alpha|"
+        )
+
+
 def sombor_general(g: Graph, alpha: float) -> float:
-    """General Sombor index SO_alpha(g); alpha = 0.5 is the Sombor index."""
+    """General Sombor index SO_alpha(g); alpha = 0.5 is the Sombor index.
+
+    An h_alpha term that underflows raises `FunctionUnderflowError`.
+    """
     _check_alpha(alpha)
     if not is_connected(g):
         raise DisconnectedError("SO_alpha is defined on connected graphs")
-    return math.fsum(
-        cnt * sombor_value(a, b, alpha) for (a, b), cnt in edge_pair_counts(g)
-    )
+    pairs = edge_pair_counts(g)
+    check_no_underflow(pairs, (alpha,))
+    return math.fsum(cnt * sombor_value(a, b, alpha) for (a, b), cnt in pairs)
 
 
 # -- finite-grid certification ---------------------------------------------------

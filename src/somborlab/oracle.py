@@ -56,7 +56,8 @@ from .graphs import (
     format_graph6,
     validate_connected_c_cyclic,
 )
-from .indices import REL_TOL, AlphaRegime, classify_alpha, edge_pair_counts
+from .indices import (REL_TOL, AlphaRegime, check_no_underflow, classify_alpha,
+                      edge_pair_counts)
 
 #: default desk-scale cap on n for `enumerate` and every `verify` sweep
 ENUM_N_MAX = 10
@@ -157,8 +158,11 @@ def _values_for_alphas(pairs, alphas) -> dict[float, float]:
     """SO_alpha per alpha from edge degree pairs ((x, y), count).
 
     `math.fsum` is correctly rounded, so the value depends on the multiset of
-    pairs alone: equal joint degree matrices give bit-identical floats.
+    pairs alone: equal joint degree matrices give bit-identical floats. An
+    h_alpha term that underflows raises `FunctionUnderflowError`
+    (`check_no_underflow`) instead of letting every graph tie at 0.0.
     """
+    check_no_underflow(pairs, alphas)
     return {
         a: math.fsum(cnt * (x * x + y * y) ** a for (x, y), cnt in pairs)
         for a in alphas

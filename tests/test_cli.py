@@ -229,6 +229,23 @@ def test_underflow_is_a_validation_error(capsys):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "1", "--n-max", "6", "--c", "0"),
+    ("verify", "--theorem", "2", "--n-max", "6", "--c", "0"),
+    ("enumerate", "--pi", "3,2,2,1,1,1"),
+    ("eval", "--graph", "{path}"),
+])
+def test_sombor_underflow_is_a_validation_error(capsys, tmp_path, argv):
+    # every h term of SO_-2000 is 0.0, so every graph tied at 0.0: both
+    # verifiers passed vacuously and enumerate marked each class min and max
+    path = tmp_path / "tree.txt"
+    path.write_text("0 1\n1 2\n1 3\n2 4\n4 5\n")
+    argv = [a.format(path=path) for a in argv] + ["--alpha=-2000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "float range" in err
+
+
 @pytest.mark.parametrize("caps", ["bogus=1", "enum=x", "canon=14"])
 def test_bad_sombor_caps_exit2(capsys, monkeypatch, caps):
     monkeypatch.setenv("SOMBOR_CAPS", caps)

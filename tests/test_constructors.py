@@ -163,3 +163,17 @@ def test_extremal_graph_dispatch_and_pairing():
     assert objective_for_alpha(-1) is Objective.MAX
     with pytest.raises(AlphaDegenerateError):
         objective_for_alpha(1)
+
+
+@pytest.mark.parametrize("text", ["3,2,2,1,1,1", "3,3,2,1,1", "4,3,2,2,1"])
+def test_extremal_graph_decides_realizability_once(text):
+    # extremal_graph and its builder both validate pi; Erdos-Gallai runs once
+    from somborlab import graphs
+    graphs._connected_c.cache_clear()
+    extremal_graph(parse_degree_sequence(text))
+    info = graphs._connected_c.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(NotGraphicalError):
+        graphs.validate_connected_c_cyclic(DegreeSequence((3, 3, 1, 1)))
+    with pytest.raises(NotGraphicalError):      # a rejection is not cached
+        graphs.validate_connected_c_cyclic(DegreeSequence((3, 3, 1, 1)))

@@ -186,6 +186,80 @@ def test_canon_bits_invariant_under_random_relabeling(case):
     assert _kernels.canon_bits(n, relabeled) == _kernels.canon_bits(n, edges)
 
 
+def _complete_multipartite(parts):
+    label = [k for k, size in enumerate(parts) for _ in range(size)]
+    n = len(label)
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n) if label[i] != label[j]]
+
+
+def _circulant(n, jumps):
+    return n, sorted({(min(i, (i + s) % n), max(i, (i + s) % n))
+                      for i in range(n) for s in jumps})
+
+
+def _twin_cell_families():
+    # complete graphs (one cell of closed twins), complete multipartite
+    # graphs, stars K_{1,n-1} among them (cells of open twins), and twin-free
+    # symmetric graphs: cycles, circulants and the Petersen graph
+    out = []
+    for n in range(2, 13):
+        out.append((n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+        if n >= 3:
+            out.append(_circulant(n, (1,)))
+        out += [_complete_multipartite((a, n - a)) for a in range(1, n // 2 + 1)]
+    out += [_complete_multipartite(p) for p in
+            ((2, 2, 2), (3, 3, 3), (1, 2, 3), (2, 2, 2, 2), (3, 3, 3, 3), (1, 1, 2, 4))]
+    out += [_circulant(n, j) for n, j in
+            ((8, (1, 2)), (9, (1, 3)), (10, (1, 4)), (11, (1, 2)), (12, (1, 5)), (12, (2, 3)))]
+    petersen = ([(i, (i + 1) % 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)])
+    out.append((10, petersen))
+    return out
+
+
+def _canon_corpus():
+    rng = random.Random(2211)
+    graphs = []
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        density = rng.random()
+        graphs.append((n, [p for p in pairs if rng.random() < density]))
+    return graphs + _twin_cell_families()
+
+
+def test_canon_bits_pinned():
+    # the codes themselves, not only the class lists they induce
+    corpus = _canon_corpus()
+    assert len(corpus) == 570
+    codes = [_kernels.canon_bits(n, edges) for n, edges in corpus]
+    assert hashlib.sha256(repr(codes).encode()).hexdigest() == (
+        "eedd96c7c388f607ef9c959533849dd95994403d828c1515148bd1647daf0bed"
+    )
+
+
+def test_canon_bits_invariant_on_twin_cell_families():
+    rng = random.Random(7)
+    for n, edges in _twin_cell_families():
+        base = _kernels.canon_bits(n, edges)
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _kernels.canon_bits(n, [(perm[u], perm[v]) for u, v in edges]) == base
+
+
+@pytest.mark.parametrize("n_range,leaves", [
+    (range(2, 10), 10667),
+    pytest.param((10,), 34257, marks=pytest.mark.slow),
+])
+def test_walker_leaves(n_range, leaves):
+    # labeled leaves over every sequence with c <= 3: the walker's work,
+    # which no change that keeps the leaves may move
+    assert sum(1 for pi in _sequences(n_range)
+               for _ in _kernels._realizations(pi.degrees)) == leaves
+
+
 @pytest.mark.slow
 def test_class_table_and_joint_degree_matrices_n10():
     # OEIS A000055, A001429, A001435, A001436 at n = 10
@@ -196,6 +270,17 @@ def test_class_table_and_joint_degree_matrices_n10():
             total += len(enumerate_gamma(pi))
             assert _kernels.joint_degree_matrices(pi.degrees) == _jdms_of_classes(pi), pi
         assert total == count, c
+
+
+@pytest.mark.slow
+def test_class_table_n11():
+    # OEIS A000055, A001429, A001435, A001436 at n = 11
+    expected = {0: 235, 1: 1806, 2: 8833, 3: 33851}
+    counts = {c: sum(len(_kernels.enumerate_classes(pi.degrees))
+                     for pi in _sequences((11,), (c,)))
+              for c in expected}
+    assert counts == expected
+    assert sum(counts.values()) == 44725
 
 
 def _classes_by_sequence_unfiltered(n, m):
