@@ -1,7 +1,9 @@
 """Compute kernels: canonical labeling and degree-sequence enumeration.
 
-Graphs live here as adjacency bitmasks over at most 16 vertices, which covers
-every desk-scale cap in the library.
+Graphs live here only as adjacency bitmasks: a sequence `adj` with bit u of
+adj[v] set iff uv is an edge, and n = len(adj) at most 16, which covers every
+desk-scale cap in the library. Every entry point takes or yields masks, so the
+walker's leaves go to the labeling as they are.
 
 One realization walker, `_realizations`, backtracks over the labeled
 realizations of a degree sequence with residual and twin pruning and yields
@@ -24,7 +26,8 @@ exact on regular graphs. Two identities keep it cheap without changing a code:
   into nibble k: sum over k of |N(v) & C_k| << 4k. A degree is at most 15, so
   no nibble carries and the signature equals the sum of 1 << 4 cell(u) over
   the neighbours u of v: one precomputed weight per neighbour, summed over
-  neighbour lists built once per call.
+  neighbour lists read off the set bits of the masks once per call. Only sums
+  are taken, so the order within a list cannot change a code.
 - Twin cells. Let the first non-singleton cell of an equitable partition be
   mutual twins: one open neighbourhood for all, or one closed neighbourhood.
   Every other vertex sees all of the cell or none of it, and each cell vertex
@@ -91,23 +94,26 @@ def _refine(nbrs: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-def canon_bits(n: int, edges) -> int:
+def canon_bits(adj) -> int:
     """Packed upper-triangle bitstring of the canonical labeling (iso-invariant).
 
-    `edges` are those of a simple graph on 0..n-1. The bitstring is that of
-    graph6: pair (i, j), i < j, of the relabeled graph in column order, the
-    first pair most significant, so integer order is lexicographic bitstring
-    order. The canonical labeling is the leaf with the smallest bitstring.
+    `adj` holds the adjacency masks of a simple graph on n = len(adj)
+    vertices. The bitstring is that of graph6: pair (i, j), i < j, of the
+    relabeled graph in column order, the first pair most significant, so
+    integer order is lexicographic bitstring order. The canonical labeling is
+    the leaf with the smallest bitstring.
     """
+    n = len(adj)
     if n < 1 or n > MAX_VERTICES:
         raise ValueError(f"kernel handles 1 <= n <= {MAX_VERTICES}, got {n}")
-    adj = [0] * n
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs: list[list[int]] = []
+    for a in adj:
+        row = []
+        while a:
+            low = a & -a
+            row.append(low.bit_length() - 1)
+            a ^= low
+        nbrs.append(row)
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(len(nbrs[v]), []).append(v)
@@ -173,13 +179,8 @@ def bits_to_edges(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def canon_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
-    """Edge list of the canonically relabeled graph (sorted, 0-based)."""
-    return bits_to_edges(n, canon_bits(n, edges))
-
-
-def connected_masks(n: int, adj) -> bool:
-    """Whether the graph with adjacency bitmasks `adj` on n vertices is connected."""
+def connected_masks(adj) -> bool:
+    """Whether the graph with adjacency bitmasks `adj` is connected."""
     seen = 1
     frontier = 1
     while frontier:
@@ -191,7 +192,7 @@ def connected_masks(n: int, adj) -> bool:
             reach |= adj[v]
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << n) - 1
+    return seen == (1 << len(adj)) - 1
 
 
 def _realizations(degrees):
@@ -229,7 +230,7 @@ def _realizations(degrees):
         while v < n and not res[v]:
             v += 1
         if v == n:
-            if connected_masks(n, adj):
+            if connected_masks(adj):
                 yield tuple(adj)
         else:
             stack.append([v, _choices(v, res, adj), 0])
@@ -325,9 +326,8 @@ def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
     Dedups the leaves of `_realizations` by canonical bits and returns the
     canonical representatives sorted by their packed bits.
     """
-    n = len(degrees)
-    reps = {canon_bits(n, _mask_edges(n, adj)) for adj in _realizations(degrees)}
-    return [bits_to_edges(n, b) for b in sorted(reps)]
+    reps = {canon_bits(adj) for adj in _realizations(degrees)}
+    return [bits_to_edges(len(degrees), b) for b in sorted(reps)]
 
 
 def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...]]:
@@ -355,17 +355,6 @@ def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...
     return out
 
 
-def _mask_edges(n: int, adj: list[int]) -> list[tuple[int, int]]:
-    edges = []
-    for u in range(n):
-        m = adj[u] >> (u + 1) << (u + 1)
-        while m:
-            low = m & -m
-            edges.append((u, low.bit_length() - 1))
-            m ^= low
-    return edges
-
-
 def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]:
     """Independent cross-check enumerator: filter all m-subsets of vertex pairs.
 
@@ -390,7 +379,7 @@ def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]
         degs = [a.bit_count() for a in adj]
         if degs[-1] == 0 or degs != sorted(degs, reverse=True):
             continue
-        if not connected_masks(n, adj):
+        if not connected_masks(adj):
             continue
-        out.setdefault(tuple(degs), set()).add(canon_bits(n, subset))
+        out.setdefault(tuple(degs), set()).add(canon_bits(adj))
     return {k: frozenset(v) for k, v in out.items()}

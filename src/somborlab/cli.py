@@ -98,11 +98,16 @@ def _alpha_key(alpha: float) -> str:
 
 
 def _read_graph(path: str, input_format: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read graph file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"graph file {path!r} is not ASCII text") from None
     if input_format == "graph6":
         return parse_graph6(text)
     if input_format == "edgelist":

@@ -200,7 +200,7 @@ def degree_sequence_of(g: Graph) -> DegreeSequence:
 
 
 def is_connected(g: Graph) -> bool:
-    return _kernels.connected_masks(g.n, g.adjacency_masks)
+    return _kernels.connected_masks(g.adjacency_masks)
 
 
 def validate_connected_c_cyclic(pi: DegreeSequence) -> int:
@@ -267,7 +267,7 @@ def canonical_form(g: Graph) -> Graph:
         raise TooLargeError(
             f"canonical labeling capped at n <= {_kernels.MAX_VERTICES}, got {g.n}"
         )
-    return Graph(g.n, _kernels.canon_edges(g.n, g.edges))
+    return Graph(g.n, _kernels.bits_to_edges(g.n, _kernels.canon_bits(g.adjacency_masks)))
 
 
 def canonical_code(g: Graph) -> CanonicalCode:

@@ -96,6 +96,9 @@ class Deadline:
     """Cooperative time budget, checked between enumeration units."""
 
     def __init__(self, seconds: float | None = None):
+        if seconds is not None and math.isnan(seconds):
+            # NaN never expires; None and inf mean no limit
+            raise ValidationError("time budget must be a number of seconds, got nan")
         self.seconds = seconds
         self.start = time.monotonic()
 
@@ -546,7 +549,7 @@ def verify_enumeration_cross_check(n: int, c: int) -> CrossCheckReport:
     total = 0
     for pi in seqs:
         graphs = enumerate_gamma(pi)
-        keys_a = {_kernels.canon_bits(g.n, g.edges) for g in graphs}
+        keys_a = {_kernels.canon_bits(g.adjacency_masks) for g in graphs}
         keys_b = by_subsets.get(pi.degrees, frozenset())
         total += len(graphs)
         if len(keys_a) != len(graphs) or keys_a != keys_b:

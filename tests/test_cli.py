@@ -109,6 +109,19 @@ def test_eval_disconnected_exit2(capsys, tmp_path):
     assert "connected" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii"])
+def test_eval_unreadable_graph_exit2(capsys, tmp_path, kind):
+    # exit 1 means a counterexample; a file that cannot be read is bad input
+    path = tmp_path / "g.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-ascii":
+        path.write_bytes("0 1\n1 2\n# caf\u00e9\n".encode())
+    code, out, err = run(capsys, "eval", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_enumerate_c4(capsys):
     code, out, _ = run(capsys, "enumerate", "--pi", "2,2,2,2")
     assert code == 0
@@ -332,6 +345,20 @@ def test_verify_time_budget_exit2(capsys):
                        "--time-budget", "0")
     assert code == 2
     assert "budget" in err
+
+
+def test_verify_nan_time_budget_exit2_before_any_work(capsys, monkeypatch):
+    # a NaN budget never expires; inf keeps meaning no limit
+    swept = []
+    monkeypatch.setattr(cli, "verify_theorem2", lambda *a, **k: swept.append(a))
+    code, out, err = run(capsys, "verify", "--theorem", "2", "--n-max", "5",
+                         "--time-budget", "nan")
+    assert code == 2 and out == "" and swept == []
+    assert "time budget" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--theorem", "2", "--n-max", "5",
+                       "--time-budget", "inf")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_verify_prop1_time_budget_exit2(capsys):

@@ -21,6 +21,15 @@ def test_backend_name():
     assert _kernels.BACKEND == "pure"
 
 
+def canon(n, edges):
+    """canon_bits of the graph with these edges on 0..n-1."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _kernels.canon_bits(adj)
+
+
 def random_graph(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return rng.sample(pairs, rng.randint(0, len(pairs)))
@@ -32,25 +41,25 @@ def test_canon_bits_invariant_under_relabeling_exhaustive_small():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for _ in range(30):
             edges = rng.sample(pairs, rng.randint(0, len(pairs)))
-            base = _kernels.canon_bits(n, edges)
+            base = canon(n, edges)
             for perm in itertools.permutations(range(n)):
                 relabeled = [(perm[u], perm[v]) for u, v in edges]
-                assert _kernels.canon_bits(n, relabeled) == base
+                assert canon(n, relabeled) == base
 
 
 def test_canon_bits_invariant_n7_exhaustive_n8_sampled():
     rng = random.Random(5)
     n = 7
     edges = random_graph(rng, n)
-    base = _kernels.canon_bits(n, edges)
+    base = canon(n, edges)
     for perm in itertools.permutations(range(n)):
-        assert _kernels.canon_bits(n, [(perm[u], perm[v]) for u, v in edges]) == base
+        assert canon(n, [(perm[u], perm[v]) for u, v in edges]) == base
     n = 8
     edges = random_graph(rng, n)
-    base = _kernels.canon_bits(n, edges)
+    base = canon(n, edges)
     perms = list(itertools.permutations(range(n)))
     for perm in rng.sample(perms, 500):
-        assert _kernels.canon_bits(n, [(perm[u], perm[v]) for u, v in edges]) == base
+        assert canon(n, [(perm[u], perm[v]) for u, v in edges]) == base
 
 
 def test_canon_separates_nonisomorphic_exhaustively_n5():
@@ -61,7 +70,7 @@ def test_canon_separates_nonisomorphic_exhaustively_n5():
     by_brute = {}
     for r in range(len(pairs) + 1):
         for edges in itertools.combinations(pairs, r):
-            code = _kernels.canon_bits(n, edges)
+            code = canon(n, edges)
             brute = min(
                 tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
                 for p in itertools.permutations(range(n))
@@ -78,9 +87,16 @@ def test_bits_roundtrip():
     for _ in range(100):
         n = rng.randint(2, 10)
         edges = sorted(random_graph(rng, n))
-        bits = _kernels.canon_bits(n, edges)
-        canon = _kernels.bits_to_edges(n, bits)
-        assert _kernels.canon_bits(n, canon) == bits
+        bits = canon(n, edges)
+        assert canon(n, _kernels.bits_to_edges(n, bits)) == bits
+
+
+def test_kernel_bound():
+    for n in (0, 17):
+        with pytest.raises(ValueError, match="1 <= n <= 16"):
+            _kernels.canon_bits([0] * n)
+    with pytest.raises(ValueError, match="1 <= n <= 16, got 17"):
+        _kernels.enumerate_classes((2,) * 17)
 
 
 def test_enumerate_classes_small_counts():
@@ -111,11 +127,11 @@ def test_enumerate_classes_pinned_n8():
 def test_twin_pruning_canon_calls(monkeypatch):
     # 3,3,2^7: the unpruned search canonicalizes 40,320 connected leaves
     calls = []
-    canon = _kernels.canon_bits
+    canon_bits = _kernels.canon_bits
 
-    def counted(n, edges):
-        calls.append(n)
-        return canon(n, edges)
+    def counted(adj):
+        calls.append(len(adj))
+        return canon_bits(adj)
 
     monkeypatch.setattr(_kernels, "canon_bits", counted)
     assert len(_kernels.enumerate_classes((3, 3, 2, 2, 2, 2, 2, 2, 2))) == 13
@@ -183,7 +199,7 @@ def _relabeled_graph(draw):
 @given(_relabeled_graph())
 def test_canon_bits_invariant_under_random_relabeling(case):
     n, edges, relabeled = case
-    assert _kernels.canon_bits(n, relabeled) == _kernels.canon_bits(n, edges)
+    assert canon(n, relabeled) == canon(n, edges)
 
 
 def _complete_multipartite(parts):
@@ -233,7 +249,7 @@ def test_canon_bits_pinned():
     # the codes themselves, not only the class lists they induce
     corpus = _canon_corpus()
     assert len(corpus) == 570
-    codes = [_kernels.canon_bits(n, edges) for n, edges in corpus]
+    codes = [canon(n, edges) for n, edges in corpus]
     assert hashlib.sha256(repr(codes).encode()).hexdigest() == (
         "eedd96c7c388f607ef9c959533849dd95994403d828c1515148bd1647daf0bed"
     )
@@ -242,11 +258,11 @@ def test_canon_bits_pinned():
 def test_canon_bits_invariant_on_twin_cell_families():
     rng = random.Random(7)
     for n, edges in _twin_cell_families():
-        base = _kernels.canon_bits(n, edges)
+        base = canon(n, edges)
         for _ in range(20):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert _kernels.canon_bits(n, [(perm[u], perm[v]) for u, v in edges]) == base
+            assert canon(n, [(perm[u], perm[v]) for u, v in edges]) == base
 
 
 @pytest.mark.parametrize("n_range,leaves", [
@@ -291,10 +307,10 @@ def _classes_by_sequence_unfiltered(n, m):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         degs = [a.bit_count() for a in adj]
-        if 0 in degs or not _kernels.connected_masks(n, adj):
+        if 0 in degs or not _kernels.connected_masks(adj):
             continue
         key = tuple(sorted(degs, reverse=True))
-        out.setdefault(key, set()).add(_kernels.canon_bits(n, subset))
+        out.setdefault(key, set()).add(_kernels.canon_bits(adj))
     return {k: frozenset(v) for k, v in out.items()}
 
 
