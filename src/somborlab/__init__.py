@@ -1,7 +1,8 @@
 """somborlab: extremal graphs for degree-based indices, with an exhaustive oracle.
 
-Construct the canonical extremal graphs of pendant degree sequences (greedy
-tree, BFS-unicyclic, BFS-bicyclic), evaluate the general Sombor index and
+Construct the canonical extremal graph of a pendant degree sequence with
+`extremal_graph` (the greedy tree, BFS-unicyclic or BFS-bicyclic graph, all
+from one seeded breadth-first fill), evaluate the general Sombor index and
 arbitrary connectivity functions, recognize BFS-graphs, and verify the
 extremality/majorization claims by exhaustive enumeration at desk scale.
 """
@@ -13,14 +14,7 @@ from .bfs import (
     is_special_extremal_bfs,
     witness_violation,
 )
-from .construct import (
-    ConstructionResult,
-    bfs_bicyclic,
-    bfs_unicyclic,
-    extremal_graph,
-    greedy_tree,
-    split_almost_equal,
-)
+from .construct import ConstructionResult, extremal_graph
 from .graphs import (
     CanonicalCode,
     DegreeSequence,
@@ -83,9 +77,7 @@ __all__ = [
     "GridSpec",
     "MajorizationVerdict",
     "Objective",
-    "bfs_bicyclic",
     "bfs_distances",
-    "bfs_unicyclic",
     "canonical_code",
     "canonical_form",
     "check_escalating",
@@ -99,7 +91,6 @@ __all__ = [
     "format_edge_list",
     "format_graph6",
     "generate_c_cyclic_sequences",
-    "greedy_tree",
     "is_bfs_graph",
     "is_connected",
     "is_majorized",
@@ -112,7 +103,6 @@ __all__ = [
     "parse_graph6",
     "reduced_graph",
     "sombor_general",
-    "split_almost_equal",
     "to_dot",
     "validate_connected_c_cyclic",
     "verify_enumeration_cross_check",

@@ -48,32 +48,12 @@ class NonPositiveEntryError(ValidationError):
 
 # -- constructor preconditions -----------------------------------------------
 
-class NotTreeSequenceError(ValidationError):
-    pass
-
-
-class NotUnicyclicSequenceError(ValidationError):
-    pass
-
-
-class NotBicyclicSequenceError(ValidationError):
-    pass
-
-
 class MinDegreeNotOneError(ValidationError):
     pass
 
 
-class TriangleInfeasibleError(ValidationError):
-    pass
-
-
 class InfeasibleCaseError(ValidationError):
-    pass
-
-
-class TooFewUnitsError(ValidationError):
-    pass
+    """The BFS fill did not place every vertex at its degree in pi."""
 
 
 # -- alpha / objective pairing -----------------------------------------------

@@ -42,6 +42,7 @@ from .errors import (
     AlphaDegenerateError,
     AlphaNotAboveOneError,
     CapsSyntaxError,
+    EmptySweepError,
     LengthMismatchError,
     MinDegreeNotOneError,
     TimeBudgetExceededError,
@@ -335,17 +336,15 @@ class Theorem2Report(NamedTuple):
 def _theorem2_one(args) -> list[SequenceCheck]:
     degrees, alphas = args
     pi = DegreeSequence(degrees)
+    built = extremal_graph(pi).graph
+    built_values = _values_for_alphas(edge_pair_counts(built), alphas)
     graphs = enumerate_gamma(pi)
     per_graph = _class_values(graphs, alphas)
-    built_values = None
     checks = []
     for alpha in alphas:
         objective = objective_for_alpha(alpha)
         values = [v[alpha] for v in per_graph]
         oracle_value = min(values) if objective is Objective.MIN else max(values)
-        if built_values is None:
-            built = extremal_graph(pi)
-            built_values = _values_for_alphas(edge_pair_counts(built.graph), alphas)
         built_value = built_values[alpha]
         ok = math.isclose(built_value, oracle_value, rel_tol=REL_TOL)
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
@@ -357,10 +356,13 @@ def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.
                     *, deadline: Deadline | None = None) -> Theorem2Report:
     """Constructed T/U/B value equals the oracle extremum for every pendant sequence.
 
-    Each alpha must pair with an extremum (`objective_for_alpha`).
+    `alphas` must be non-empty, or the sweep would pass vacuously, and each
+    alpha must pair with an extremum (`objective_for_alpha`).
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
+    if not alphas:
+        raise EmptySweepError("theorem 2 needs at least one alpha")
     for a in alphas:
         objective_for_alpha(a)
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=True)
@@ -439,11 +441,13 @@ def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
                     deadline: Deadline | None = None) -> Theorem3Report:
     """Strictly larger oracle maximum along every majorization pair.
 
-    `alphas` is a sequence; each must be finite and above 1, where h_alpha
-    is escalating.
+    `alphas` is a non-empty sequence, or the sweep would pass vacuously; each
+    alpha must be finite and above 1, where h_alpha is escalating.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
+    if not alphas:
+        raise EmptySweepError("theorem 3 needs at least one alpha")
     for a in alphas:
         classify_alpha(a)
         if a <= 1:

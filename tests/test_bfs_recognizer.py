@@ -7,11 +7,9 @@ import pytest
 
 from somborlab import (
     Graph,
-    bfs_bicyclic,
-    bfs_unicyclic,
     enumerate_gamma,
+    extremal_graph,
     generate_c_cyclic_sequences,
-    greedy_tree,
     is_bfs_graph,
     is_special_extremal_bfs,
     parse_degree_sequence,
@@ -74,9 +72,9 @@ def test_special_needs_pendant_and_triangle():
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(MinDegreeNotOneError):
         is_special_extremal_bfs(k3)
-    um = bfs_unicyclic(parse_degree_sequence("3,2,2,2,1"))
+    um = extremal_graph(parse_degree_sequence("3,2,2,2,1"))
     assert is_special_extremal_bfs(um.graph, 1) is not None
-    bm = bfs_bicyclic(parse_degree_sequence("3,3,3,2,1"))
+    bm = extremal_graph(parse_degree_sequence("3,3,3,2,1"))
     assert is_special_extremal_bfs(bm.graph, 2) is not None
 
 
@@ -89,11 +87,10 @@ def test_special_absent_when_top_degrees_cannot_form_triangle():
 
 
 def test_constructions_pass_their_own_ordering():
-    builders = {0: greedy_tree, 1: bfs_unicyclic, 2: bfs_bicyclic}
-    for c, build in builders.items():
+    for c in (0, 1, 2):
         for n in range(2, 8):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
-                r = build(pi)
+                r = extremal_graph(pi)
                 assert witness_violation(r.graph, r.ordering,
                                          require_triangle=(c >= 1)) is None
                 found = is_special_extremal_bfs(r.graph, c) if c else is_bfs_graph(r.graph)
@@ -101,17 +98,34 @@ def test_constructions_pass_their_own_ordering():
 
 
 def test_greedy_tree_is_unique_bfs_tree():
-    # every BFS-tree the recognizer accepts is isomorphic to the greedy tree
+    # every BFS-tree the recognizer accepts is isomorphic to the greedy tree,
+    # and every special BFS-unicyclic graph to the BFS-unicyclic graph
     from somborlab import canonical_code
 
     for n in range(2, 9):
         for pi in generate_c_cyclic_sequences(n, 0, require_pendant=True):
-            target = canonical_code(greedy_tree(pi).graph)
+            target = canonical_code(extremal_graph(pi).graph)
             hits = [
                 g for g in enumerate_gamma(pi) if is_bfs_graph(g) is not None
             ]
             assert hits, pi
             assert all(canonical_code(g) == target for g in hits)
+    accepted = {}
+    for c in (1, 2):
+        for n in range(3, 10):
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
+                accepted[c, pi] = {
+                    canonical_code(g) for g in enumerate_gamma(pi)
+                    if is_special_extremal_bfs(g, c) is not None
+                }
+                assert canonical_code(extremal_graph(pi).graph) in accepted[c, pi]
+    unicyclic = [codes for (c, _), codes in accepted.items() if c == 1]
+    assert len(unicyclic) == 60
+    assert all(len(codes) == 1 for codes in unicyclic)
+    # for c = 2 the recognizer accepts more than the construction's class
+    bicyclic = [codes for (c, _), codes in accepted.items() if c == 2]
+    assert len(bicyclic) == 80
+    assert sum(len(codes) > 1 for codes in bicyclic) == 47
 
 
 def test_search_matches_brute_force_small():

@@ -1,31 +1,28 @@
 """Greedy tree, BFS-unicyclic, BFS-bicyclic constructions."""
 
+import hashlib
+
 import pytest
 
 from somborlab import (
     DegreeSequence,
     Graph,
     Objective,
-    bfs_bicyclic,
-    bfs_unicyclic,
     canonical_code,
     degree_sequence_of,
     extremal_graph,
-    greedy_tree,
     is_connected,
     objective_for_alpha,
     parse_degree_sequence,
     reduced_graph,
-    split_almost_equal,
 )
+from somborlab import construct
 from somborlab.bfs import witness_violation
 from somborlab.errors import (
     AlphaDegenerateError,
+    InfeasibleCaseError,
     MinDegreeNotOneError,
     NotGraphicalError,
-    NotTreeSequenceError,
-    NotUnicyclicSequenceError,
-    TooFewUnitsError,
     UnsupportedCyclomaticError,
 )
 from somborlab.oracle import generate_c_cyclic_sequences
@@ -45,37 +42,33 @@ def spider(legs):
 
 
 def test_greedy_tree_examples():
-    assert greedy_tree(DegreeSequence((1, 1))).graph == Graph(2, [(0, 1)])
-    r = greedy_tree(parse_degree_sequence("3,2,2,1,1,1"))
+    assert extremal_graph(DegreeSequence((1, 1))).graph == Graph(2, [(0, 1)])
+    r = extremal_graph(parse_degree_sequence("3,2,2,1,1,1"))
     assert r.graph.edges == ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5))
     assert r.ordering == (0, 1, 2, 3, 4, 5)
     assert r.layers == (0, 1, 1, 1, 2, 2)
     # pi2 greedy tree is the spider with four legs of length 3
-    h1 = greedy_tree(parse_degree_sequence("4,2^8,1^4")).graph
+    h1 = extremal_graph(parse_degree_sequence("4,2^8,1^4")).graph
     assert canonical_code(h1) == canonical_code(spider([3, 3, 3, 3]))
 
 
 def test_greedy_tree_rejections():
-    with pytest.raises(NotTreeSequenceError):
-        greedy_tree(DegreeSequence((2, 2, 2)))
     with pytest.raises(NotGraphicalError):
-        greedy_tree(DegreeSequence((3, 3, 1, 1)))
+        extremal_graph(DegreeSequence((3, 3, 1, 1)))
 
 
 def test_bfs_unicyclic_examples():
-    r = bfs_unicyclic(parse_degree_sequence("3,2,2,2,1"))
+    r = extremal_graph(parse_degree_sequence("3,2,2,2,1"))
     assert set(r.graph.edges) == {(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)}
     assert r.layers == (0, 1, 1, 1, 2)
     with pytest.raises(MinDegreeNotOneError):
-        bfs_unicyclic(DegreeSequence((2, 2, 2)))
-    with pytest.raises(NotUnicyclicSequenceError):
-        bfs_unicyclic(DegreeSequence((2, 2, 1, 1)))
+        extremal_graph(DegreeSequence((2, 2, 2)))
 
 
 def test_bfs_unicyclic_pi1_regression():
     # locked edge list for pi1 = (5,4,3^3,2^10,1^8), built from the layered
     # procedure: triangle 0-1-2, N(0) = 1..5, then children in index order
-    r = bfs_unicyclic(parse_degree_sequence("5,4,3^3,2^10,1^8"))
+    r = extremal_graph(parse_degree_sequence("5,4,3^3,2^10,1^8"))
     expected = {
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2),
         (1, 6), (1, 7), (2, 8), (3, 9), (3, 10), (4, 11), (4, 12),
@@ -89,7 +82,7 @@ def test_bfs_unicyclic_pi1_regression():
 
 
 def test_bfs_bicyclic_case_i():
-    r = bfs_bicyclic(parse_degree_sequence("3,3,3,2,1"))
+    r = extremal_graph(parse_degree_sequence("3,3,3,2,1"))
     assert set(r.graph.edges) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)}
     assert r.case == "i"
     core = reduced_graph(r.graph)
@@ -97,13 +90,13 @@ def test_bfs_bicyclic_case_i():
 
 
 def test_bfs_bicyclic_case_ii():
-    r = bfs_bicyclic(parse_degree_sequence("5,2,2,2,2,1"))
+    r = extremal_graph(parse_degree_sequence("5,2,2,2,2,1"))
     assert set(r.graph.edges) == {
         (0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5)
     }
     assert r.case == "ii"
     # two paths over three spare vertices: lengths 2 and 1
-    r = bfs_bicyclic(parse_degree_sequence("6,2^5,1^2"))
+    r = extremal_graph(parse_degree_sequence("6,2^5,1^2"))
     assert r.case == "ii"
     assert degree_sequence_of(r.graph).degrees == (6, 2, 2, 2, 2, 2, 1, 1)
     assert r.layers == (0, 1, 1, 1, 1, 1, 1, 2)
@@ -112,31 +105,20 @@ def test_bfs_bicyclic_case_ii():
 def test_bfs_bicyclic_case_dichotomy_exhaustive():
     for n in range(4, 9):
         for pi in generate_c_cyclic_sequences(n, 2, require_pendant=True):
-            r = bfs_bicyclic(pi)
+            r = extremal_graph(pi)
             assert (r.case == "i") == (pi.degrees[1] >= 3)
             assert (r.case == "ii") == (pi.degrees[1] == 2)
             if r.case == "ii":
                 assert pi.degrees[0] >= 5
 
 
-def test_split_almost_equal():
-    assert split_almost_equal(7, 3) == (3, 2, 2)
-    assert split_almost_equal(4, 4) == (1, 1, 1, 1)
-    assert split_almost_equal(5, 2) == (3, 2)
-    with pytest.raises(TooFewUnitsError):
-        split_almost_equal(2, 3)
-
-
 def test_construction_contract_round_trip():
     # degree sequence, connectivity, edge count, and self-witness for every
     # pendant sequence at small n
-    from somborlab import bfs_bicyclic, bfs_unicyclic, greedy_tree
-
-    builders = {0: greedy_tree, 1: bfs_unicyclic, 2: bfs_bicyclic}
-    for c, build in builders.items():
+    for c in (0, 1, 2):
         for n in range(2, 9):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
-                r = build(pi)
+                r = extremal_graph(pi)
                 g = r.graph
                 assert degree_sequence_of(g).degrees == pi.degrees
                 assert is_connected(g)
@@ -167,13 +149,41 @@ def test_extremal_graph_dispatch_and_pairing():
 
 @pytest.mark.parametrize("text", ["3,2,2,1,1,1", "3,3,2,1,1", "4,3,2,2,1"])
 def test_extremal_graph_decides_realizability_once(text):
-    # extremal_graph and its builder both validate pi; Erdos-Gallai runs once
+    # extremal_graph validates pi once: Erdos-Gallai runs once, unasked again
     from somborlab import graphs
     graphs._connected_c.cache_clear()
     extremal_graph(parse_degree_sequence(text))
     info = graphs._connected_c.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
     with pytest.raises(NotGraphicalError):
         graphs.validate_connected_c_cyclic(DegreeSequence((3, 3, 1, 1)))
     with pytest.raises(NotGraphicalError):      # a rejection is not cached
         graphs.validate_connected_c_cyclic(DegreeSequence((3, 3, 1, 1)))
+
+
+def test_extremal_graph_pinned():
+    # every field of every construction over all 2,584 pendant c <= 2
+    # sequences with n <= 16, hashed: a rewrite must build the same graphs
+    digest = hashlib.sha256()
+    counts = {}
+    for c in (0, 1, 2):
+        for n in range(2, 17):
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
+                r = extremal_graph(pi)
+                assert r.ordering == tuple(range(pi.n))
+                digest.update(repr((pi.degrees, r.graph.edges, r.layers,
+                                    r.klass, r.case)).encode())
+                counts[r.case or r.klass] = counts.get(r.case or r.klass, 0) + 1
+    assert counts == {"tree": 508, "unicyclic": 820, "i": 1190, "ii": 66}
+    assert digest.hexdigest() == (
+        "d7d180e89dac1b6e71e17a68b84228d70849cfdbff9ae4905cea78b6b6bd3014")
+
+
+def test_extremal_graph_post_condition(monkeypatch):
+    # a seed the fill cannot complete is a usage error, never an IndexError
+    monkeypatch.setitem(construct._SEEDS, "tree", ((1, 2),))
+    with pytest.raises(InfeasibleCaseError):
+        extremal_graph(parse_degree_sequence("3,2,2,1,1,1"))
+    monkeypatch.setitem(construct._SEEDS, "unicyclic", ((1, 2), (1, 3)))
+    with pytest.raises(InfeasibleCaseError):
+        extremal_graph(parse_degree_sequence("3,2,2,2,1"))

@@ -26,7 +26,7 @@ from somborlab import (
     to_dot,
     validate_connected_c_cyclic,
 )
-from somborlab.construct import bfs_bicyclic
+from somborlab.construct import extremal_graph
 from somborlab.graphs import CanonicalCode
 from somborlab.errors import (
     AcyclicError,
@@ -151,7 +151,7 @@ def test_reduced_graph():
     tri_pendant = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     assert reduced_graph(tri_pendant) == K3
     assert reduced_graph(K3) == K3
-    bm = bfs_bicyclic(parse_degree_sequence("3,3,3,2,1")).graph
+    bm = extremal_graph(parse_degree_sequence("3,3,3,2,1")).graph
     k4_minus_e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert canonical_code(reduced_graph(bm)) == canonical_code(k4_minus_e)
     with pytest.raises(AcyclicError):

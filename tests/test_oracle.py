@@ -11,8 +11,8 @@ from somborlab import (
     degree_sequence_of,
     enumerate_gamma,
     format_graph6,
+    extremal_graph,
     generate_c_cyclic_sequences,
-    greedy_tree,
     is_connected,
     is_majorized,
     objective_for_alpha,
@@ -30,6 +30,7 @@ from somborlab.errors import (
     AlphaNotAboveOneError,
     AlphaNotFiniteError,
     CapsSyntaxError,
+    EmptySweepError,
     LengthMismatchError,
     MinDegreeNotOneError,
     NotGraphicalError,
@@ -90,7 +91,7 @@ def test_oracle_extrema_single_class():
 def test_oracle_extrema_tree_max_is_greedy():
     pi = parse_degree_sequence("3,2,2,1,1,1")
     rep = oracle_extrema(pi, 2)
-    built = greedy_tree(pi).graph
+    built = extremal_graph(pi).graph
     assert math.isclose(rep.max_value, sombor_general(built, 2), rel_tol=1e-12)
     codes = {canonical_code(g) for g in rep.max_witnesses}
     assert canonical_code(built) in codes
@@ -178,7 +179,9 @@ def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
             # the same fsum as a construction built for this alpha alone
             assert check.constructed_value == sombor_general(graphs[check.pi], check.alpha)
     built.clear()
-    assert verify_theorem2(6, 1, ()).checks == () and built == []
+    with pytest.raises(EmptySweepError):       # nothing to check is not a pass
+        verify_theorem2(6, 1, ())
+    assert built == []
     with pytest.raises(UnsupportedCyclomaticError):
         verify_theorem2(6, 3, alphas)
 
@@ -192,6 +195,8 @@ def test_theorem3_hand_case():
     assert pair[0].lower_max == 114.0 and pair[0].upper_max == 300.0
     with pytest.raises(AlphaNotAboveOneError):
         verify_theorem3(4, 0, (0.5,))
+    with pytest.raises(EmptySweepError):       # nothing to check is not a pass
+        verify_theorem3(6, 0, ())
 
 
 def test_theorem3_small_all_cases():
