@@ -264,8 +264,12 @@ def _verify_prop1(args, deadline) -> tuple[dict, bool]:
     results = []
     ok = True
     for a in alphas:
-        deadline.check(partial=results)
-        report = check_escalating(BivariateFunction.sombor(a), grid)
+        try:
+            deadline.check()
+            report = check_escalating(BivariateFunction.sombor(a), grid, deadline=deadline)
+        except TimeBudgetExceededError as exc:
+            exc.partial = results
+            raise
         expected = classify_alpha(a).value
         if expected == "degenerate":
             matches = report.verdict == "neither" and report.max_abs_delta == 0.0

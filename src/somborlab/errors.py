@@ -75,6 +75,12 @@ class FunctionUnderflowError(ValidationError):
     arithmetic: the grid check cannot resolve its sign there."""
 
 
+class GridResolutionError(ValidationError):
+    """h_alpha with alpha != 1 has no grid cell whose delta clears its
+    tolerance: the grid cannot resolve the sign of any cell, so a strict
+    verdict would fail on rounding, not on a counterexample."""
+
+
 class AlphaDegenerateError(ValidationError):
     """alpha = 1: every graph in Gamma(pi) has the same index value."""
 

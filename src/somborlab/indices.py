@@ -20,12 +20,15 @@ delta vanishes identically and neither strict verdict applies.
 majorization monotonicity result: positive and convex first-argument partials
 (closed forms below) plus a three-term shift inequality on the grid.
 
-Grid certification is exact and single-pass. f is evaluated once per grid
-point, and a NaN or infinite value, or an h_alpha value that underflows to 0.0
-or a subnormal, is a validation error rather than a verdict. Every report is
-bit for bit the one that evaluating each cell's definition in order would
-give; a bound only skips a cell's tolerance computation where it proves the
-outcome, and tests compare against that per-call definition.
+Grid certification evaluates f once per grid point. A NaN or infinite value,
+an h_alpha value that underflows to 0.0 or a subnormal, and an h_alpha
+(alpha != 1) none of whose deltas clears its tolerance are validation errors,
+not verdicts. Every report is bit for bit the one that evaluating each cell's
+definition in order would give; tests compare against that definition.
+`check_escalating` is O(B^3), not O(B^4): in exact arithmetic
+delta(x2, y2) = D[x2] - D[y2] with D = t[x1] - t[y1], so one scan over D and
+a rounding bound settle a whole (x1, y1) block, and only the blocks the bound
+cannot settle, or that may hold max_abs_delta, are evaluated cell by cell.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from operator import sub
+from itertools import accumulate
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -42,6 +46,7 @@ from .errors import (
     DisconnectedError,
     FunctionNotFiniteError,
     FunctionUnderflowError,
+    GridResolutionError,
     ValidationError,
 )
 from .graphs import Graph, _Value, is_connected
@@ -52,6 +57,10 @@ REL_TOL = 1e-9
 #: default grid bound; covers all degree pairs at desk scale (d <= n-1 <= 11)
 DEFAULT_GRID_MAX = 20
 
+#: c * u of the rounding bound E = c * u * S of `check_escalating`, u = 2^-53
+_CU = 16 * 2.0 ** -53
+#: smallest subnormal; added to E so that E stays an upper bound when it underflows
+_TINY = 2.0 ** -1074
 
 class AlphaRegime(enum.Enum):
     DE_ESCALATING = "de-escalating"   # 0 < alpha < 1
@@ -252,8 +261,37 @@ def _block_cells(bound: int) -> list[tuple[int, int]]:
     return [(x2, y2) for x2 in range(1, bound + 1) for y2 in range(1, x2 + 1)]
 
 
+def _strict_deltas(rx: list[float], ry: list[float],
+                   strict: list[tuple[int, int]]) -> list[float]:
+    """Deltas of the cells y2 < x2 of strict block rows rx, ry, in grid order:
+    the one exact evaluator of a strict block."""
+    return [rx[x2] + ry[y2] - ry[x2] - rx[y2] for x2, y2 in strict]
+
+
+def _sign_failures(x1: int, y1: int, rx: list[float], ry: list[float],
+                   cells: list[tuple[int, int]]) -> list[Counterexample]:
+    """Sign counterexamples at `cells` of block (x1, y1), each delta evaluated
+    in the definition's operand order."""
+    return [Counterexample(x1, y1, x2, y2, rx[x2] + ry[y2] - ry[x2] - rx[y2], "sign")
+            for x2, y2 in cells]
+
+
+def _spread(d: list[float]) -> tuple[float, float]:
+    """Min and max over k < j of the rounded d[j] - d[k]: read off the steps of
+    a monotone d (h_alpha's rows are), else by prefix max and min scans."""
+    steps = list(map(sub, d[1:], d))
+    lo, hi = min(steps), max(steps)
+    if lo >= 0:
+        return lo, d[-1] - d[0]
+    if hi <= 0:
+        return d[-1] - d[0], hi
+    return (min(map(sub, d[1:], accumulate(d, max))),
+            max(map(sub, d[1:], accumulate(d, min))))
+
+
 def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
-                     max_counterexamples: int = 10) -> EscalationReport:
+                     max_counterexamples: int = 10,
+                     deadline=None) -> EscalationReport:
     """Certify inequality-(2) behaviour of f on the grid.
 
     escalating:    delta >= 0 everywhere, delta > 0 on strict cells
@@ -264,16 +302,39 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     verdict when delta < -tol, and, when neither holds on a strict cell
     (x1 > y1 and x2 > y2), both verdicts with reason "strictness". Here
     delta = t1 + t2 - t3 - t4 and tol = REL_TOL * (|t1| + |t2| + |t3| + |t4|),
-    each evaluated in that order.
+    each evaluated in that order. The report equals, field for field and bit
+    for bit, that of evaluating this definition cell by cell; tests compare
+    against that per-call definition.
 
-    Single exact pass: f is evaluated once per grid point (a NaN or infinite
-    value raises `FunctionNotFiniteError`; an h_alpha value of 0.0 or a
-    subnormal raises `FunctionUnderflowError`). Each (x1, y1) block computes
-    the delta of every cell, which gives max_abs_delta exactly. The exact tol
-    of each cell is skipped only in a block whose extreme deltas clear a
-    bound proven to lie on the right side of every tol in the block. So the
-    report equals, field for field and bit for bit, that of evaluating the
-    definition cell by cell.
+    f is evaluated once per grid point (a NaN or infinite value raises
+    `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
+    `FunctionUnderflowError`). Blocks x1 = y1 and cells x2 = y2 are evaluated
+    exactly. A strict block (y1 < x1) is bounded from D = t[x1] - t[y1]:
+
+    - Identity: exactly, delta(x2, y2) = D[x2] - D[y2], so one prefix max/min
+      scan of D gives the block's approximate extremes p_lo, p_hi in O(B).
+    - Bound: by recursive summation (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., 4.2) a computed delta and a computed
+      D[x2] - D[y2] differ by at most E = c u S, u = 2^-53,
+      S = 2 (a_max[x1] + a_max[y1]), with c = 5 + O(u); c = 16 also covers
+      the rounding of E and p +- E. E = 0 when all values are integer-valued
+      floats below 2^51, where every sum is exact.
+    - Fast branches: p_lo - E > ub (p_hi + E < -ub), ub being at least every
+      tol of the block, proves that every strict cell fails the de-escalating
+      (escalating) verdict on sign; only the examples kept are evaluated.
+      Once all examples are kept, m + E <= lb (m below) proves that no cell
+      fails on sign. Any other block, and every block when 4 max|t|
+      overflows or f returns non-floats, is evaluated exactly.
+    - Exact max: max_abs_delta comes from exact cells only. A bounded block
+      is deferred with its largest |delta| in [m - E, m + E],
+      m = max(p_hi, -p_lo), and evaluated after the scan only if m + E
+      reaches the best proven lower bound.
+
+    `cells_checked` counts cells certified, not deltas computed. An h_alpha
+    with alpha != 1 none of whose cells fails on sign raises
+    `GridResolutionError` (at alpha = 1 every delta is exactly 0 and the
+    verdict is "neither"). `deadline`, any object with a `check()` method, is
+    checked once per x1 row.
 
     Counterexamples are the first `max_counterexamples` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost): failures of the escalating
@@ -288,44 +349,86 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     span = range(1, bound + 1)
     block = _block_cells(bound)
     strict = [(x2, y2) for x2, y2 in block if y2 < x2]     # when x1 > y1
+    v = [row[1:] for row in t]                              # rows without padding
+    # the bound needs floats whose sums of four cannot overflow
+    top = max(a_max)
+    bounded = (all(type(x) is float for row in v for x in row)
+               and math.isfinite(4 * top))
+    if bounded and top < 2.0 ** 51 and all(x.is_integer() for row in v for x in row):
+        cu = tiny = 0.0                 # every sum of these floats is exact
+    else:
+        cu, tiny = _CU, _TINY
     # one kept example records that a verdict failed, even when none is asked for
     keep = max(max_counterexamples, 1)
+    # an h_alpha (alpha != 1) that resolves no cell is a validation error
+    track = f.kind == "sombor" and f.alpha != 1
+    signed = False                     # some cell fails a verdict on sign
     esc_bad: list[Counterexample] = []
     de_bad: list[Counterexample] = []
     hi = lo = 0.0
+    deferred: list[tuple[float, float, int, int]] = []   # (m + E, m - E, x1, y1)
     for x1 in span:
-        rx = t[x1]
+        if deadline is not None:
+            deadline.check()
+        rx, vx = t[x1], v[x1]
         for y1 in range(1, x1 + 1):
-            ry = t[y1]
+            ry, vy = t[y1], v[y1]
             if y1 < x1:
-                ds = [rx[x2] + ry[y2] - ry[x2] - rx[y2] for x2, y2 in strict]
-                ns = [rx[x2] + ry[x2] - ry[x2] - rx[x2] for x2 in span]
+                ns = list(map(sub, map(sub, map(add, vx, vy), vy), vx))
             else:
-                ds = []
                 ns = [rx[x2] + rx[y2] - rx[x2] - rx[y2] for x2, y2 in block]
             n_lo, n_hi = min(ns), max(ns)
+            hi = max(hi, n_hi)
+            lo = min(lo, n_lo)
+            collecting = len(esc_bad) < keep or len(de_bad) < keep
+            classify = collecting or (track and not signed)
+            if classify:
+                # Rounding is monotone, so a tol sum taken in the cell's order
+                # over the two rows' largest (smallest) |t| is at least (at
+                # most) every tol in the block, with no slack.
+                ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
+                lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
+                diag_ok = -lb <= n_lo and n_hi <= lb     # no non-strict cell fails
+            if y1 < x1 and bounded and (not classify or diag_ok):
+                p_lo, p_hi = _spread(list(map(sub, vx, vy)))
+                err = cu * (2 * (a_max[x1] + a_max[y1])) + tiny
+                m = max(p_hi, -p_lo)
+                settled = True
+                if classify:
+                    if p_lo - err > ub:         # on every strict cell delta > tol
+                        signed = True
+                        de_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(de_bad)])
+                    elif p_hi + err < -ub:      # on every strict cell delta < -tol
+                        signed = True
+                        esc_bad += _sign_failures(x1, y1, rx, ry,
+                                                  strict[:keep - len(esc_bad)])
+                    else:
+                        # with every example kept, only a sign failure is sought,
+                        # and no |delta| above the block's smallest tol means none
+                        settled = not collecting and m + err <= lb
+                if settled:
+                    if err:
+                        deferred.append((m + err, m - err, x1, y1))
+                    else:                       # p_lo, p_hi are the exact extremes
+                        hi = max(hi, p_hi)
+                        lo = min(lo, p_lo)
+                    continue
+            ds = _strict_deltas(rx, ry, strict) if y1 < x1 else []
             d_lo, d_hi = (min(ds), max(ds)) if ds else (n_lo, n_hi)
-            hi = max(hi, d_hi, n_hi)
-            lo = min(lo, d_lo, n_lo)
-            if len(esc_bad) >= keep and len(de_bad) >= keep:
+            hi = max(hi, d_hi)
+            lo = min(lo, d_lo)
+            if not classify:
                 continue
-            # Rounding is monotone, so a tol sum taken in the cell's order over
-            # the two rows' largest (smallest) |t| is at least (at most) every
-            # tol in the block, with no slack.
-            ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
-            lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
-            if -lb <= n_lo and n_hi <= lb:      # no non-strict cell fails
+            if diag_ok:
                 if not ds:
                     continue
                 if d_lo > ub:                   # on every strict cell delta > tol
-                    need = keep - len(de_bad)
-                    de_bad += [Counterexample(x1, y1, x2, y2, delta, "sign")
-                               for (x2, y2), delta in zip(strict[:need], ds)]
+                    signed = True
+                    de_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(de_bad)])
                     continue
                 if d_hi < -ub:                  # on every strict cell delta < -tol
-                    need = keep - len(esc_bad)
-                    esc_bad += [Counterexample(x1, y1, x2, y2, delta, "sign")
-                                for (x2, y2), delta in zip(strict[:need], ds)]
+                    signed = True
+                    esc_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(esc_bad)])
                     continue
             ax, ay = a[x1], a[y1]
             for x2, y2 in block:
@@ -333,8 +436,10 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                 tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
                 if delta > tol:
                     esc_reason, de_reason = None, "sign"
+                    signed = True
                 elif delta < -tol:
                     esc_reason, de_reason = "sign", None
+                    signed = True
                 elif y1 < x1 and y2 < x2:
                     esc_reason = de_reason = "strictness"
                 else:
@@ -343,6 +448,21 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                     esc_bad.append(Counterexample(x1, y1, x2, y2, delta, esc_reason))
                 if de_reason and len(de_bad) < keep:
                     de_bad.append(Counterexample(x1, y1, x2, y2, delta, de_reason))
+    # A deferred block's largest |delta| lies in [m - E, m + E]; one whose
+    # upper end stays below the best proven lower end cannot hold the maximum.
+    best = max([hi, -lo] + [low for _, low, _, _ in deferred])
+    for up, _, x1, y1 in deferred:
+        if up >= best:
+            ds = _strict_deltas(t[x1], t[y1], strict)
+            hi = max(hi, max(ds))
+            lo = min(lo, min(ds))
+    max_abs = max(hi, -lo)
+    if track and not signed:       # every strict cell failed on strictness alone
+        raise GridResolutionError(
+            f"grid cannot resolve h_alpha at alpha = {f.alpha!r}: no delta on the "
+            f"grid clears its tolerance (max |delta| = {max_abs!r}); use an alpha "
+            f"farther from 0 and 1"
+        )
     if not esc_bad:
         verdict, examples = "escalating", ()
     elif not de_bad:
@@ -351,7 +471,7 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
         verdict = "neither"
         examples = tuple((esc_bad + de_bad)[:max_counterexamples])
     cells = len(block) ** 2
-    return EscalationReport(f.name, bound, verdict, examples, cells, max(hi, -lo))
+    return EscalationReport(f.name, bound, verdict, examples, cells, max_abs)
 
 
 class GoodEscalatingReport(NamedTuple):

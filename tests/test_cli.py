@@ -369,6 +369,25 @@ def test_verify_prop1_time_budget_exit2(capsys):
     assert "budget" in rec["error"] and rec["partial"] == []
 
 
+@pytest.mark.parametrize("alpha", ["1e-12", "1.0000000001", "1e-300", "-1e-300"])
+def test_verify_prop1_unresolvable_alpha_exit2(capsys, alpha):
+    # every delta lies within its tol, so every strict cell failed on
+    # strictness and the sweep exited 1 with verdict "neither"
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert "grid cannot resolve" in err
+
+
+def test_verify_prop1_budget_expires_inside_the_grid(capsys):
+    # one B = 300 grid takes seconds; the budget is checked once per row, so
+    # it expires inside h_2's grid rather than before h_3's
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "300",
+                         "--alpha", "2,3", "--time-budget", "0.2")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert "budget" in rec["error"] and rec["partial"] == []
+
+
 def _expiring_deadline(k, seen):
     """A Deadline stand-in that expires on its k-th check."""
     class Expiring:
@@ -405,6 +424,20 @@ def test_budget_expiring_in_library_reports_completed_records(capsys, monkeypatc
         got.pop("elapsed_seconds")
         want.pop("elapsed_seconds")
         assert got == want
+
+
+def test_prop1_budget_expiring_in_grid_reports_completed_alphas(capsys, monkeypatch):
+    argv = ("verify", "--theorem", "prop1", "--grid", "30", "--alpha", "2,3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    full = json.loads(out)["results"]
+    seen = []
+    # check 1 precedes h_2 and checks 2-31 are its rows; check 32 precedes h_3
+    # and check 37 is row 5 of its grid
+    monkeypatch.setattr(cli, "Deadline", _expiring_deadline(37, seen))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and seen == [None]
+    assert json.loads(err)["partial"] == full[:1]
 
 
 def test_determinism(capsys):

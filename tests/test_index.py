@@ -17,6 +17,7 @@ from somborlab import (
     generate_c_cyclic_sequences,
     sombor_general,
 )
+from somborlab import indices
 from somborlab.cli import DEFAULT_PROP1_ALPHAS
 from somborlab.errors import (
     AlphaNotFiniteError,
@@ -24,9 +25,12 @@ from somborlab.errors import (
     DisconnectedError,
     FunctionNotFiniteError,
     FunctionUnderflowError,
+    GridResolutionError,
+    TimeBudgetExceededError,
     ValidationError,
 )
 from somborlab.indices import (
+    DEFAULT_GRID_MAX,
     REL_TOL,
     Counterexample,
     EscalationReport,
@@ -36,6 +40,7 @@ from somborlab.indices import (
     first_partial,
     second_partial,
 )
+from somborlab.oracle import Deadline
 
 K2 = Graph(2, [(0, 1)])
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -138,6 +143,31 @@ def _near_tol(x, y):
     return 1 + 1e-10 * x * y
 
 
+def _near_ub(x, y):
+    # strict deltas 4e-9 (x1 - y1)(x2 - y2): where x1 - y1 = 1 they sit within
+    # rounding of the block's largest tol, so the bound cannot settle the block
+    return 1 + 4e-9 * x * y
+
+
+def _near_ub_negative(x, y):
+    return 1 - 4e-9 * x * y
+
+
+def _tied(x, y):
+    # every block (x1, 1) with x1 >= 8 has the same largest |delta| in exact
+    # arithmetic; only the rounding of (x + y) / 3 tells the computed ones apart
+    return 0.1 * min(x, 8) * min(y, 8) + (x + y) / 3
+
+
+def _wavy(x, y):
+    # float difference rows that are not monotone: the bound's prefix scan
+    return math.sin(x) * math.sin(y) + 1e-3 * (x + y)
+
+
+#: h_alpha whose every delta lies within its tol: the grid resolves no cell
+UNRESOLVABLE_ALPHAS = (1e-12, 1.0000000001, 1e-300, -1e-300)
+
+
 def _grid_cells(bound, y1_min):
     for x1 in range(y1_min, bound + 1):
         for y1 in range(y1_min, x1 + 1):
@@ -231,20 +261,48 @@ def _report_bits(report):
             [_bits(c.delta) for c in report.counterexamples])
 
 
-def test_grid_tables_match_per_call_definition():
+def _reference_functions():
     # at alpha = 1 - 1e-8 and 1 + 3e-8, delta crosses tol inside the grid
     alphas = DEFAULT_PROP1_ALPHAS + (1 - 1e-8, 1 + 3e-8)
     functions = [BivariateFunction.sombor(a) for a in alphas]
-    functions.append(BivariateFunction.custom(_mixed, name="mixed"))
-    functions.append(BivariateFunction.custom(_near_tol, name="near-tol"))
+    for fn, name in ((_mixed, "mixed"), (_near_tol, "near-tol"), (_near_ub, "near-ub"),
+                     (_near_ub_negative, "near-ub-negative"), (_tied, "tied"),
+                     (_wavy, "wavy")):
+        functions.append(BivariateFunction.custom(fn, name=name))
+    return functions
+
+
+def _assert_grid_matches_reference(functions, bound):
+    """check_escalating equals the per-call definition at every limit, bit for bit;
+    an unresolvable h_alpha raises where the definition fails on strictness alone."""
+    grid = GridSpec(bound)
+    for f in functions:
+        full = _reference_escalating(f, bound, 10 ** 9)
+        unresolvable = f.kind == "sombor" and f.alpha in UNRESOLVABLE_ALPHAS
+        if unresolvable:
+            assert full.verdict == "neither"
+            assert {c.reason for c in full.counterexamples} == {"strictness"}
+        for limit in (0, 1, 10, 1000):
+            if unresolvable:
+                with pytest.raises(GridResolutionError, match="grid cannot resolve"):
+                    check_escalating(f, grid, limit)
+                continue
+            got = check_escalating(f, grid, limit)
+            want = full._replace(counterexamples=full.counterexamples[:limit])
+            assert got == want
+            assert _report_bits(got) == _report_bits(want)
+
+
+def test_grid_tables_match_per_call_definition():
+    functions = _reference_functions()
+    unresolvable = [BivariateFunction.sombor(a) for a in UNRESOLVABLE_ALPHAS]
+    # the default bound, where the bound settles nearly every strict block;
+    # every function there is in the slow test below
+    picked = [f for f in functions if f.name in ("h_-3", "h_0.5", "h_2", "near-ub")]
+    _assert_grid_matches_reference(picked, DEFAULT_GRID_MAX)
     for bound in (3, 6, 9):
+        _assert_grid_matches_reference(functions + unresolvable, bound)
         grid = GridSpec(bound)
-        for f in functions:
-            for limit in (0, 1, 10, 1000):
-                got = check_escalating(f, grid, limit)
-                want = _reference_escalating(f, bound, limit)
-                assert got == want
-                assert _report_bits(got) == _report_bits(want)
         conditions = {}
         for a in (-1, 0.5, 1.5):
             got = check_good_escalating(a, grid)
@@ -265,7 +323,84 @@ def test_grid_tables_match_per_call_definition():
                 assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
                 if limit == 1 and bad:
                     stopped.add(f.name)
-        assert {"mixed", "near-tol"} <= stopped
+        assert {"mixed", "near-tol", "near-ub", "near-ub-negative"} <= stopped
+
+
+@pytest.mark.slow
+def test_grid_default_bound_matches_per_call_definition():
+    unresolvable = [BivariateFunction.sombor(a) for a in UNRESOLVABLE_ALPHAS]
+    _assert_grid_matches_reference(_reference_functions() + unresolvable, DEFAULT_GRID_MAX)
+
+
+def _count_exact_blocks(monkeypatch):
+    """Calls of the grid's one exact strict-block evaluator, as a list that grows."""
+    calls = []
+    exact = indices._strict_deltas
+
+    def counted(rx, ry, strict):
+        calls.append(1)
+        return exact(rx, ry, strict)
+
+    monkeypatch.setattr(indices, "_strict_deltas", counted)
+    return calls
+
+
+def test_grid_exact_blocks_are_few(monkeypatch):
+    # machine-independent work gate: of the 190 strict blocks at B = 20 the
+    # rounding bound leaves at most two to exact evaluation. h_2's values are
+    # integers below 2^51, so its bound is exact and no block is evaluated.
+    calls = _count_exact_blocks(monkeypatch)
+    counts = {}
+    for a in DEFAULT_PROP1_ALPHAS:
+        calls.clear()
+        check_escalating(BivariateFunction.sombor(a), GridSpec(DEFAULT_GRID_MAX))
+        counts[a] = len(calls)
+    assert counts == {-3.0: 2, -1.0: 1, -0.1: 1, 0.1: 1, 0.25: 1, 0.5: 1, 0.75: 1,
+                      0.9: 1, 1.0: 1, 1.1: 1, 2.0: 0, 5.0: 1}
+    calls.clear()
+    check_escalating(BivariateFunction.sombor(2), GridSpec(40))
+    assert len(calls) <= counts[2.0]
+
+
+def test_grid_fallback_and_final_pass_run(monkeypatch):
+    # near-ub: blocks the bound cannot settle are evaluated exactly in the
+    # loop; tied: with every example kept after the first block, the
+    # deferred blocks (x1, 1), x1 >= 8, all reach the best lower bound, and
+    # the final exact pass picks the largest |delta| among them
+    calls = _count_exact_blocks(monkeypatch)
+    check_escalating(BivariateFunction.custom(_near_ub, name="near-ub"), GridSpec(20), 1000)
+    assert len(calls) == 20
+    calls.clear()
+    check_escalating(BivariateFunction.custom(_tied, name="tied"), GridSpec(20), 0)
+    assert len(calls) == 14
+
+
+def test_grid_resolution_error():
+    for a in UNRESOLVABLE_ALPHAS:
+        with pytest.raises(GridResolutionError, match=f"alpha = {a!r}"):
+            check_escalating(BivariateFunction.sombor(a), GridSpec(DEFAULT_GRID_MAX))
+    assert issubclass(GridResolutionError, ValidationError)
+    # alpha = 1 is degenerate, not unresolved: every delta is exactly 0
+    report = check_escalating(BivariateFunction.sombor(1), GridSpec(DEFAULT_GRID_MAX))
+    assert report.verdict == "neither" and report.max_abs_delta == 0.0
+    # a custom f is never rejected for it
+    flat = BivariateFunction.custom(lambda x, y: 1.0, name="flat")
+    assert check_escalating(flat, GridSpec(5)).verdict == "neither"
+
+
+def test_grid_checks_deadline_once_per_row():
+    class Counting:
+        checks = 0
+
+        def check(self):
+            self.checks += 1
+
+    deadline = Counting()
+    check_escalating(BivariateFunction.sombor(2), GridSpec(30), deadline=deadline)
+    assert deadline.checks == 30
+    # an expired budget stops a large grid at its first row
+    with pytest.raises(TimeBudgetExceededError):
+        check_escalating(BivariateFunction.sombor(2), GridSpec(300), deadline=Deadline(0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
