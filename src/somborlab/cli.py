@@ -265,7 +265,6 @@ def _verify_prop1(args, deadline) -> tuple[dict, bool]:
     ok = True
     for a in alphas:
         try:
-            deadline.check()
             report = check_escalating(BivariateFunction.sombor(a), grid, deadline=deadline)
         except TimeBudgetExceededError as exc:
             exc.partial = results

@@ -261,24 +261,33 @@ def _block_cells(bound: int) -> list[tuple[int, int]]:
     return [(x2, y2) for x2 in range(1, bound + 1) for y2 in range(1, x2 + 1)]
 
 
-def _strict_deltas(rx: list[float], ry: list[float],
-                   strict: list[tuple[int, int]]) -> list[float]:
-    """Deltas of the cells y2 < x2 of strict block rows rx, ry, in grid order:
-    the one exact evaluator of a strict block."""
-    return [rx[x2] + ry[y2] - ry[x2] - rx[y2] for x2, y2 in strict]
+def _deltas(rx: list[float], ry: list[float],
+            cells: list[tuple[int, int]]) -> list[float]:
+    """Deltas of block rows rx, ry at `cells`, in the definition's operand order:
+    the one delta expression of the grid."""
+    return [rx[x2] + ry[y2] - ry[x2] - rx[y2] for x2, y2 in cells]
+
+
+def _exact_extremes(rx: list[float], ry: list[float],
+                    strict: list[tuple[int, int]]) -> tuple[float, float]:
+    """Smallest and largest delta of the cells y2 < x2 of strict block rows rx,
+    ry: the one exact evaluator of a strict block."""
+    ds = _deltas(rx, ry, strict)
+    return min(ds), max(ds)
 
 
 def _sign_failures(x1: int, y1: int, rx: list[float], ry: list[float],
                    cells: list[tuple[int, int]]) -> list[Counterexample]:
-    """Sign counterexamples at `cells` of block (x1, y1), each delta evaluated
-    in the definition's operand order."""
-    return [Counterexample(x1, y1, x2, y2, rx[x2] + ry[y2] - ry[x2] - rx[y2], "sign")
-            for x2, y2 in cells]
+    """Sign counterexamples at `cells` of block (x1, y1)."""
+    return [Counterexample(x1, y1, x2, y2, delta, "sign")
+            for (x2, y2), delta in zip(cells, _deltas(rx, ry, cells))]
 
 
 def _spread(d: list[float]) -> tuple[float, float]:
-    """Min and max over k < j of the rounded d[j] - d[k]: read off the steps of
-    a monotone d (h_alpha's rows are), else by prefix max and min scans."""
+    """Min and max over k < j of the rounded d[j] - d[k], by prefix max and min
+    scans. h_alpha's rows are monotone, and for a monotone d the steps give the
+    same two values (rounding is monotone) without the scans' per-element max
+    and min calls."""
     steps = list(map(sub, d[1:], d))
     lo, hi = min(steps), max(steps)
     if lo >= 0:
@@ -370,13 +379,13 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     for x1 in span:
         if deadline is not None:
             deadline.check()
-        rx, vx = t[x1], v[x1]
+        rx, vx, ax = t[x1], v[x1], a[x1]
         for y1 in range(1, x1 + 1):
-            ry, vy = t[y1], v[y1]
+            ry, vy, ay = t[y1], v[y1], a[y1]
             if y1 < x1:
                 ns = list(map(sub, map(sub, map(add, vx, vy), vy), vx))
             else:
-                ns = [rx[x2] + rx[y2] - rx[x2] - rx[y2] for x2, y2 in block]
+                ns = _deltas(rx, rx, block)
             n_lo, n_hi = min(ns), max(ns)
             hi = max(hi, n_hi)
             lo = min(lo, n_lo)
@@ -389,50 +398,46 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                 ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
                 lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
                 diag_ok = -lb <= n_lo and n_hi <= lb     # no non-strict cell fails
-            if y1 < x1 and bounded and (not classify or diag_ok):
-                p_lo, p_hi = _spread(list(map(sub, vx, vy)))
-                err = cu * (2 * (a_max[x1] + a_max[y1])) + tiny
+            exact = False                       # hi, lo hold the strict extremes
+            if y1 < x1 and (not classify or diag_ok):
+                # every strict delta lies in [p_lo - err, p_hi + err]
+                if bounded:
+                    p_lo, p_hi = _spread(list(map(sub, vx, vy)))
+                    err = cu * (2 * (a_max[x1] + a_max[y1])) + tiny
+                else:
+                    p_lo, p_hi = _exact_extremes(rx, ry, strict)
+                    err = 0.0
+                if not err:                     # p_lo, p_hi are the exact extremes
+                    hi = max(hi, p_hi)
+                    lo = min(lo, p_lo)
+                    exact = True
                 m = max(p_hi, -p_lo)
-                settled = True
-                if classify:
-                    if p_lo - err > ub:         # on every strict cell delta > tol
-                        signed = True
+                if not classify:
+                    settled = True
+                elif p_lo - err > ub:           # on every strict cell delta > tol
+                    signed = settled = True
+                    if len(de_bad) < keep:
                         de_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(de_bad)])
-                    elif p_hi + err < -ub:      # on every strict cell delta < -tol
-                        signed = True
-                        esc_bad += _sign_failures(x1, y1, rx, ry,
-                                                  strict[:keep - len(esc_bad)])
-                    else:
-                        # with every example kept, only a sign failure is sought,
-                        # and no |delta| above the block's smallest tol means none
-                        settled = not collecting and m + err <= lb
+                elif p_hi + err < -ub:          # on every strict cell delta < -tol
+                    signed = settled = True
+                    if len(esc_bad) < keep:
+                        esc_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(esc_bad)])
+                else:
+                    # with every example kept, only a sign failure is sought,
+                    # and no |delta| above the block's smallest tol means none
+                    settled = not collecting and m + err <= lb
                 if settled:
-                    if err:
+                    if not exact:
                         deferred.append((m + err, m - err, x1, y1))
-                    else:                       # p_lo, p_hi are the exact extremes
-                        hi = max(hi, p_hi)
-                        lo = min(lo, p_lo)
                     continue
-            ds = _strict_deltas(rx, ry, strict) if y1 < x1 else []
-            d_lo, d_hi = (min(ds), max(ds)) if ds else (n_lo, n_hi)
-            hi = max(hi, d_hi)
-            lo = min(lo, d_lo)
-            if not classify:
-                continue
-            if diag_ok:
-                if not ds:
+            if y1 == x1:
+                if not classify or diag_ok:     # ns covered the whole block
                     continue
-                if d_lo > ub:                   # on every strict cell delta > tol
-                    signed = True
-                    de_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(de_bad)])
-                    continue
-                if d_hi < -ub:                  # on every strict cell delta < -tol
-                    signed = True
-                    esc_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(esc_bad)])
-                    continue
-            ax, ay = a[x1], a[y1]
-            for x2, y2 in block:
-                delta = rx[x2] + ry[y2] - ry[x2] - rx[y2]
+            elif not exact:
+                d_lo, d_hi = _exact_extremes(rx, ry, strict)
+                hi = max(hi, d_hi)
+                lo = min(lo, d_lo)
+            for (x2, y2), delta in zip(block, _deltas(rx, ry, block)):
                 tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
                 if delta > tol:
                     esc_reason, de_reason = None, "sign"
@@ -453,9 +458,9 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     best = max([hi, -lo] + [low for _, low, _, _ in deferred])
     for up, _, x1, y1 in deferred:
         if up >= best:
-            ds = _strict_deltas(t[x1], t[y1], strict)
-            hi = max(hi, max(ds))
-            lo = min(lo, min(ds))
+            d_lo, d_hi = _exact_extremes(t[x1], t[y1], strict)
+            hi = max(hi, d_hi)
+            lo = min(lo, d_lo)
     max_abs = max(hi, -lo)
     if track and not signed:       # every strict cell failed on strictness alone
         raise GridResolutionError(

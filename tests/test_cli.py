@@ -432,9 +432,8 @@ def test_prop1_budget_expiring_in_grid_reports_completed_alphas(capsys, monkeypa
     assert code == 0
     full = json.loads(out)["results"]
     seen = []
-    # check 1 precedes h_2 and checks 2-31 are its rows; check 32 precedes h_3
-    # and check 37 is row 5 of its grid
-    monkeypatch.setattr(cli, "Deadline", _expiring_deadline(37, seen))
+    # checks 1-30 are the rows of h_2's grid, check 35 is row 5 of h_3's
+    monkeypatch.setattr(cli, "Deadline", _expiring_deadline(35, seen))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and seen == [None]
     assert json.loads(err)["partial"] == full[:1]

@@ -335,20 +335,21 @@ def test_grid_default_bound_matches_per_call_definition():
 def _count_exact_blocks(monkeypatch):
     """Calls of the grid's one exact strict-block evaluator, as a list that grows."""
     calls = []
-    exact = indices._strict_deltas
+    exact = indices._exact_extremes
 
     def counted(rx, ry, strict):
         calls.append(1)
         return exact(rx, ry, strict)
 
-    monkeypatch.setattr(indices, "_strict_deltas", counted)
+    monkeypatch.setattr(indices, "_exact_extremes", counted)
     return calls
 
 
 def test_grid_exact_blocks_are_few(monkeypatch):
     # machine-independent work gate: of the 190 strict blocks at B = 20 the
-    # rounding bound leaves at most two to exact evaluation. h_2's values are
-    # integers below 2^51, so its bound is exact and no block is evaluated.
+    # rounding bound leaves at most two to exact evaluation. The values of
+    # h_1, h_2 and h_5 are integers below 2^51, so their bound is exact and no
+    # block needs the exact evaluator.
     calls = _count_exact_blocks(monkeypatch)
     counts = {}
     for a in DEFAULT_PROP1_ALPHAS:
@@ -356,7 +357,7 @@ def test_grid_exact_blocks_are_few(monkeypatch):
         check_escalating(BivariateFunction.sombor(a), GridSpec(DEFAULT_GRID_MAX))
         counts[a] = len(calls)
     assert counts == {-3.0: 2, -1.0: 1, -0.1: 1, 0.1: 1, 0.25: 1, 0.5: 1, 0.75: 1,
-                      0.9: 1, 1.0: 1, 1.1: 1, 2.0: 0, 5.0: 1}
+                      0.9: 1, 1.0: 0, 1.1: 1, 2.0: 0, 5.0: 0}
     calls.clear()
     check_escalating(BivariateFunction.sombor(2), GridSpec(40))
     assert len(calls) <= counts[2.0]
