@@ -5,109 +5,51 @@ Construct the canonical extremal graph of a pendant degree sequence with
 from one seeded breadth-first fill), evaluate the general Sombor index and
 arbitrary connectivity functions, recognize BFS-graphs, and verify the
 extremality/majorization claims by exhaustive enumeration at desk scale.
+
+Importing the package loads none of its modules. Each exported name, and
+each submodule reached as an attribute, is imported on first access
+(PEP 562), so a caller loads only the layers it uses.
 """
 
-from .bfs import (
-    BfsWitness,
-    bfs_distances,
-    is_bfs_graph,
-    is_special_extremal_bfs,
-    witness_violation,
-)
-from .construct import ConstructionResult, extremal_graph
-from .graphs import (
-    CanonicalCode,
-    DegreeSequence,
-    Graph,
-    canonical_code,
-    canonical_form,
-    degree_sequence_of,
-    format_degree_sequence,
-    format_edge_list,
-    format_graph6,
-    is_connected,
-    parse_degree_sequence,
-    parse_edge_list,
-    parse_graph6,
-    reduced_graph,
-    to_dot,
-    validate_connected_c_cyclic,
-)
-from .indices import (
-    AlphaRegime,
-    BivariateFunction,
-    GridSpec,
-    check_escalating,
-    check_good_escalating,
-    classify_alpha,
-    connectivity_function,
-    sombor_general,
-)
-from .oracle import (
-    Caps,
-    Deadline,
-    ExtremaReport,
-    MajorizationVerdict,
-    Objective,
-    enumerate_gamma,
-    generate_c_cyclic_sequences,
-    is_majorized,
-    load_caps,
-    objective_for_alpha,
-    oracle_extrema,
-    verify_enumeration_cross_check,
-    verify_special_bfs_existence,
-    verify_theorem2,
-    verify_theorem3,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlphaRegime",
-    "BfsWitness",
-    "BivariateFunction",
-    "CanonicalCode",
-    "Caps",
-    "ConstructionResult",
-    "Deadline",
-    "DegreeSequence",
-    "ExtremaReport",
-    "Graph",
-    "GridSpec",
-    "MajorizationVerdict",
-    "Objective",
-    "bfs_distances",
-    "canonical_code",
-    "canonical_form",
-    "check_escalating",
-    "check_good_escalating",
-    "classify_alpha",
-    "connectivity_function",
-    "degree_sequence_of",
-    "enumerate_gamma",
-    "extremal_graph",
-    "format_degree_sequence",
-    "format_edge_list",
-    "format_graph6",
-    "generate_c_cyclic_sequences",
-    "is_bfs_graph",
-    "is_connected",
-    "is_majorized",
-    "is_special_extremal_bfs",
-    "load_caps",
-    "objective_for_alpha",
-    "oracle_extrema",
-    "parse_degree_sequence",
-    "parse_edge_list",
-    "parse_graph6",
-    "reduced_graph",
-    "sombor_general",
-    "to_dot",
-    "validate_connected_c_cyclic",
-    "verify_enumeration_cross_check",
-    "verify_special_bfs_existence",
-    "verify_theorem2",
-    "verify_theorem3",
-    "witness_violation",
-]
+#: home module -> the names the package exports from it
+_EXPORTS = {
+    "bfs": ("BfsWitness", "bfs_distances", "is_bfs_graph", "is_special_extremal_bfs",
+            "witness_violation"),
+    "construct": ("ConstructionResult", "extremal_graph"),
+    "graphs": ("CanonicalCode", "DegreeSequence", "Graph", "canonical_code",
+               "canonical_form", "degree_sequence_of", "format_degree_sequence",
+               "format_edge_list", "format_graph6", "is_connected", "parse_degree_sequence",
+               "parse_edge_list", "parse_graph6", "reduced_graph", "to_dot",
+               "validate_connected_c_cyclic"),
+    "indices": ("AlphaRegime", "BivariateFunction", "GridSpec", "check_escalating",
+                "check_good_escalating", "classify_alpha", "connectivity_function",
+                "sombor_general"),
+    "limits": ("Caps", "Deadline", "load_caps"),
+    "oracle": ("ExtremaReport", "MajorizationVerdict", "Objective", "enumerate_gamma",
+               "generate_c_cyclic_sequences", "is_majorized", "objective_for_alpha",
+               "oracle_extrema", "verify_enumeration_cross_check",
+               "verify_special_bfs_existence", "verify_theorem2", "verify_theorem3"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(("_kernels", "errors", *_EXPORTS))
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -8,6 +8,12 @@ written. All commands are deterministic; verify reports carry an
 humans. The enumeration cap bounds the n of `enumerate --pi` and the
 `--n-max` of every verify sweep; it is checked here, once, before any work.
 SOMBOR_CAPS (e.g. "enum=12") is its only override, up to the kernel's 16.
+The cap and the `--time-budget` deadline come from `limits`.
+
+At load time this module imports only `errors`, `limits` and the package
+version, so `--version` loads no library layer. Each command imports the
+layers it runs when it runs: `verify --theorem prop1` loads `graphs` and
+`indices` alone, never `oracle` or the kernel.
 """
 
 from __future__ import annotations
@@ -17,35 +23,10 @@ import json
 import os
 import sys
 
-from . import __version__, _kernels
-from .construct import extremal_graph
+from . import __version__
 from .errors import (EmptySweepError, SomborlabError, TimeBudgetExceededError,
                      TooLargeError, UnsupportedObjectiveError, ValidationError)
-from .graphs import (
-    degree_sequence_of,
-    format_degree_sequence,
-    format_graph6,
-    is_connected,
-    parse_degree_sequence,
-    parse_edge_list,
-    parse_graph6,
-    to_dot,
-)
-from .indices import (REL_TOL, GridSpec, BivariateFunction, check_escalating, classify_alpha,
-                      sombor_general)
-from .oracle import (
-    Caps,
-    Deadline,
-    _class_values,
-    enumerate_gamma,
-    generate_c_cyclic_sequences,
-    is_majorized,
-    load_caps,
-    objective_for_alpha,
-    verify_special_bfs_existence,
-    verify_theorem2,
-    verify_theorem3,
-)
+from .limits import Caps, Deadline, load_caps
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -60,13 +41,15 @@ DEFAULT_N_MAX = {"1": 7, "2": 8, "3": 8}
 
 
 def _check_cap(n: int, caps: Caps) -> None:
-    cap = min(caps.enum, _kernels.MAX_VERTICES)
+    from ._kernels import MAX_VERTICES
+    cap = min(caps.enum, MAX_VERTICES)
     if n > cap:
         raise TooLargeError(f"enumeration capped at n <= {cap}, got n = {n}; SOMBOR_CAPS="
-                            f"enum=N sets the cap, up to {_kernels.MAX_VERTICES}")
+                            f"enum=N sets the cap, up to {MAX_VERTICES}")
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
+    from .indices import classify_alpha
     try:
         values = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
@@ -98,6 +81,7 @@ def _alpha_key(alpha: float) -> str:
 
 
 def _read_graph(path: str, input_format: str):
+    from .graphs import parse_edge_list, parse_graph6
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -122,9 +106,13 @@ def _read_graph(path: str, input_format: str):
 
 def cmd_construct(args) -> int:
     """Build `extremal_graph(pi)`; `--objective` must be the one its alpha pairs with."""
+    from .construct import extremal_graph
+    from .graphs import format_degree_sequence, format_graph6, parse_degree_sequence, to_dot
+    from .indices import sombor_general
     pi = parse_degree_sequence(args.pi)
     alphas = _alpha_list(args.alpha)
     if args.objective:
+        from .oracle import objective_for_alpha
         if len(alphas) != 1:
             raise ValidationError("--objective needs exactly one --alpha value")
         if objective_for_alpha(alphas[0]).value != args.objective:
@@ -171,6 +159,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .graphs import degree_sequence_of, format_degree_sequence, format_graph6, is_connected
+    from .indices import sombor_general
     g = _read_graph(args.graph, args.input_format)
     if not is_connected(g):
         raise ValidationError("input graph is not connected")
@@ -195,6 +185,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .graphs import format_graph6, parse_degree_sequence
+    from .indices import REL_TOL
+    from .oracle import _class_values, enumerate_gamma
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
     _check_cap(pi.n, caps)
@@ -238,6 +231,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_majorize(args) -> int:
+    from .graphs import format_degree_sequence, parse_degree_sequence
+    from .oracle import is_majorized
     x = parse_degree_sequence(args.x)
     y = parse_degree_sequence(args.y)
     verdict = is_majorized(x, y)
@@ -259,6 +254,7 @@ def cmd_majorize(args) -> int:
 
 
 def _verify_prop1(args, deadline) -> tuple[dict, bool]:
+    from .indices import BivariateFunction, GridSpec, check_escalating, classify_alpha
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_PROP1_ALPHAS
     grid = GridSpec(args.grid)
     results = []
@@ -315,6 +311,7 @@ def _sweep(units, run, deadline) -> tuple[list[dict], bool]:
 
 
 def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
+    from .oracle import generate_c_cyclic_sequences, verify_special_bfs_existence
     cs = _int_list(args.c) if args.c else (0, 1, 2, 3)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T1_ALPHAS
     units = ((pi, a) for c in cs
@@ -330,6 +327,7 @@ def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
 
 
 def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
+    from .oracle import verify_theorem2
     cs = _int_list(args.c) if args.c else (0, 1, 2)
     alphas = (_alpha_list(args.alpha) if args.alpha
               else DEFAULT_MIN_ALPHAS + DEFAULT_MAX_ALPHAS)
@@ -344,6 +342,7 @@ def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
 
 
 def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
+    from .oracle import verify_theorem3
     cs = _int_list(args.c) if args.c else (0, 1, 2)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T3_ALPHAS
     reports, ok = _sweep(

@@ -11,6 +11,10 @@ sequence with even sum is realizable by a *connected* simple graph iff it is
 graphical (Erdos-Gallai) and its sum is at least 2(n-1). Sufficiency follows
 from the classic edge-exchange argument that links components of any
 realization without changing degrees.
+
+The functions that need the kernel (`_kernels`) import it when they run, so
+loading this module, as the grid certification in `indices` does, leaves the
+kernel unloaded.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import re
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from . import _kernels
 from .errors import (
     AcyclicError,
     DegreeTooLargeError,
@@ -200,6 +203,7 @@ def degree_sequence_of(g: Graph) -> DegreeSequence:
 
 
 def is_connected(g: Graph) -> bool:
+    from . import _kernels
     return _kernels.connected_masks(g.adjacency_masks)
 
 
@@ -263,6 +267,7 @@ def reduced_graph(g: Graph) -> Graph:
 
 def canonical_form(g: Graph) -> Graph:
     """Canonically relabeled copy of g (identical for isomorphic inputs)."""
+    from . import _kernels
     if g.n > _kernels.MAX_VERTICES:
         raise TooLargeError(
             f"canonical labeling capped at n <= {_kernels.MAX_VERTICES}, got {g.n}"
@@ -306,6 +311,7 @@ def format_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    from . import _kernels
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]

@@ -23,7 +23,8 @@ relative tolerance; graphs are always compared by canonical code, never by
 float.
 
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
-`Caps.enum` is checked once, by the CLI, where outside input enters.
+`Caps.enum` and the time budget `Deadline` live in `limits` and are bound
+here too; the cap is checked once, by the CLI, where outside input enters.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import os
 import time
 from typing import NamedTuple
 
@@ -41,11 +41,9 @@ from .construct import extremal_graph
 from .errors import (
     AlphaDegenerateError,
     AlphaNotAboveOneError,
-    CapsSyntaxError,
     EmptySweepError,
     LengthMismatchError,
     MinDegreeNotOneError,
-    TimeBudgetExceededError,
     TooLargeError,
     UnrealizableError,
     UnsupportedCError,
@@ -59,61 +57,7 @@ from .graphs import (
 )
 from .indices import (REL_TOL, AlphaRegime, check_no_underflow, classify_alpha,
                       edge_pair_counts)
-
-#: default desk-scale cap on n for `enumerate` and every `verify` sweep
-ENUM_N_MAX = 10
-
-
-class Caps(NamedTuple):
-    """Desk-scale caps, overridden only by SOMBOR_CAPS (e.g. "enum=12")."""
-    enum: int = ENUM_N_MAX
-
-
-def load_caps(text: str | None = None) -> Caps:
-    """Parse a SOMBOR_CAPS-style override, e.g. "enum=8".
-
-    An unknown key or a non-integer value raises `CapsSyntaxError`.
-    """
-    if text is None:
-        text = os.environ.get("SOMBOR_CAPS", "")
-    values = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        key = key.strip()
-        if key not in Caps._fields:
-            raise CapsSyntaxError(f"unknown cap {key!r} in SOMBOR_CAPS")
-        try:
-            values[key] = int(val)
-        except ValueError:
-            raise CapsSyntaxError(f"cap {key!r} in SOMBOR_CAPS needs an integer, "
-                                  f"got {val.strip()!r}") from None
-    return Caps(**values)
-
-
-class Deadline:
-    """Cooperative time budget, checked between enumeration units."""
-
-    def __init__(self, seconds: float | None = None):
-        if seconds is not None and math.isnan(seconds):
-            # NaN never expires; None and inf mean no limit
-            raise ValidationError("time budget must be a number of seconds, got nan")
-        self.seconds = seconds
-        self.start = time.monotonic()
-
-    def remaining(self) -> float | None:
-        if self.seconds is None:
-            return None
-        return self.seconds - (time.monotonic() - self.start)
-
-    def check(self, partial=None) -> None:
-        rem = self.remaining()
-        if rem is not None and rem <= 0:
-            raise TimeBudgetExceededError(
-                f"time budget of {self.seconds}s exhausted", partial=partial
-            )
+from .limits import ENUM_N_MAX, Caps, Deadline, load_caps  # noqa: F401
 
 
 def _pmap(fn, items, workers: int = 1, deadline: Deadline | None = None) -> list:
@@ -298,9 +242,12 @@ class SequenceCheck(NamedTuple):
     oracle_value: float
     class_size: int
     ok: bool
+    constructed: Graph
+    oracle_witness: Graph           # a class of Gamma(pi) that attains oracle_value
 
     def to_record(self) -> dict:
-        return {
+        """The check's values; a violation also names both graphs in graph6."""
+        record = {
             "pi": list(self.pi.degrees),
             "alpha": self.alpha,
             "objective": self.objective,
@@ -309,6 +256,10 @@ class SequenceCheck(NamedTuple):
             "class_size": self.class_size,
             "ok": self.ok,
         }
+        if not self.ok:
+            record["constructed_graph6"] = format_graph6(self.constructed)
+            record["oracle_graph6"] = format_graph6(self.oracle_witness)
+        return record
 
 
 class Theorem2Report(NamedTuple):
@@ -348,7 +299,8 @@ def _theorem2_one(args) -> list[SequenceCheck]:
         built_value = built_values[alpha]
         ok = math.isclose(built_value, oracle_value, rel_tol=REL_TOL)
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
-                                    oracle_value, len(graphs), ok))
+                                    oracle_value, len(graphs), ok, built,
+                                    graphs[values.index(oracle_value)]))
     return checks
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from somborlab import cli
+from somborlab import cli, oracle
 from somborlab.cli import main
 from somborlab.errors import TimeBudgetExceededError
 
@@ -320,8 +320,9 @@ def test_verify_above_cap_exit2_before_any_sweep(capsys, monkeypatch, theorem):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran past the cap check")
 
+    # the sweeps look these up on the oracle when they run
     for name in ("generate_c_cyclic_sequences", "verify_theorem2", "verify_theorem3"):
-        monkeypatch.setattr(cli, name, no_sweep)
+        monkeypatch.setattr(oracle, name, no_sweep)
     code, out, err = run(capsys, "verify", "--theorem", theorem, "--n-max", "11")
     assert code == 2 and out == ""
     assert "SOMBOR_CAPS" in err and "n <= 10" in err
@@ -350,7 +351,7 @@ def test_verify_time_budget_exit2(capsys):
 def test_verify_nan_time_budget_exit2_before_any_work(capsys, monkeypatch):
     # a NaN budget never expires; inf keeps meaning no limit
     swept = []
-    monkeypatch.setattr(cli, "verify_theorem2", lambda *a, **k: swept.append(a))
+    monkeypatch.setattr(oracle, "verify_theorem2", lambda *a, **k: swept.append(a))
     code, out, err = run(capsys, "verify", "--theorem", "2", "--n-max", "5",
                          "--time-budget", "nan")
     assert code == 2 and out == "" and swept == []

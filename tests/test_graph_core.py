@@ -1,14 +1,10 @@
 """Graph/degree-sequence model, realizability, reduction, formats."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import somborlab
 from somborlab import (
     DegreeSequence,
     Graph,
@@ -88,16 +84,6 @@ def test_canonical_code_orders_by_bytes():
     codes = [CanonicalCode(b"Bw"), CanonicalCode(b"Bg"), CanonicalCode(b"A_")]
     assert sorted(codes) == [CanonicalCode(b"A_"), CanonicalCode(b"Bg"), CanonicalCode(b"Bw")]
     assert canonical_code(K3).code == format_graph6(canonical_form(K3)).encode("ascii")
-
-
-def test_cli_import_leaves_dataclasses_unloaded():
-    src = os.path.dirname(os.path.dirname(somborlab.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    probe = ("import somborlab.cli, sys; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
 
 
 def test_degree_sequence_of():

@@ -18,6 +18,7 @@ from somborlab import (
     objective_for_alpha,
     oracle_extrema,
     parse_degree_sequence,
+    parse_graph6,
     sombor_general,
     verify_enumeration_cross_check,
     verify_special_bfs_existence,
@@ -184,6 +185,31 @@ def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
     assert built == []
     with pytest.raises(UnsupportedCyclomaticError):
         verify_theorem2(6, 3, alphas)
+
+
+def test_theorem2_violation_names_both_graphs(monkeypatch):
+    pi = parse_degree_sequence("3,2^2,1^3")
+    original = oracle.extremal_graph
+    built = original(pi)
+    # pi has two trees; at alpha = 0.5 and 2 only the built one is extremal
+    other = next(g for g in enumerate_gamma(pi)
+                 if canonical_code(g) != canonical_code(built.graph))
+    monkeypatch.setattr(oracle, "extremal_graph",
+                        lambda p: built._replace(graph=other) if p == pi else original(p))
+    alphas = (0.5, 2.0)
+    rep = verify_theorem2(6, 0, alphas).to_record()
+    assert [v["alpha"] for v in rep["violations"]] == list(alphas)
+    for v in rep["violations"]:
+        assert v["pi"] == list(pi.degrees) and not v["ok"]
+        assert v["constructed_graph6"] == format_graph6(other)
+        assert v["constructed_value"] == sombor_general(other, v["alpha"])
+        witness = parse_graph6(v["oracle_graph6"])
+        assert degree_sequence_of(witness) == pi
+        assert sombor_general(witness, v["alpha"]) == v["oracle_value"]
+        assert canonical_code(witness) == canonical_code(built.graph)
+    # a check that holds keeps its record as it was
+    assert all("constructed_graph6" not in c and "oracle_graph6" not in c
+               for c in rep["checks"] if c["ok"])
 
 
 def test_theorem3_hand_case():
