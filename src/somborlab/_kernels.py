@@ -334,7 +334,7 @@ def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...
     """Joint degree matrices of the connected realizations of `degrees`.
 
     Each matrix is the sorted tuple of ((d_u, d_v), count) over edge degree
-    pairs with d_u >= d_v, the form `indices.edge_pair_counts` returns. Since
+    pairs with d_u >= d_v, the form `sombor.edge_pair_counts` returns. Since
     `degrees` is non-increasing, u < v gives d_u >= d_v, so the key is read
     off the labels. The matrix is an isomorphism invariant, so the set needs
     no canonical labeling; non-isomorphic classes may share one.

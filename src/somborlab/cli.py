@@ -4,16 +4,19 @@ Exit codes: 0 success/pass, 1 theorem or assertion violation (a counterexample
 was found), 2 usage or validation error, which includes a theorem sweep whose
 range holds nothing to check and a stdout closed before the output was
 written. All commands are deterministic; verify reports carry an
-`elapsed_seconds` field that byte-level comparisons should strip. JSON is the default output format; `--format table` is for
-humans. The enumeration cap bounds the n of `enumerate --pi` and the
-`--n-max` of every verify sweep; it is checked here, once, before any work.
+`elapsed_seconds` field that byte-level comparisons should strip. JSON is the
+default output format, written on one line with sorted keys (pipe it through
+`python -m json.tool` to read it); `--format table` is for humans. The
+enumeration cap bounds the n of `enumerate --pi` and the `--n-max` of every
+verify sweep; it is checked here, once, before any work.
 SOMBOR_CAPS (e.g. "enum=12") is its only override, up to the kernel's 16.
 The cap and the `--time-budget` deadline come from `limits`.
 
 At load time this module imports only `errors`, `limits` and the package
 version, so `--version` loads no library layer. Each command imports the
-layers it runs when it runs: `verify --theorem prop1` loads `graphs` and
-`indices` alone, never `oracle` or the kernel.
+layers it runs when it runs: `verify --theorem prop1` loads `sombor` and
+`indices` alone, never `graphs`, `oracle` or the kernel, and `majorize`
+loads `graphs` but not the kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _check_cap(n: int, caps: Caps) -> None:
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
-    from .indices import classify_alpha
+    from .sombor import classify_alpha
     try:
         values = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
@@ -73,7 +76,8 @@ def _emit(record: dict, fmt: str, table_lines) -> None:
         for line in table_lines():
             print(line)
     else:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        # without `indent`, json.dumps runs CPython's C encoder
+        print(json.dumps(record, sort_keys=True))
 
 
 def _alpha_key(alpha: float) -> str:
@@ -108,11 +112,10 @@ def cmd_construct(args) -> int:
     """Build `extremal_graph(pi)`; `--objective` must be the one its alpha pairs with."""
     from .construct import extremal_graph
     from .graphs import format_degree_sequence, format_graph6, parse_degree_sequence, to_dot
-    from .indices import sombor_general
+    from .sombor import objective_for_alpha, sombor_general
     pi = parse_degree_sequence(args.pi)
     alphas = _alpha_list(args.alpha)
     if args.objective:
-        from .oracle import objective_for_alpha
         if len(alphas) != 1:
             raise ValidationError("--objective needs exactly one --alpha value")
         if objective_for_alpha(alphas[0]).value != args.objective:
@@ -160,7 +163,7 @@ def cmd_construct(args) -> int:
 
 def cmd_eval(args) -> int:
     from .graphs import degree_sequence_of, format_degree_sequence, format_graph6, is_connected
-    from .indices import sombor_general
+    from .sombor import sombor_general
     g = _read_graph(args.graph, args.input_format)
     if not is_connected(g):
         raise ValidationError("input graph is not connected")
@@ -186,8 +189,8 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from .graphs import format_graph6, parse_degree_sequence
-    from .indices import REL_TOL
     from .oracle import _class_values, enumerate_gamma
+    from .sombor import REL_TOL
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
     _check_cap(pi.n, caps)
@@ -231,8 +234,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_majorize(args) -> int:
-    from .graphs import format_degree_sequence, parse_degree_sequence
-    from .oracle import is_majorized
+    from .graphs import format_degree_sequence, is_majorized, parse_degree_sequence
     x = parse_degree_sequence(args.x)
     y = parse_degree_sequence(args.y)
     verdict = is_majorized(x, y)
@@ -254,7 +256,8 @@ def cmd_majorize(args) -> int:
 
 
 def _verify_prop1(args, deadline) -> tuple[dict, bool]:
-    from .indices import BivariateFunction, GridSpec, check_escalating, classify_alpha
+    from .indices import BivariateFunction, GridSpec, check_escalating
+    from .sombor import classify_alpha
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_PROP1_ALPHAS
     grid = GridSpec(args.grid)
     results = []
@@ -447,8 +450,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     except TimeBudgetExceededError as exc:
-        print(json.dumps({"error": str(exc), "partial": exc.partial},
-                         indent=2, sort_keys=True), file=sys.stderr)
+        print(json.dumps({"error": str(exc), "partial": exc.partial}, sort_keys=True),
+              file=sys.stderr)
         return EXIT_USAGE
     except SomborlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ d1 - 4 pendant paths on the root with almost equal lengths, longest first.
 Every result self-reports its BFS ordering and layers; the bfs module's direct
 validator accepts them (tested exhaustively at small n). The graph depends on
 pi alone: which extremum of SO_alpha it attains is the alpha rule's business
-(`oracle.objective_for_alpha`), not the builder's.
+(`sombor.objective_for_alpha`), not the builder's.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def extremal_graph(pi: DegreeSequence) -> ConstructionResult:
     The greedy tree (c = 0), BFS-unicyclic (c = 1) or BFS-bicyclic graph
     (c = 2). The same graph minimizes SO_alpha over Gamma(pi) where h_alpha
     de-escalates and maximizes it where h_alpha escalates, so it does not
-    depend on alpha; `oracle.objective_for_alpha` says which extremum it is.
+    depend on alpha; `sombor.objective_for_alpha` says which extremum it is.
     """
     d, n = pi.degrees, pi.n
     if d[-1] != 1:

@@ -10,11 +10,11 @@ Connected realizability uses the standard criterion: a non-increasing positive
 sequence with even sum is realizable by a *connected* simple graph iff it is
 graphical (Erdos-Gallai) and its sum is at least 2(n-1). Sufficiency follows
 from the classic edge-exchange argument that links components of any
-realization without changing degrees.
+realization without changing degrees. Majorization of degree sequences
+(`is_majorized`) is a prefix-sum comparison and lives here too.
 
 The functions that need the kernel (`_kernels`) import it when they run, so
-loading this module, as the grid certification in `indices` does, leaves the
-kernel unloaded.
+loading this module, as `majorize` does, leaves the kernel unloaded.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ import re
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
+from ._value import _Value
 from .errors import (
     AcyclicError,
     DegreeTooLargeError,
     Graph6LengthError,
     GraphStructureError,
+    LengthMismatchError,
     MalformedHeaderError,
     NonPositiveEntryError,
     NotGraphicalError,
@@ -37,31 +39,6 @@ from .errors import (
     TooSparseError,
     ValidationError,
 )
-
-class _Value:
-    """Immutable value object: equal and hashed by `_key()`, fields set once.
-
-    Fields are written in `__init__` with `object.__setattr__`; any later
-    assignment or deletion raises `AttributeError`. Cached properties write to
-    the instance dict directly, so they still work.
-    """
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Graph(_Value):
@@ -190,6 +167,29 @@ class DegreeSequence(_Value):
 
     def __repr__(self) -> str:
         return f"DegreeSequence({format_degree_sequence(self)!r})"
+
+
+class MajorizationVerdict(NamedTuple):
+    holds: bool
+    failing_prefix: int | None      # 1-based j with sum x[:j] > sum y[:j]
+
+
+def is_majorized(x: DegreeSequence, y: DegreeSequence) -> MajorizationVerdict:
+    """x majorized by y: equal totals, prefix sums of x never exceed y's, x != y."""
+    if len(x) != len(y):
+        raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
+    if x.degrees == y.degrees:
+        return MajorizationVerdict(False, None)
+    px = py = 0
+    failing = None
+    for j, (a, b) in enumerate(zip(x.degrees, y.degrees), start=1):
+        px += a
+        py += b
+        if px > py and failing is None:
+            failing = j
+    if failing is not None:
+        return MajorizationVerdict(False, failing)
+    return MajorizationVerdict(px == py, None)
 
 
 class CanonicalCode(NamedTuple):

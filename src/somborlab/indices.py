@@ -1,9 +1,9 @@
-"""Degree-based index evaluation and bivariate-function classification.
+"""Bivariate functions and their certification on a finite degree grid.
 
-The central quantity is the general Sombor index: the sum over edges of
-(d(u)^2 + d(v)^2)^alpha, alpha != 0; alpha = 0.5 is the plain Sombor index.
-More generally, any symmetric bivariate f on positive reals induces a
-connectivity function M_f(G) = sum over edges of f(d(u), d(v)).
+A symmetric bivariate f on positive reals induces a connectivity function
+M_f(G) = sum over edges of f(d(u), d(v)); h_alpha(x,y) = (x^2+y^2)^alpha gives
+the general Sombor index. Evaluating them, and the alpha rule, live in
+`sombor`; this module holds `BivariateFunction` and the grid certification.
 
 A symmetric f is *escalating* (resp. *de-escalating*) when
 
@@ -11,7 +11,7 @@ A symmetric f is *escalating* (resp. *de-escalating*) when
 
 for all x1 >= y1 >= 1, x2 >= y2 >= 1, strictly when x1 > y1 and x2 > y2.
 For h_alpha(x,y) = (x^2+y^2)^alpha this is decided analytically by the sign
-regime of alpha (`classify_alpha`); `check_escalating` certifies the same
+regime of alpha (`sombor.classify_alpha`); `check_escalating` certifies the same
 statement on a finite integer grid, which covers every degree pair arising at
 desk scale. alpha = 1 is degenerate: x^2 + y^2 is additively separable, so
 delta vanishes identically and neither strict verdict applies.
@@ -33,26 +33,20 @@ cannot settle, or that may hold max_abs_delta, are evaluated cell by cell.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple
 
+from ._value import _Value
 from .errors import (
-    AlphaNotFiniteError,
-    AlphaZeroError,
-    DisconnectedError,
     FunctionNotFiniteError,
     FunctionUnderflowError,
     GridResolutionError,
     ValidationError,
 )
-from .graphs import Graph, _Value, is_connected
-
-#: comparisons of delta against 0, relative to the summed term magnitudes
-REL_TOL = 1e-9
+from .sombor import REL_TOL, _check_alpha
 
 #: default grid bound; covers all degree pairs at desk scale (d <= n-1 <= 11)
 DEFAULT_GRID_MAX = 20
@@ -61,32 +55,6 @@ DEFAULT_GRID_MAX = 20
 _CU = 16 * 2.0 ** -53
 #: smallest subnormal; added to E so that E stays an upper bound when it underflows
 _TINY = 2.0 ** -1074
-
-class AlphaRegime(enum.Enum):
-    DE_ESCALATING = "de-escalating"   # 0 < alpha < 1
-    ESCALATING = "escalating"         # alpha > 1 or alpha < 0
-    DEGENERATE = "degenerate"         # alpha = 1
-
-
-def _check_alpha(alpha: float) -> None:
-    if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
-    if not math.isfinite(alpha):
-        raise AlphaNotFiniteError(f"alpha must be finite, got {alpha!r}")
-
-
-def classify_alpha(alpha: float) -> AlphaRegime:
-    """Analytic regime of h_alpha; alpha = 0 and non-finite alpha are rejected."""
-    _check_alpha(alpha)
-    if alpha == 1:
-        return AlphaRegime.DEGENERATE
-    if 0 < alpha < 1:
-        return AlphaRegime.DE_ESCALATING
-    return AlphaRegime.ESCALATING
-
-
-def sombor_value(a: int, b: int, alpha: float) -> float:
-    return (a * a + b * b) ** alpha
 
 
 class BivariateFunction(_Value):
@@ -140,61 +108,6 @@ class BivariateFunction(_Value):
         if self.kind == "sombor":
             return (x * x + y * y) ** self.alpha
         return self.fn(x, y)  # type: ignore[operator]
-
-
-def edge_pair_counts(g: Graph) -> list[tuple[tuple[int, int], int]]:
-    counts: dict[tuple[int, int], int] = {}
-    degs = g.degrees
-    for u, v in g.edges:
-        a, b = degs[u], degs[v]
-        key = (a, b) if a >= b else (b, a)
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.items())
-
-
-def connectivity_function(g: Graph, f: BivariateFunction) -> float:
-    """M_f(g), summed over the multiset of edge degree pairs in sorted order.
-
-    The sorted aggregation makes the float result a function of the degree-pair
-    multiset alone, so isomorphic graphs get bit-identical values.
-    """
-    if not is_connected(g):
-        raise DisconnectedError("connectivity functions are defined on connected graphs")
-    return math.fsum(cnt * f(a, b) for (a, b), cnt in edge_pair_counts(g))
-
-
-def check_no_underflow(pairs, alphas) -> None:
-    """The grid's rule on an SO_alpha sum: no h_alpha term may be 0.0 or subnormal.
-
-    `pairs` are edge degree pairs ((x, y), count). Such a term carries no
-    information, so graphs would tie at 0.0; `FunctionUnderflowError` is
-    raised instead. For alpha > 0 every term is at least 2^alpha > 1; for
-    alpha < 0 the smallest term is that of the most negative alpha at the
-    largest x^2 + y^2, so one term is checked per call.
-    """
-    low = min(alphas, default=0.0)
-    if low >= 0 or not pairs:
-        return
-    top = max(x * x + y * y for (x, y), _ in pairs)
-    v = top ** low
-    if v < sys.float_info.min:
-        raise FunctionUnderflowError(
-            f"h_{low:g} = {v!r} at x^2 + y^2 = {top} is below the normal float "
-            f"range; use a smaller |alpha|"
-        )
-
-
-def sombor_general(g: Graph, alpha: float) -> float:
-    """General Sombor index SO_alpha(g); alpha = 0.5 is the Sombor index.
-
-    An h_alpha term that underflows raises `FunctionUnderflowError`.
-    """
-    _check_alpha(alpha)
-    if not is_connected(g):
-        raise DisconnectedError("SO_alpha is defined on connected graphs")
-    pairs = edge_pair_counts(g)
-    check_no_underflow(pairs, (alpha,))
-    return math.fsum(cnt * sombor_value(a, b, alpha) for (a, b), cnt in pairs)
 
 
 # -- finite-grid certification ---------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything here is brute force on purpose: enumerate Gamma(pi) (all connected
 graphs with degree sequence pi, one representative per isomorphism class),
-take exact index extrema with witnesses, decide majorization, and restate the
-paper-scale claims as finite checks:
+take exact index extrema with witnesses, and restate the paper-scale claims
+as finite checks:
 
   theorem 1   some extremal class is a special extremal BFS-graph
   theorem 2   the canonical construction attains the oracle extremum
@@ -25,39 +25,43 @@ float.
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
 `Caps.enum` and the time budget `Deadline` live in `limits` and are bound
 here too; the cap is checked once, by the CLI, where outside input enters.
+`is_majorized` and `MajorizationVerdict` (from `graphs`) and `Objective` and
+`objective_for_alpha` (from `sombor`) are bound here as well. The BFS
+recognizer and the constructor are imported by the one verifier that calls
+each (Theorem 1 and Theorem 2), so a sweep loads only the layers it runs.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernels
-from .bfs import BfsWitness, is_special_extremal_bfs
-from .construct import extremal_graph
 from .errors import (
-    AlphaDegenerateError,
     AlphaNotAboveOneError,
     EmptySweepError,
-    LengthMismatchError,
     MinDegreeNotOneError,
     TooLargeError,
     UnrealizableError,
     UnsupportedCError,
     ValidationError,
 )
-from .graphs import (
+from .graphs import (  # noqa: F401
     DegreeSequence,
     Graph,
+    MajorizationVerdict,
     format_graph6,
+    is_majorized,
     validate_connected_c_cyclic,
 )
-from .indices import (REL_TOL, AlphaRegime, check_no_underflow, classify_alpha,
-                      edge_pair_counts)
 from .limits import ENUM_N_MAX, Caps, Deadline, load_caps  # noqa: F401
+from .sombor import (REL_TOL, Objective, check_no_underflow, classify_alpha,
+                     edge_pair_counts, objective_for_alpha)
+
+if TYPE_CHECKING:
+    from .bfs import BfsWitness
 
 
 def _pmap(fn, items, workers: int = 1, deadline: Deadline | None = None) -> list:
@@ -153,31 +157,6 @@ def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
     return ExtremaReport(pi, alpha, lo, hi, min_w, max_w, len(graphs))
 
 
-# -- majorization ------------------------------------------------------------------
-
-class MajorizationVerdict(NamedTuple):
-    holds: bool
-    failing_prefix: int | None      # 1-based j with sum x[:j] > sum y[:j]
-
-
-def is_majorized(x: DegreeSequence, y: DegreeSequence) -> MajorizationVerdict:
-    """x majorized by y: equal totals, prefix sums of x never exceed y's, x != y."""
-    if len(x) != len(y):
-        raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
-    if x.degrees == y.degrees:
-        return MajorizationVerdict(False, None)
-    px = py = 0
-    failing = None
-    for j, (a, b) in enumerate(zip(x.degrees, y.degrees), start=1):
-        px += a
-        py += b
-        if px > py and failing is None:
-            failing = j
-    if failing is not None:
-        return MajorizationVerdict(False, failing)
-    return MajorizationVerdict(px == py, None)
-
-
 # -- sequence generation -----------------------------------------------------------
 
 def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[DegreeSequence]:
@@ -214,25 +193,6 @@ def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[D
 
 
 # -- theorem verifiers --------------------------------------------------------------
-
-class Objective(enum.Enum):
-    MIN = "min"
-    MAX = "max"
-
-
-def objective_for_alpha(alpha: float) -> Objective:
-    """Which extremum over Gamma(pi) the canonical extremal graph attains.
-
-    It follows from `classify_alpha`: MIN where h_alpha de-escalates
-    (0 < alpha < 1), MAX where it escalates (alpha > 1 or alpha < 0). At
-    alpha = 1 every graph in Gamma(pi) ties, which raises
-    `AlphaDegenerateError`; classify_alpha rejects zero and non-finite alpha.
-    """
-    regime = classify_alpha(alpha)
-    if regime is AlphaRegime.DEGENERATE:
-        raise AlphaDegenerateError("alpha = 1: all graphs in Gamma(pi) tie")
-    return Objective.MIN if regime is AlphaRegime.DE_ESCALATING else Objective.MAX
-
 
 class SequenceCheck(NamedTuple):
     pi: DegreeSequence
@@ -285,6 +245,7 @@ class Theorem2Report(NamedTuple):
 
 
 def _theorem2_one(args) -> list[SequenceCheck]:
+    from .construct import extremal_graph
     degrees, alphas = args
     pi = DegreeSequence(degrees)
     built = extremal_graph(pi).graph
@@ -453,6 +414,7 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
 
     The extremum is the one `objective_for_alpha` pairs with alpha.
     """
+    from .bfs import is_special_extremal_bfs
     objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:
         raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")

@@ -209,19 +209,57 @@ def _strip_elapsed(obj):
     return obj
 
 
-def test_verify_theorem3_default_report_pinned(capsys):
-    # sha256 of the default report with elapsed_seconds stripped at every
-    # depth, re-dumped as in perfbench/reference.json
-    code, out, _ = run(capsys, "verify", "--theorem", "3")
+def _default_report_digest(capsys, theorem: str) -> str:
+    """sha256 of the default report with elapsed_seconds stripped at every
+    depth, re-dumped as in perfbench/reference.json"""
+    code, out, _ = run(capsys, "verify", "--theorem", theorem)
     assert code == 0
     canonical = json.dumps(_strip_elapsed(json.loads(out)), indent=2, sort_keys=True)
-    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_verify_theorem1_default_report_pinned(capsys):
+    assert _default_report_digest(capsys, "1") == (
+        "28cac8c43a49ed6add9e144fec49d95d1543a2419a229b94f70cc24277e0d858"
+    )
+
+
+def test_verify_theorem2_default_report_pinned(capsys):
+    assert _default_report_digest(capsys, "2") == (
+        "c999233467b6365343fbd8d9d6e1f5282bffe0c93329b35c60ea09696826dc87"
+    )
+
+
+def test_verify_theorem3_default_report_pinned(capsys):
+    assert _default_report_digest(capsys, "3") == (
         "4b443cb6bf6470c6ef44f35176da456364790609b96237699e06d950d071f9f1"
     )
 
 
+def test_json_output_is_one_sorted_line(capsys, tmp_path):
+    # every JSON command, and the partial an expired budget writes to stderr,
+    # prints what json.dumps(..., sort_keys=True) gives: no indentation
+    graph = tmp_path / "k3.g6"
+    graph.write_text("Bw\n")
+    for argv in (("construct", "--pi", "3,2,2,1,1,1", "--alpha", "0.5,2"),
+                 ("eval", "--graph", str(graph)),
+                 ("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "0.5"),
+                 ("majorize", "3,2,1", "4,1,1"),
+                 ("verify", "--theorem", "prop1", "--grid", "5"),
+                 ("verify", "--theorem", "1", "--n-max", "5"),
+                 ("verify", "--theorem", "2", "--n-max", "5"),
+                 ("verify", "--theorem", "3", "--n-max", "5")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv
+    code, out, err = run(capsys, "verify", "--theorem", "2", "--n-max", "5",
+                         "--time-budget", "0")
+    assert code == 2 and out == ""
+    assert err == json.dumps(json.loads(err), sort_keys=True) + "\n"
+
+
 def test_closed_stdout_is_not_a_counterexample():
-    # the reader stops after 10 bytes of a ~300 KB report, as `| head -c 10` does
+    # the reader stops after 10 bytes of a ~150 KB report, as `| head -c 10` does
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.Popen([sys.executable, "-m", "somborlab.cli", "verify", "--theorem", "2"],

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somborlab import _kernels
-from somborlab.indices import edge_pair_counts
 from somborlab.oracle import enumerate_gamma, generate_c_cyclic_sequences
+from somborlab.sombor import edge_pair_counts
 
 
 def test_backend_name():

@@ -25,7 +25,7 @@ from somborlab import (
     verify_theorem2,
     verify_theorem3,
 )
-from somborlab import _kernels, oracle
+from somborlab import _kernels, construct, oracle
 from somborlab.errors import (
     AlphaDegenerateError,
     AlphaNotAboveOneError,
@@ -160,14 +160,14 @@ def test_theorem2_small():
 
 def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
     built = []
-    original = oracle.extremal_graph
+    original = construct.extremal_graph
 
     def counted(pi):
         result = original(pi)
         built.append((pi, result.graph))
         return result
 
-    monkeypatch.setattr(oracle, "extremal_graph", counted)
+    monkeypatch.setattr(construct, "extremal_graph", counted)
     alphas = (0.5, 2.0, -1.0)
     for c in (0, 1, 2):
         built.clear()
@@ -189,12 +189,12 @@ def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
 
 def test_theorem2_violation_names_both_graphs(monkeypatch):
     pi = parse_degree_sequence("3,2^2,1^3")
-    original = oracle.extremal_graph
+    original = construct.extremal_graph
     built = original(pi)
     # pi has two trees; at alpha = 0.5 and 2 only the built one is extremal
     other = next(g for g in enumerate_gamma(pi)
                  if canonical_code(g) != canonical_code(built.graph))
-    monkeypatch.setattr(oracle, "extremal_graph",
+    monkeypatch.setattr(construct, "extremal_graph",
                         lambda p: built._replace(graph=other) if p == pi else original(p))
     alphas = (0.5, 2.0)
     rep = verify_theorem2(6, 0, alphas).to_record()

@@ -40,11 +40,11 @@ def test_unknown_attribute_raises():
     assert not hasattr(somborlab, "__wrapped__")
 
 
-def _run(code: str) -> str:
+def _run(code: str, stdin: str = "") -> str:
     """stdout of `code` in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(somborlab.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, input=stdin,
                           capture_output=True, text=True).stdout
 
 
@@ -60,19 +60,39 @@ _SHIM = ("import sys\nfrom somborlab.cli import main\n"
          "try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
          "assert code in (0, None), code\n")
 _BASE = ["somborlab", "somborlab.cli", "somborlab.errors", "somborlab.limits"]
+#: what every theorem sweep loads: the oracle and the layers under it
+_SWEEP = _BASE + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
+                  "somborlab.oracle", "somborlab.sombor"]
+
+
+def _cli(*argv: str) -> str:
+    return _SHIM.format(argv=list(argv))
 
 
 @pytest.mark.parametrize("code, loaded", [
     ("import somborlab", ["somborlab"]),
     ("from somborlab import Deadline", ["somborlab", "somborlab.errors", "somborlab.limits"]),
-    (_SHIM.format(argv=["--version"]), _BASE),
-    # certifying the grid needs the index layer alone: no oracle, kernel,
-    # BFS recognizer or constructor
-    (_SHIM.format(argv=["verify", "--theorem", "prop1", "--grid", "3"]),
-     sorted(_BASE + ["somborlab.graphs", "somborlab.indices"])),
-], ids=["import", "export", "version", "prop1"])
+    (_cli("--version"), _BASE),
+    # certifying the grid needs the alpha rule and the grid alone: no graph
+    # model, oracle, kernel, BFS recognizer or constructor
+    (_cli("verify", "--theorem", "prop1", "--grid", "3"),
+     _BASE + ["somborlab._value", "somborlab.indices", "somborlab.sombor"]),
+    # each sweep loads the one layer above the oracle that it calls, if any
+    (_cli("verify", "--theorem", "1", "--n-max", "4"), _SWEEP + ["somborlab.bfs"]),
+    (_cli("verify", "--theorem", "2", "--n-max", "4"), _SWEEP + ["somborlab.construct"]),
+    (_cli("verify", "--theorem", "3", "--n-max", "4"), _SWEEP),
+    (_cli("majorize", "3,2,1", "4,1,1"), _BASE + ["somborlab._value", "somborlab.graphs"]),
+    (_cli("construct", "--pi", "3,2,2,1,1,1", "--alpha", "0.5", "--objective", "min"),
+     _BASE + ["somborlab._kernels", "somborlab._value", "somborlab.construct",
+              "somborlab.graphs", "somborlab.sombor"]),
+    (_cli("eval", "--graph", "-", "--input-format", "graph6"),
+     _BASE + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
+              "somborlab.sombor"]),
+    (_cli("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "0.5"), _SWEEP),
+], ids=["import", "export", "version", "prop1", "theorem1", "theorem2", "theorem3",
+        "majorize", "construct-objective", "eval", "enumerate"])
 def test_entry_point_loads_only_its_layers(code, loaded):
     probe = ("\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'somborlab'),"
              " sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    last = _run("import sys\n" + code + probe).splitlines()[-1]
-    assert last == f"{loaded} []"
+    last = _run("import sys\n" + code + probe, stdin="Bw\n").splitlines()[-1]
+    assert last == f"{sorted(loaded)} []"
