@@ -9,11 +9,11 @@ One realization walker, `_realizations`, backtracks over the labeled
 realizations of a degree sequence with residual and twin pruning and yields
 the connected leaves. It has two consumers: `enumerate_classes` dedups the
 leaves by canonical bits into isomorphism classes, and `joint_degree_matrices`
-collects their edge degree-pair multisets, which is all that an index summed
-over edges can see and needs no canonical labeling. The walk is one loop over
-an explicit stack, and it hands the consumer the leaves of the vertex-by-vertex
-backtracking one at a time, in backtracking order; their count over every
-sequence with c <= 3 is pinned in the tests.
+collects their joint degree matrices, each read by `sombor.jdm_key`: all that
+an index summed over edges can see, found without canonical labeling. The
+walk is one loop over an explicit stack, and it hands the consumer the leaves
+of the vertex-by-vertex backtracking one at a time, in backtracking order;
+their count over every sequence with c <= 3 is pinned in the tests.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
@@ -41,6 +41,8 @@ exact on regular graphs. Two identities keep it cheap without changing a code:
 from __future__ import annotations
 
 from itertools import combinations
+
+from .sombor import JdmKey, jdm_key
 
 # the only kernel; run contexts record it as the backend
 BACKEND = "pure"
@@ -330,29 +332,10 @@ def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
     return [bits_to_edges(len(degrees), b) for b in sorted(reps)]
 
 
-def joint_degree_matrices(degrees) -> set[tuple[tuple[tuple[int, int], int], ...]]:
-    """Joint degree matrices of the connected realizations of `degrees`.
-
-    Each matrix is the sorted tuple of ((d_u, d_v), count) over edge degree
-    pairs with d_u >= d_v, the form `sombor.edge_pair_counts` returns. Since
-    `degrees` is non-increasing, u < v gives d_u >= d_v, so the key is read
-    off the labels. The matrix is an isomorphism invariant, so the set needs
-    no canonical labeling; non-isomorphic classes may share one.
-    """
-    n = len(degrees)
-    out = set()
-    for adj in _realizations(degrees):
-        counts: dict[tuple[int, int], int] = {}
-        for u in range(n - 1):
-            du = degrees[u]
-            m = adj[u] >> (u + 1) << (u + 1)
-            while m:
-                low = m & -m
-                key = (du, degrees[low.bit_length() - 1])
-                counts[key] = counts.get(key, 0) + 1
-                m ^= low
-        out.add(tuple(sorted(counts.items())))
-    return out
+def joint_degree_matrices(degrees) -> set[JdmKey]:
+    """Joint degree matrices (`sombor.jdm_key`) of the connected realizations
+    of `degrees`; non-isomorphic classes may share one."""
+    return {jdm_key(degrees, adj) for adj in _realizations(degrees)}
 
 
 def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]:

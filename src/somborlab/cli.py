@@ -76,8 +76,14 @@ def _emit(record: dict, fmt: str, table_lines) -> None:
         for line in table_lines():
             print(line)
     else:
-        # without `indent`, json.dumps runs CPython's C encoder
-        print(json.dumps(record, sort_keys=True))
+        # without `indent`, json.dumps runs CPython's C encoder; NaN and
+        # infinity are not JSON, so a report holding one is not printed
+        try:
+            text = json.dumps(record, sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise ValidationError("the report holds a value that is not finite, "
+                                  "which JSON cannot carry") from None
+        print(text)
 
 
 def _alpha_key(alpha: float) -> str:
@@ -189,14 +195,13 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from .graphs import format_graph6, parse_degree_sequence
-    from .oracle import _class_values, enumerate_gamma
+    from .oracle import gamma_values
     from .sombor import REL_TOL
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
     _check_cap(pi.n, caps)
     alphas = _alpha_list(args.alpha) if args.alpha else ()
-    graphs = enumerate_gamma(pi)
-    values = _class_values(graphs, alphas)
+    graphs, values = gamma_values(pi, alphas)
     classes = []
     for g, vals in zip(graphs, values):
         entry = {"graph6": format_graph6(g), "so": {_alpha_key(a): vals[a] for a in alphas}}

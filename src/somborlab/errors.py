@@ -81,6 +81,12 @@ class GridResolutionError(ValidationError):
     verdict would fail on rounding, not on a counterexample."""
 
 
+class MaximaResolutionError(ValidationError):
+    """Theorem 3's maxima for a majorization pair lie within REL_TOL of each
+    other: floats cannot decide whether the larger one is strictly larger, so
+    a verdict would turn on rounding, not on a counterexample."""
+
+
 class AlphaDegenerateError(ValidationError):
     """alpha = 1: every graph in Gamma(pi) has the same index value."""
 

@@ -23,8 +23,9 @@ majorization monotonicity result: positive and convex first-argument partials
 Grid certification evaluates f once per grid point. A NaN or infinite value,
 an h_alpha value that underflows to 0.0 or a subnormal, and an h_alpha
 (alpha != 1) none of whose deltas clears its tolerance are validation errors,
-not verdicts. Every report is bit for bit the one that evaluating each cell's
-definition in order would give; tests compare against that definition.
+not verdicts; values so large that 4 max|f| overflows raise `OverflowError`.
+Every report is bit for bit the one that evaluating each cell's definition
+in order would give; tests compare against that definition.
 `check_escalating` is O(B^3), not O(B^4): in exact arithmetic
 delta(x2, y2) = D[x2] - D[y2] with D = t[x1] - t[y1], so one scan over D and
 a rounding bound settle a whole (x1, y1) block, and only the blocks the bound
@@ -230,8 +231,10 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
 
     f is evaluated once per grid point (a NaN or infinite value raises
     `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
-    `FunctionUnderflowError`). Blocks x1 = y1 and cells x2 = y2 are evaluated
-    exactly. A strict block (y1 < x1) is bounded from D = t[x1] - t[y1]:
+    `FunctionUnderflowError`; a table whose 4 max|t| overflows raises
+    `OverflowError`, since a sum of four of its values need not be finite).
+    Blocks x1 = y1 and cells x2 = y2 are evaluated exactly. A strict block
+    (y1 < x1) is bounded from D = t[x1] - t[y1]:
 
     - Identity: exactly, delta(x2, y2) = D[x2] - D[y2], so one prefix max/min
       scan of D gives the block's approximate extremes p_lo, p_hi in O(B).
@@ -245,8 +248,8 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
       tol of the block, proves that every strict cell fails the de-escalating
       (escalating) verdict on sign; only the examples kept are evaluated.
       Once all examples are kept, m + E <= lb (m below) proves that no cell
-      fails on sign. Any other block, and every block when 4 max|t|
-      overflows or f returns non-floats, is evaluated exactly.
+      fails on sign. Any other block, and every block when f returns
+      non-floats, is evaluated exactly.
     - Exact max: max_abs_delta comes from exact cells only. A bounded block
       is deferred with its largest |delta| in [m - E, m + E],
       m = max(p_hi, -p_lo), and evaluated after the scan only if m + E
@@ -272,10 +275,10 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     block = _block_cells(bound)
     strict = [(x2, y2) for x2, y2 in block if y2 < x2]     # when x1 > y1
     v = [row[1:] for row in t]                              # rows without padding
-    # the bound needs floats whose sums of four cannot overflow
     top = max(a_max)
-    bounded = (all(type(x) is float for row in v for x in row)
-               and math.isfinite(4 * top))
+    if not math.isfinite(4 * top):
+        raise OverflowError(f"4 max|{f.name}| = {4 * top!r} is past the float range")
+    bounded = all(type(x) is float for row in v for x in row)
     if bounded and top < 2.0 ** 51 and all(x.is_integer() for row in v for x in row):
         cu = tiny = 0.0                 # every sum of these floats is exact
     else:

@@ -14,11 +14,12 @@ The primary enumeration backtracks over neighbour assignments with residual
 and twin pruning and dedups by canonical code (see _kernels); its class lists
 are memoized per degree sequence, since the verifiers revisit the same pi.
 SO_alpha sums over edges, so a graph's value depends only on its joint degree
-matrix: values are computed once per matrix, and Theorem 3, which reports no
-class, takes its maxima over the matrices the same walk yields without
-building or canonically labeling a class. An independent strategy filters
-all edge subsets and is compared class set by class set in
-`verify_enumeration_cross_check`. Values are binary64 with 1e-9
+matrix (JDM), and values come from the JDM layer in `sombor`: each class's
+key is cached beside its class list, values are computed once per distinct
+key, and Theorem 3, which reports no class, takes its maxima over the keys
+the same walk yields without building or canonically labeling a class. An
+independent strategy filters all edge subsets and is compared class set by
+class set in `verify_enumeration_cross_check`. Values are binary64 with 1e-9
 relative tolerance; graphs are always compared by canonical code, never by
 float.
 
@@ -26,7 +27,8 @@ The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
 `Caps.enum` and the time budget `Deadline` live in `limits` and are bound
 here too; the cap is checked once, by the CLI, where outside input enters.
 `is_majorized` and `MajorizationVerdict` (from `graphs`) and `Objective` and
-`objective_for_alpha` (from `sombor`) are bound here as well. The BFS
+`objective_for_alpha` (from `sombor`) are bound here as well, and so is the
+layer's evaluator, `sombor.values`, as `_values_for_alphas`. The BFS
 recognizer and the constructor are imported by the one verifier that calls
 each (Theorem 1 and Theorem 2), so a sweep loads only the layers it runs.
 """
@@ -42,6 +44,7 @@ from . import _kernels
 from .errors import (
     AlphaNotAboveOneError,
     EmptySweepError,
+    MaximaResolutionError,
     MinDegreeNotOneError,
     TooLargeError,
     UnrealizableError,
@@ -57,8 +60,9 @@ from .graphs import (  # noqa: F401
     validate_connected_c_cyclic,
 )
 from .limits import ENUM_N_MAX, Caps, Deadline, load_caps  # noqa: F401
-from .sombor import (REL_TOL, Objective, check_no_underflow, classify_alpha,
-                     edge_pair_counts, objective_for_alpha)
+from .sombor import (REL_TOL, Objective, classify_alpha, edge_pair_counts,
+                     objective_for_alpha, values_by_key)
+from .sombor import values as _values_for_alphas
 
 if TYPE_CHECKING:
     from .bfs import BfsWitness
@@ -91,7 +95,7 @@ def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
     """
     validate_connected_c_cyclic(pi)
     _check_kernel_bound(pi.n)
-    return list(_gamma(pi.degrees))
+    return list(_gamma(pi.degrees)[0])
 
 
 def _check_kernel_bound(n: int) -> None:
@@ -101,40 +105,20 @@ def _check_kernel_bound(n: int) -> None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _gamma(degrees: tuple[int, ...]) -> tuple[Graph, ...]:
-    return tuple(Graph(len(degrees), edges)
-                 for edges in _kernels.enumerate_classes(degrees))
+def _gamma(degrees: tuple[int, ...]) -> tuple[tuple[Graph, ...], tuple]:
+    """Gamma(pi)'s classes and, beside them, each class's JDM key."""
+    graphs = tuple(Graph(len(degrees), edges)
+                   for edges in _kernels.enumerate_classes(degrees))
+    return graphs, tuple(edge_pair_counts(g) for g in graphs)
 
 
-def _values_for_alphas(pairs, alphas) -> dict[float, float]:
-    """SO_alpha per alpha from edge degree pairs ((x, y), count).
-
-    `math.fsum` is correctly rounded, so the value depends on the multiset of
-    pairs alone: equal joint degree matrices give bit-identical floats. An
-    h_alpha term that underflows raises `FunctionUnderflowError`
-    (`check_no_underflow`) instead of letting every graph tie at 0.0.
-    """
-    check_no_underflow(pairs, alphas)
-    return {
-        a: math.fsum(cnt * (x * x + y * y) ** a for (x, y), cnt in pairs)
-        for a in alphas
-    }
-
-
-def _class_values(graphs, alphas) -> list[dict[float, float]]:
-    """`_values_for_alphas` per graph, computed once per joint degree matrix.
-
-    Graphs with the same matrix share one dict.
-    """
-    by_jdm: dict[tuple, dict[float, float]] = {}
-    out = []
-    for g in graphs:
-        pairs = tuple(edge_pair_counts(g))
-        values = by_jdm.get(pairs)
-        if values is None:
-            values = by_jdm[pairs] = _values_for_alphas(pairs, alphas)
-        out.append(values)
-    return out
+def gamma_values(pi: DegreeSequence, alphas) -> tuple[list[Graph], list[dict[float, float]]]:
+    """`enumerate_gamma(pi)` and each class's SO_alpha per alpha; classes with
+    one JDM key share one dict."""
+    graphs = enumerate_gamma(pi)
+    keys = _gamma(pi.degrees)[1]
+    table = values_by_key(keys, alphas)
+    return graphs, [table[key] for key in keys]
 
 
 class ExtremaReport(NamedTuple):
@@ -149,8 +133,8 @@ class ExtremaReport(NamedTuple):
 
 def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
     classify_alpha(alpha)       # rejects zero and non-finite alpha; at 1 all tie
-    graphs = enumerate_gamma(pi)
-    values = [v[alpha] for v in _class_values(graphs, (alpha,))]
+    graphs, per_graph = gamma_values(pi, (alpha,))
+    values = [v[alpha] for v in per_graph]
     lo, hi = min(values), max(values)
     min_w = tuple(g for g, v in zip(graphs, values) if v <= lo * (1 + REL_TOL))
     max_w = tuple(g for g, v in zip(graphs, values) if v >= hi * (1 - REL_TOL))
@@ -250,8 +234,7 @@ def _theorem2_one(args) -> list[SequenceCheck]:
     pi = DegreeSequence(degrees)
     built = extremal_graph(pi).graph
     built_values = _values_for_alphas(edge_pair_counts(built), alphas)
-    graphs = enumerate_gamma(pi)
-    per_graph = _class_values(graphs, alphas)
+    graphs, per_graph = gamma_values(pi, alphas)
     checks = []
     for alpha in alphas:
         objective = objective_for_alpha(alpha)
@@ -344,9 +327,8 @@ def _maxima_one(args) -> tuple[float, ...]:
 
 @functools.lru_cache(maxsize=1024)
 def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float, ...]:
-    per_jdm = [_values_for_alphas(pairs, alphas)
-               for pairs in _kernels.joint_degree_matrices(degrees)]
-    return tuple(max(v[a] for v in per_jdm) for a in alphas)
+    table = values_by_key(_kernels.joint_degree_matrices(degrees), alphas)
+    return tuple(max(v[a] for v in table.values()) for a in alphas)
 
 
 def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
@@ -355,7 +337,9 @@ def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
     """Strictly larger oracle maximum along every majorization pair.
 
     `alphas` is a non-empty sequence, or the sweep would pass vacuously; each
-    alpha must be finite and above 1, where h_alpha is escalating.
+    alpha must be finite and above 1, where h_alpha is escalating. Two maxima
+    within REL_TOL of each other cannot be ordered by floats, so such a pair
+    raises `MaximaResolutionError` rather than count as a violation.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
@@ -375,8 +359,14 @@ def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
                 continue
             for k, a in enumerate(alphas):
                 mlo, mhi = maxima[i][k], maxima[j][k]
-                ok = (mhi - mlo) > REL_TOL * max(abs(mlo), abs(mhi))
-                pairs.append(PairCheck(lo, hi, a, mlo, mhi, ok))
+                tol = REL_TOL * max(abs(mlo), abs(mhi))
+                if abs(mhi - mlo) <= tol:
+                    raise MaximaResolutionError(
+                        f"theorem 3 cannot order the maxima at alpha = {a!r} for pi = "
+                        f"{','.join(map(str, lo.degrees))} and pi' = "
+                        f"{','.join(map(str, hi.degrees))}: {mlo!r} and {mhi!r} lie "
+                        f"within the relative tolerance {REL_TOL:g}; use a smaller alpha")
+                pairs.append(PairCheck(lo, hi, a, mlo, mhi, mhi - mlo > tol))
     return Theorem3Report(n, c, alphas, require_pendant, tuple(pairs),
                           all(p.ok for p in pairs), time.monotonic() - t0)
 

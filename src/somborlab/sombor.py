@@ -1,15 +1,19 @@
-"""The alpha rule and SO_alpha evaluation.
+"""The alpha rule and the joint-degree-matrix layer that evaluates SO_alpha.
 
 The general Sombor index is the sum over edges of (d(u)^2 + d(v)^2)^alpha,
 alpha != 0; alpha = 0.5 is the plain Sombor index. More generally, any
 symmetric bivariate f on positive reals induces a connectivity function
 M_f(G) = sum over edges of f(d(u), d(v)). Either depends on a graph only
-through its edge degree pairs (`edge_pair_counts`).
+through its joint degree matrix (JDM), the multiset of edge degree pairs.
 
 `classify_alpha` is the one place that decides about alpha: it rejects zero
 and non-finite alpha and names h_alpha's regime, and `objective_for_alpha`
 reads off which extremum over Gamma(pi) the canonical extremal graph attains.
 `indices` certifies the same regimes on a finite grid.
+
+The JDM layer: `jdm_key` is the one reader of the key, for `Graph`s
+(`edge_pair_counts`) and the kernel's walk leaves alike; `values` is the one
+SO_alpha evaluator, and `values_by_key` evaluates each distinct key once.
 
 This module imports nothing from `graphs` at load time: the two functions
 that need `is_connected` take a `Graph`, so `graphs` is loaded by then, and
@@ -81,18 +85,30 @@ def objective_for_alpha(alpha: float) -> Objective:
     return Objective.MIN if regime is AlphaRegime.DE_ESCALATING else Objective.MAX
 
 
-def sombor_value(a: int, b: int, alpha: float) -> float:
-    return (a * a + b * b) ** alpha
+#: a JDM key: ((x, y), count) per edge degree pair, x >= y, sorted
+JdmKey = tuple[tuple[tuple[int, int], int], ...]
 
 
-def edge_pair_counts(g: Graph) -> list[tuple[tuple[int, int], int]]:
+def jdm_key(degrees, adj) -> JdmKey:
+    """The JDM key of the graph with these vertex degrees and adjacency masks
+    (bit v of adj[u] set iff uv is an edge); each edge is read at its lower end."""
     counts: dict[tuple[int, int], int] = {}
-    degs = g.degrees
-    for u, v in g.edges:
-        a, b = degs[u], degs[v]
-        key = (a, b) if a >= b else (b, a)
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.items())
+    for u in range(len(adj) - 1):
+        du = degrees[u]
+        m = adj[u] >> (u + 1) << (u + 1)
+        while m:
+            low = m & -m
+            dv = degrees[low.bit_length() - 1]
+            key = (du, dv) if du >= dv else (dv, du)
+            counts[key] = counts.get(key, 0) + 1
+            m ^= low
+    return tuple(sorted(counts.items()))
+
+
+def edge_pair_counts(g: Graph) -> JdmKey:
+    """The JDM key of a `Graph` (`jdm_key`), its degrees read off the masks."""
+    masks = g.adjacency_masks
+    return jdm_key([m.bit_count() for m in masks], masks)
 
 
 def connectivity_function(g: Graph, f: BivariateFunction) -> float:
@@ -107,36 +123,46 @@ def connectivity_function(g: Graph, f: BivariateFunction) -> float:
     return math.fsum(cnt * f(a, b) for (a, b), cnt in edge_pair_counts(g))
 
 
-def check_no_underflow(pairs, alphas) -> None:
-    """The grid's rule on an SO_alpha sum: no h_alpha term may be 0.0 or subnormal.
+def values(key: JdmKey, alphas) -> dict[float, float]:
+    """SO_alpha per alpha of a JDM key, the `math.fsum` of cnt * (x^2 + y^2)^alpha.
 
-    `pairs` are edge degree pairs ((x, y), count). Such a term carries no
-    information, so graphs would tie at 0.0; `FunctionUnderflowError` is
-    raised instead. For alpha > 0 every term is at least 2^alpha > 1; for
-    alpha < 0 the smallest term is that of the most negative alpha at the
-    largest x^2 + y^2, so one term is checked per call.
+    `fsum` is correctly rounded, so equal keys give bit-identical floats. No
+    graphs may tie at 0.0 or infinity: a term of 0.0 or a subnormal raises
+    `FunctionUnderflowError` (for alpha < 0 the smallest term is that of the
+    most negative alpha at the largest x^2 + y^2, so one term is checked), and
+    a sum past the float range raises `OverflowError`.
     """
     low = min(alphas, default=0.0)
-    if low >= 0 or not pairs:
-        return
-    top = max(x * x + y * y for (x, y), _ in pairs)
-    v = top ** low
-    if v < sys.float_info.min:
-        raise FunctionUnderflowError(
-            f"h_{low:g} = {v!r} at x^2 + y^2 = {top} is below the normal float "
-            f"range; use a smaller |alpha|"
-        )
+    if low < 0 and key:
+        top = max(x * x + y * y for (x, y), _ in key)
+        v = top ** low
+        if v < sys.float_info.min:
+            raise FunctionUnderflowError(
+                f"h_{low:g} = {v!r} at x^2 + y^2 = {top} is below the normal float "
+                f"range; use a smaller |alpha|"
+            )
+    out = {}
+    for a in alphas:
+        total = math.fsum(cnt * (x * x + y * y) ** a for (x, y), cnt in key)
+        if not math.isfinite(total):
+            raise OverflowError(f"SO_{a:g} = {total!r} is past the float range")
+        out[a] = total
+    return out
+
+
+def values_by_key(keys, alphas) -> dict[JdmKey, dict[float, float]]:
+    """`values` of each distinct key among `keys`, each evaluated once."""
+    return {key: values(key, alphas) for key in dict.fromkeys(keys)}
 
 
 def sombor_general(g: Graph, alpha: float) -> float:
     """General Sombor index SO_alpha(g); alpha = 0.5 is the Sombor index.
 
-    An h_alpha term that underflows raises `FunctionUnderflowError`.
+    An h_alpha term that underflows raises `FunctionUnderflowError`, and a
+    value past the float range `OverflowError` (`values`).
     """
     from .graphs import is_connected
     _check_alpha(alpha)
     if not is_connected(g):
         raise DisconnectedError("SO_alpha is defined on connected graphs")
-    pairs = edge_pair_counts(g)
-    check_no_underflow(pairs, (alpha,))
-    return math.fsum(cnt * sombor_value(a, b, alpha) for (a, b), cnt in pairs)
+    return values(edge_pair_counts(g), (alpha,))[alpha]

@@ -1,7 +1,9 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 
 from somborlab import cli, oracle
 from somborlab.cli import main
-from somborlab.errors import TimeBudgetExceededError
+from somborlab.errors import TimeBudgetExceededError, ValidationError
 
 H1_EDGES = "\n".join(
     f"{u} {v}"
@@ -181,13 +183,43 @@ def test_verify_rejects_non_finite_alpha(capsys, alpha):
     assert "finite" in err
 
 
-def test_overflow_is_a_validation_error(capsys):
+def test_overflow_is_a_validation_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--theorem", "prop1", "--alpha", "200")
     assert code == 2 and out == ""
     assert "float range" in err
     code, out, err = run(capsys, "construct", "--pi", "3,2,2,1,1,1", "--alpha", "400")
     assert code == 2 and out == ""
     assert "float range" in err
+    # on 7,1^7 each term 50^181.2 is finite but the sum of seven is not; on the
+    # grid, 4 max|t| overflows from alpha = 106
+    monkeypatch.setattr("sys.stdin", io.StringIO("GsaCC?\n"))
+    for argv in (("enumerate", "--pi", "7,1^7", "--alpha", "181.2"),
+                 ("construct", "--pi", "7,1^7", "--alpha", "181.2"),
+                 ("eval", "--graph", "-", "--alpha", "181.2"),
+                 *(("verify", "--theorem", t, "--n-max", "8", "--c", "0", "--alpha", "181.2")
+                   for t in "123"),
+                 ("verify", "--theorem", "prop1", "--alpha", "106.1"),
+                 ("verify", "--theorem", "prop1", "--alpha", "106")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "float range" in err, argv
+
+
+def test_json_output_is_strict(capsys):
+    with pytest.raises(ValidationError, match="not finite"):
+        cli._emit({"so": {"1": math.inf}}, "json", None)
+    with pytest.raises(ValidationError, match="not finite"):
+        cli._emit({"max_abs_delta": math.nan}, "json", None)
+    assert capsys.readouterr().out == ""
+
+
+def test_theorem3_unresolved_maxima_exit2(capsys):
+    # at alpha = 100 the (4, 4) term swamps the rest: the maxima of a
+    # majorization pair agree to 9e-10, below REL_TOL
+    code, out, err = run(capsys, "verify", "--theorem", "3", "--alpha", "100")
+    assert (code, out) == (2, "")
+    assert "cannot order the maxima at alpha = 100.0" in err
+    assert "pi = 4,4,2,2,1,1,1,1 " in err
 
 
 def test_verify_prop1_default_report_pinned(capsys):

@@ -420,6 +420,15 @@ def test_non_finite_function_value_rejected(value):
                                  name="edge")
 
 
+def test_grid_overflow_is_rejected():
+    # at B = 20, 4 h_alpha(20, 20) = 4 * 800**alpha overflows from alpha = 106,
+    # and no delta of the table can be trusted to be finite
+    with pytest.raises(OverflowError, match="float range"):
+        check_escalating(BivariateFunction.sombor(106), GridSpec(20))
+    report = check_escalating(BivariateFunction.sombor(105), GridSpec(20))
+    assert report.verdict == "escalating" and math.isfinite(report.max_abs_delta)
+
+
 def test_underflow_rejected_for_h_alpha_only():
     # at B = 20, h_alpha(20, 20) = 800**alpha is subnormal from alpha = -106
     with pytest.raises(FunctionUnderflowError, match=r"h_-106\(20, 20\)"):

@@ -3,17 +3,17 @@ joint degree matrices, and the subset-filter cross-check enumerator."""
 
 import hashlib
 import itertools
+import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from somborlab import _kernels
+from somborlab import Graph, _kernels, oracle, sombor
 from somborlab.oracle import enumerate_gamma, generate_c_cyclic_sequences
-from somborlab.sombor import edge_pair_counts
 
 
 def test_backend_name():
@@ -143,8 +143,57 @@ def _sequences(n_range, cs=range(4)):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=False)]
 
 
+def _literal_jdm(g):
+    """The JDM key read the plain way, independently of `sombor.jdm_key`: a
+    Counter of (max, min) end degrees over the edge list."""
+    deg = Counter(v for edge in g.edges for v in edge)
+    return tuple(sorted(Counter((max(deg[u], deg[v]), min(deg[u], deg[v]))
+                                for u, v in g.edges).items()))
+
+
 def _jdms_of_classes(pi):
-    return {tuple(edge_pair_counts(g)) for g in enumerate_gamma(pi)}
+    return {_literal_jdm(g) for g in enumerate_gamma(pi)}
+
+
+def test_layer_key_matches_literal_reader_n8():
+    # every class with n <= 8 and c <= 3: the key a Graph reads, and the one
+    # the oracle caches beside the class list
+    seqs = _sequences(range(2, 9))
+    classes = 0
+    for pi in seqs:
+        graphs, keys = oracle._gamma(pi.degrees)
+        for g, key in zip(graphs, keys):
+            assert key == sombor.edge_pair_counts(g) == _literal_jdm(g), (pi, g.edges)
+        classes += len(graphs)
+    assert classes == 1138
+
+
+@st.composite
+def _connected_relabeled(draw):
+    # a random tree (vertex v joins an earlier vertex), extra edges, and a
+    # random relabeling, so degrees are in no particular order
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_connected_relabeled())
+def test_layer_matches_literal_reader_and_fsum(g):
+    key = _literal_jdm(g)
+    assert sombor.edge_pair_counts(g) == key
+    for a in (-3.0, -0.5, 0.25, 0.5, 2.0, 3.0):
+        literal = math.fsum(cnt * (x * x + y * y) ** a for (x, y), cnt in key)
+        assert sombor.sombor_general(g, a).hex() == literal.hex(), a
+
+
+def test_oracle_evaluates_through_the_layer():
+    # the benchmark traces the evaluator under this name
+    assert oracle._values_for_alphas is sombor.values
 
 
 def test_joint_degree_matrices_match_classes_n9():

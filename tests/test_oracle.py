@@ -25,7 +25,7 @@ from somborlab import (
     verify_theorem2,
     verify_theorem3,
 )
-from somborlab import _kernels, construct, oracle
+from somborlab import _kernels, construct, oracle, sombor
 from somborlab.errors import (
     AlphaDegenerateError,
     AlphaNotAboveOneError,
@@ -33,6 +33,7 @@ from somborlab.errors import (
     CapsSyntaxError,
     EmptySweepError,
     LengthMismatchError,
+    MaximaResolutionError,
     MinDegreeNotOneError,
     NotGraphicalError,
     TimeBudgetExceededError,
@@ -316,13 +317,13 @@ def test_sequence_generation_propagates_validator_bugs(monkeypatch):
 
 def test_theorem3_pendant_pass_reuses_maxima(monkeypatch):
     calls = []
-    values = oracle._values_for_alphas
+    values = sombor.values
 
     def counted(pairs, alphas):
         calls.append(pairs)
         return values(pairs, alphas)
 
-    monkeypatch.setattr(oracle, "_values_for_alphas", counted)
+    monkeypatch.setattr(sombor, "values", counted)
     oracle._maxima.cache_clear()
     everything = verify_theorem3(7, 1, (1.5, 2.0))
     assert calls
@@ -333,6 +334,25 @@ def test_theorem3_pendant_pass_reuses_maxima(monkeypatch):
     first = {(p.lower, p.alpha): p.lower_max for p in everything.pairs}
     for p in pendant.pairs:
         assert first.get((p.lower, p.alpha), p.lower_max) == p.lower_max
+
+
+def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
+    # the sup-norm-like regime: at alpha = 100 the maxima of 4,4,2,2,1,1,1,1
+    # and 4,4,3,1,1,1,1,1 differ by less than REL_TOL
+    with pytest.raises(MaximaResolutionError,
+                       match=r"alpha = 100.0 for pi = 4,4,2,2,1,1,1,1 and "
+                             r"pi' = 4,4,3,1,1,1,1,1"):
+        verify_theorem3(8, 1, (100.0,))
+    assert issubclass(MaximaResolutionError, ValidationError)
+    # a maximum below its partner's by more than the tolerance stays a violation
+    monkeypatch.setattr(oracle, "_maxima_one",
+                        lambda args: (1.0 / sum(d * d for d in args[0]),))
+    rep = verify_theorem3(6, 0, (2.0,))
+    assert rep.pairs and not rep.holds
+    assert not any(p.ok for p in rep.pairs)
+    monkeypatch.setattr(oracle, "_maxima_one", lambda args: (1.0,))
+    with pytest.raises(MaximaResolutionError):
+        verify_theorem3(6, 0, (2.0,))
 
 
 def test_cross_check_small():
