@@ -35,10 +35,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-DEFAULT_MIN_ALPHAS = (0.25, 0.5, 0.75)
-DEFAULT_MAX_ALPHAS = (-1.0, -0.5, 1.5, 2.0, 3.0)
 DEFAULT_T1_ALPHAS = (0.5, 2.0)
-DEFAULT_T3_ALPHAS = (1.5, 2.0, 3.0)
 DEFAULT_PROP1_ALPHAS = (-3.0, -1.0, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 2.0, 5.0)
 DEFAULT_N_MAX = {"1": 7, "2": 8, "3": 8}
 
@@ -87,7 +84,10 @@ def _emit(record: dict, fmt: str, table_lines) -> None:
 
 
 def _alpha_key(alpha: float) -> str:
-    return f"{alpha:g}"
+    """`alpha` in `:g` form ("0.5", "2", "-1"), or its repr where that form
+    would read back as another float, so that distinct alphas get distinct keys."""
+    short = f"{alpha:g}"
+    return short if float(short) == alpha else repr(alpha)
 
 
 def _read_graph(path: str, input_format: str):
@@ -106,8 +106,9 @@ def _read_graph(path: str, input_format: str):
         return parse_graph6(text)
     if input_format == "edgelist":
         return parse_edge_list(text)
-    stripped = text.strip()
-    first = stripped.splitlines()[0].strip() if stripped else ""
+    # the first line that is neither blank nor a comment; graph6 never starts with "#"
+    first = next((line for line in map(str.strip, text.splitlines())
+                  if line and not line.startswith("#")), "")
     parts = first.split()
     if len(parts) == 2 and all(p.isdigit() for p in parts):
         return parse_edge_list(text)
@@ -195,8 +196,7 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from .graphs import format_graph6, parse_degree_sequence
-    from .oracle import gamma_values
-    from .sombor import REL_TOL
+    from .oracle import Objective, gamma_extremum, gamma_values
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
     _check_cap(pi.n, caps)
@@ -207,11 +207,10 @@ def cmd_enumerate(args) -> int:
         entry = {"graph6": format_graph6(g), "so": {_alpha_key(a): vals[a] for a in alphas}}
         classes.append(entry)
     for a in alphas:
-        lo = min(v[a] for v in values)
-        hi = max(v[a] for v in values)
-        for entry, vals in zip(classes, values):
-            entry.setdefault("is_min", {})[_alpha_key(a)] = vals[a] <= lo * (1 + REL_TOL)
-            entry.setdefault("is_max", {})[_alpha_key(a)] = vals[a] >= hi * (1 - REL_TOL)
+        for objective in (Objective.MIN, Objective.MAX):
+            winners = gamma_extremum(pi, values, a, objective)[1]
+            for i, entry in enumerate(classes):
+                entry.setdefault(f"is_{objective.value}", {})[_alpha_key(a)] = i in winners
     record = {
         "command": "enumerate",
         "pi": list(pi.degrees),
@@ -335,10 +334,9 @@ def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
 
 
 def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
-    from .oracle import verify_theorem2
+    from .oracle import DEFAULT_T2_ALPHAS, verify_theorem2
     cs = _int_list(args.c) if args.c else (0, 1, 2)
-    alphas = (_alpha_list(args.alpha) if args.alpha
-              else DEFAULT_MIN_ALPHAS + DEFAULT_MAX_ALPHAS)
+    alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T2_ALPHAS
     reports, ok = _sweep(
         ((n, c) for c in cs for n in range(2, n_max + 1)),
         lambda n, c: verify_theorem2(n, c, alphas, deadline=deadline), deadline)
@@ -350,7 +348,7 @@ def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
 
 
 def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
-    from .oracle import verify_theorem3
+    from .oracle import DEFAULT_T3_ALPHAS, verify_theorem3
     cs = _int_list(args.c) if args.c else (0, 1, 2)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T3_ALPHAS
     reports, ok = _sweep(

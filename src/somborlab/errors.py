@@ -81,10 +81,12 @@ class GridResolutionError(ValidationError):
     verdict would fail on rounding, not on a counterexample."""
 
 
-class MaximaResolutionError(ValidationError):
-    """Theorem 3's maxima for a majorization pair lie within REL_TOL of each
-    other: floats cannot decide whether the larger one is strictly larger, so
-    a verdict would turn on rounding, not on a counterexample."""
+class ExtremumResolutionError(ValidationError):
+    """A value lies within REL_TOL of an extremum it does not equal: of
+    SO_alpha over Gamma(pi), or of Theorem 3's pair of maxima. Floats cannot
+    decide which class attains the extremum, or whether one maximum is
+    strictly larger, so a verdict would turn on rounding, not on a
+    counterexample."""
 
 
 class AlphaDegenerateError(ValidationError):

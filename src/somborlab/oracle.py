@@ -19,9 +19,15 @@ key is cached beside its class list, values are computed once per distinct
 key, and Theorem 3, which reports no class, takes its maxima over the keys
 the same walk yields without building or canonically labeling a class. An
 independent strategy filters all edge subsets and is compared class set by
-class set in `verify_enumeration_cross_check`. Values are binary64 with 1e-9
-relative tolerance; graphs are always compared by canonical code, never by
-float.
+class set in `verify_enumeration_cross_check`.
+
+Values are binary64, and one rule, `extremum`, decides which classes attain
+an extremum: those whose value equals it exactly, since classes with one JDM
+get bit-identical sums. The relative tolerance 1e-9 (`_close`) only refuses
+what floats cannot resolve: a distinct value within it of an extremum, or of
+Theorem 3's other maximum, raises `ExtremumResolutionError` rather than
+decide a verdict by rounding. Graphs are always compared by canonical code,
+never by float.
 
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
 `Caps.enum` and the time budget `Deadline` live in `limits` and are bound
@@ -36,7 +42,6 @@ each (Theorem 1 and Theorem 2), so a sweep loads only the layers it runs.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,7 +49,7 @@ from . import _kernels
 from .errors import (
     AlphaNotAboveOneError,
     EmptySweepError,
-    MaximaResolutionError,
+    ExtremumResolutionError,
     MinDegreeNotOneError,
     TooLargeError,
     UnrealizableError,
@@ -66,6 +71,10 @@ from .sombor import values as _values_for_alphas
 
 if TYPE_CHECKING:
     from .bfs import BfsWitness
+
+#: the default alphas of Theorem 2 (de-escalating, then escalating) and Theorem 3
+DEFAULT_T2_ALPHAS = (0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.0, 3.0)
+DEFAULT_T3_ALPHAS = (1.5, 2.0, 3.0)
 
 
 def _pmap(fn, items, workers: int = 1, deadline: Deadline | None = None) -> list:
@@ -121,6 +130,42 @@ def gamma_values(pi: DegreeSequence, alphas) -> tuple[list[Graph], list[dict[flo
     return graphs, [table[key] for key in keys]
 
 
+# -- the extremum rule ---------------------------------------------------------------
+
+def _close(a: float, b: float) -> bool:
+    """Whether floats cannot order a and b: |a - b| <= REL_TOL * max(|a|, |b|)."""
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
+def extremum(values, objective: Objective) -> tuple[float, tuple[int, ...]]:
+    """The value `objective` picks from `values`, and the indices of the values
+    that equal it exactly.
+
+    A distinct value within `_close` of the extremum raises
+    `ExtremumResolutionError`: floats cannot tell whether it attains the
+    extremum too, so no membership is decided by rounding.
+    """
+    best = min(values) if objective is Objective.MIN else max(values)
+    for v in values:
+        if v != best and _close(v, best):
+            raise ExtremumResolutionError(
+                f"{v!r} lies within the relative tolerance {REL_TOL:g} of the "
+                f"{objective.value} {best!r}")
+    return best, tuple(i for i, v in enumerate(values) if v == best)
+
+
+def gamma_extremum(pi: DegreeSequence, per_graph, alpha: float,
+                   objective: Objective) -> tuple[float, tuple[int, ...]]:
+    """`extremum` over Gamma(pi) at alpha, read off `gamma_values`' per-class
+    dicts; an unresolvable extremum names pi and alpha."""
+    try:
+        return extremum([v[alpha] for v in per_graph], objective)
+    except ExtremumResolutionError as exc:
+        raise ExtremumResolutionError(
+            f"cannot resolve the {objective.value} of SO_alpha over Gamma(pi) at "
+            f"alpha = {alpha!r} for pi = {','.join(map(str, pi.degrees))}: {exc}") from None
+
+
 class ExtremaReport(NamedTuple):
     pi: DegreeSequence
     alpha: float
@@ -134,11 +179,10 @@ class ExtremaReport(NamedTuple):
 def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
     classify_alpha(alpha)       # rejects zero and non-finite alpha; at 1 all tie
     graphs, per_graph = gamma_values(pi, (alpha,))
-    values = [v[alpha] for v in per_graph]
-    lo, hi = min(values), max(values)
-    min_w = tuple(g for g, v in zip(graphs, values) if v <= lo * (1 + REL_TOL))
-    max_w = tuple(g for g, v in zip(graphs, values) if v >= hi * (1 - REL_TOL))
-    return ExtremaReport(pi, alpha, lo, hi, min_w, max_w, len(graphs))
+    lo, min_i = gamma_extremum(pi, per_graph, alpha, Objective.MIN)
+    hi, max_i = gamma_extremum(pi, per_graph, alpha, Objective.MAX)
+    return ExtremaReport(pi, alpha, lo, hi, tuple(graphs[i] for i in min_i),
+                         tuple(graphs[i] for i in max_i), len(graphs))
 
 
 # -- sequence generation -----------------------------------------------------------
@@ -238,22 +282,23 @@ def _theorem2_one(args) -> list[SequenceCheck]:
     checks = []
     for alpha in alphas:
         objective = objective_for_alpha(alpha)
-        values = [v[alpha] for v in per_graph]
-        oracle_value = min(values) if objective is Objective.MIN else max(values)
+        oracle_value, winners = gamma_extremum(pi, per_graph, alpha, objective)
         built_value = built_values[alpha]
-        ok = math.isclose(built_value, oracle_value, rel_tol=REL_TOL)
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
-                                    oracle_value, len(graphs), ok, built,
-                                    graphs[values.index(oracle_value)]))
+                                    oracle_value, len(graphs), built_value == oracle_value,
+                                    built, graphs[winners[0]]))
     return checks
 
 
-def verify_theorem2(n: int, c: int, alphas=(0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.0, 3.0),
-                    *, deadline: Deadline | None = None) -> Theorem2Report:
+def verify_theorem2(n: int, c: int, alphas=DEFAULT_T2_ALPHAS, *,
+                    deadline: Deadline | None = None) -> Theorem2Report:
     """Constructed T/U/B value equals the oracle extremum for every pendant sequence.
 
     `alphas` must be non-empty, or the sweep would pass vacuously, and each
-    alpha must pair with an extremum (`objective_for_alpha`).
+    alpha must pair with an extremum (`objective_for_alpha`). The built graph
+    is in Gamma(pi), and equal JDMs give bit-identical values, so its value
+    either equals the extremum exactly or is a distinct value; one `_close`
+    to the extremum is refused by `extremum` before any verdict.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
@@ -331,15 +376,15 @@ def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float,
     return tuple(max(v[a] for v in table.values()) for a in alphas)
 
 
-def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
+def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
                     require_pendant: bool = False,
                     deadline: Deadline | None = None) -> Theorem3Report:
     """Strictly larger oracle maximum along every majorization pair.
 
     `alphas` is a non-empty sequence, or the sweep would pass vacuously; each
     alpha must be finite and above 1, where h_alpha is escalating. Two maxima
-    within REL_TOL of each other cannot be ordered by floats, so such a pair
-    raises `MaximaResolutionError` rather than count as a violation.
+    `_close` to each other cannot be ordered by floats, so such a pair raises
+    `ExtremumResolutionError` rather than count as a violation.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
@@ -359,14 +404,13 @@ def verify_theorem3(n: int, c: int, alphas=(1.5, 2.0, 3.0), *,
                 continue
             for k, a in enumerate(alphas):
                 mlo, mhi = maxima[i][k], maxima[j][k]
-                tol = REL_TOL * max(abs(mlo), abs(mhi))
-                if abs(mhi - mlo) <= tol:
-                    raise MaximaResolutionError(
+                if _close(mlo, mhi):
+                    raise ExtremumResolutionError(
                         f"theorem 3 cannot order the maxima at alpha = {a!r} for pi = "
                         f"{','.join(map(str, lo.degrees))} and pi' = "
                         f"{','.join(map(str, hi.degrees))}: {mlo!r} and {mhi!r} lie "
                         f"within the relative tolerance {REL_TOL:g}; use a smaller alpha")
-                pairs.append(PairCheck(lo, hi, a, mlo, mhi, mhi - mlo > tol))
+                pairs.append(PairCheck(lo, hi, a, mlo, mhi, mhi > mlo))
     return Theorem3Report(n, c, alphas, require_pendant, tuple(pairs),
                           all(p.ok for p in pairs), time.monotonic() - t0)
 
@@ -402,23 +446,23 @@ class ExistenceReport(NamedTuple):
 def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceReport:
     """Some oracle-extremal class passes is_special_extremal_bfs (theorem 1).
 
-    The extremum is the one `objective_for_alpha` pairs with alpha.
+    The extremum is the one `objective_for_alpha` pairs with alpha, and only
+    that one is resolved; its pool is the classes that attain it exactly.
     """
     from .bfs import is_special_extremal_bfs
     objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:
         raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")
     c = validate_connected_c_cyclic(pi)
-    report = oracle_extrema(pi, alpha)
-    pool = report.min_witnesses if objective is Objective.MIN else report.max_witnesses
-    value = report.min_value if objective is Objective.MIN else report.max_value
-    for g in pool:
-        w = is_special_extremal_bfs(g, c)
+    graphs, per_graph = gamma_values(pi, (alpha,))
+    value, winners = gamma_extremum(pi, per_graph, alpha, objective)
+    for i in winners:
+        w = is_special_extremal_bfs(graphs[i], c)
         if w is not None:
-            return ExistenceReport(pi, alpha, objective.value, value,
-                                   report.class_size, len(pool), True, g, w)
-    return ExistenceReport(pi, alpha, objective.value, value, report.class_size,
-                           len(pool), False, None, None)
+            return ExistenceReport(pi, alpha, objective.value, value, len(graphs),
+                                   len(winners), True, graphs[i], w)
+    return ExistenceReport(pi, alpha, objective.value, value, len(graphs),
+                           len(winners), False, None, None)
 
 
 class CrossCheckReport(NamedTuple):

@@ -103,6 +103,14 @@ def test_eval_h1_h2_equal(capsys, tmp_path):
     assert json.loads(out1)["graph6"] != json.loads(out2)["graph6"]
 
 
+def test_eval_edge_list_after_comment_lines(capsys, monkeypatch):
+    # auto-detection reads the first line that is neither blank nor a comment
+    monkeypatch.setattr("sys.stdin", io.StringIO("# path\n\n0 1\n1 2\n"))
+    code, out, _ = run(capsys, "eval", "--graph", "-", "--alpha", "1")
+    assert code == 0
+    assert json.loads(out)["so"] == {"1": 10.0}
+
+
 def test_eval_disconnected_exit2(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n2 3\n")
@@ -137,6 +145,48 @@ def test_enumerate_marks_min(capsys):
     assert rec["class_size"] == 2
     mins = [e for e in rec["classes"] if e["is_min"]["0.5"]]
     assert len(mins) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "1"),
+    ("verify", "--theorem", "2"),
+    ("enumerate", "--pi", "3,2,2,1,1,1"),
+])
+def test_unresolvable_extremum_exit2(capsys, argv):
+    # the two classes of 3,2,2,1,1,1 differ by 4e-14 relatively at alpha =
+    # 1e-12: both verifiers used to pass vacuously and enumerate marked each
+    # class min and max
+    code, out, err = run(capsys, *argv, "--alpha", "1e-12")
+    assert (code, out) == (2, "")
+    assert "alpha = 1e-12 for pi = 3,2,2,1,1,1:" in err
+
+
+def test_enumerate_exact_ties_mark_min_and_max(capsys):
+    code, out, _ = run(capsys, "enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "1")
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    assert len(classes) == 2
+    for entry in classes:
+        assert entry["so"] == {"1": 46.0}
+        assert entry["is_min"] == entry["is_max"] == {"1": True}
+
+
+def test_alpha_keys_keep_distinct_alphas(capsys, monkeypatch):
+    # the :g form keeps 6 digits, so these alphas used to share one key
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))
+    code, out, _ = run(capsys, "eval", "--graph", "-", "--alpha", "1,1.0000000001")
+    assert code == 0
+    assert json.loads(out)["so"] == {"1": 10.0, "1.0000000001": 10.000000001609438}
+    code, out, _ = run(capsys, "construct", "--pi", "3,2,2,1,1,1",
+                       "--alpha", "2,2.0000001", "--format", "table")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.startswith("SO_")]
+    assert rows == [["SO_2", "488.0"], ["SO_2.0000001", "488.000117768343"]]
+    code, out, _ = run(capsys, "enumerate", "--pi", "3,2,2,1,1,1",
+                       "--alpha", "0.1234567,0.1234568")
+    assert code == 0
+    for entry in json.loads(out)["classes"]:
+        assert set(entry["so"]) == set(entry["is_min"]) == {"0.1234567", "0.1234568"}
 
 
 def test_enumerate_over_cap_exit2(capsys):

@@ -7,6 +7,7 @@ import pytest
 from somborlab import (
     DegreeSequence,
     Graph,
+    Objective,
     canonical_code,
     degree_sequence_of,
     enumerate_gamma,
@@ -26,14 +27,15 @@ from somborlab import (
     verify_theorem3,
 )
 from somborlab import _kernels, construct, oracle, sombor
+from somborlab.cli import DEFAULT_T1_ALPHAS
 from somborlab.errors import (
     AlphaDegenerateError,
     AlphaNotAboveOneError,
     AlphaNotFiniteError,
     CapsSyntaxError,
     EmptySweepError,
+    ExtremumResolutionError,
     LengthMismatchError,
-    MaximaResolutionError,
     MinDegreeNotOneError,
     NotGraphicalError,
     TimeBudgetExceededError,
@@ -99,6 +101,64 @@ def test_oracle_extrema_tree_max_is_greedy():
     assert canonical_code(built) in codes
     # hand evaluation: spider legs (2,2,1) has pairs (3,2)x2,(3,1),(2,1)x2
     assert rep.max_value == 2 * 13 ** 2 + 10 ** 2 + 2 * 5 ** 2
+
+
+def test_extremum_rule_is_exact_equality():
+    assert oracle.extremum([1.0, 2.0, 1.0], Objective.MIN) == (1.0, (0, 2))
+    assert oracle.extremum([1.0, 2.0, 1.0], Objective.MAX) == (2.0, (1,))
+    # a near-tie away from the extremum decides nothing
+    assert oracle.extremum([1.0, 2.0, 2.0 + 1e-12], Objective.MIN) == (1.0, (0,))
+    with pytest.raises(ExtremumResolutionError, match="within the relative tolerance"):
+        oracle.extremum([1.0, 2.0, 2.0 + 1e-12], Objective.MAX)
+    assert oracle._close(1.0, 1.0 + 1e-10) and not oracle._close(1.0, 1.0 + 1e-8)
+    assert issubclass(ExtremumResolutionError, ValidationError)
+
+
+def _reference_pools(graphs, per_graph, alpha):
+    """The multiplicative tolerance rule the oracle used before pools became
+    exact: within (1 + 1e-9) of the minimum, within (1 - 1e-9) of the maximum."""
+    values = [v[alpha] for v in per_graph]
+    lo, hi = min(values), max(values)
+    return (tuple(g for g, v in zip(graphs, values) if v <= lo * (1 + 1e-9)),
+            tuple(g for g, v in zip(graphs, values) if v >= hi * (1 - 1e-9)))
+
+
+def test_exact_pools_equal_the_tolerance_pools():
+    alphas = tuple(dict.fromkeys(oracle.DEFAULT_T2_ALPHAS + DEFAULT_T1_ALPHAS))
+    seqs = [pi for c in range(4) for n in range(3, 9)
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=True)]
+    seqs.append(parse_degree_sequence("3,3,2^7"))
+    built_checks = 0
+    for pi in seqs:
+        graphs, per_graph = oracle.gamma_values(pi, alphas)
+        c = sum(pi.degrees) // 2 - pi.n + 1
+        built = extremal_graph(pi).graph if pi.degrees[-1] == 1 and c <= 2 else None
+        for a in alphas:
+            rep = oracle_extrema(pi, a)
+            assert (rep.min_witnesses, rep.max_witnesses) == \
+                _reference_pools(graphs, per_graph, a), (pi, a)
+            if built is not None:
+                extreme = (rep.min_value if objective_for_alpha(a) is Objective.MIN
+                           else rep.max_value)
+                assert sombor_general(built, a) == extreme, (pi, a)
+                built_checks += 1
+    assert len(seqs) == 169 and built_checks == 110 * len(alphas)
+
+
+def test_unresolvable_extremum_is_not_a_verdict():
+    # at alpha = 1e-12 the two classes of 3,2,2,1,1,1 differ by 4e-14
+    # relatively: a pool or a Theorem 2 check would turn on rounding
+    pi = parse_degree_sequence("3,2,2,1,1,1")
+    for call in (lambda: oracle_extrema(pi, 1e-12),
+                 lambda: verify_special_bfs_existence(pi, 1e-12),
+                 lambda: verify_theorem2(6, 0, (1e-12,))):
+        with pytest.raises(ExtremumResolutionError,
+                           match=r"alpha = 1e-12 for pi = 3,2,2,1,1,1"):
+            call()
+    # exact ties resolve: at alpha = 1 every class attains both extrema
+    rep = oracle_extrema(pi, 1.0)
+    assert rep.min_value == rep.max_value == 46.0
+    assert len(rep.min_witnesses) == len(rep.max_witnesses) == rep.class_size == 2
 
 
 def test_majorization_examples():
@@ -339,11 +399,11 @@ def test_theorem3_pendant_pass_reuses_maxima(monkeypatch):
 def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
     # the sup-norm-like regime: at alpha = 100 the maxima of 4,4,2,2,1,1,1,1
     # and 4,4,3,1,1,1,1,1 differ by less than REL_TOL
-    with pytest.raises(MaximaResolutionError,
+    with pytest.raises(ExtremumResolutionError,
                        match=r"alpha = 100.0 for pi = 4,4,2,2,1,1,1,1 and "
                              r"pi' = 4,4,3,1,1,1,1,1"):
         verify_theorem3(8, 1, (100.0,))
-    assert issubclass(MaximaResolutionError, ValidationError)
+    assert issubclass(ExtremumResolutionError, ValidationError)
     # a maximum below its partner's by more than the tolerance stays a violation
     monkeypatch.setattr(oracle, "_maxima_one",
                         lambda args: (1.0 / sum(d * d for d in args[0]),))
@@ -351,7 +411,7 @@ def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
     assert rep.pairs and not rep.holds
     assert not any(p.ok for p in rep.pairs)
     monkeypatch.setattr(oracle, "_maxima_one", lambda args: (1.0,))
-    with pytest.raises(MaximaResolutionError):
+    with pytest.raises(ExtremumResolutionError):
         verify_theorem3(6, 0, (2.0,))
 
 
