@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-DEFAULT_T1_ALPHAS = (0.5, 2.0)
-DEFAULT_PROP1_ALPHAS = (-3.0, -1.0, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 2.0, 5.0)
 DEFAULT_N_MAX = {"1": 7, "2": 8, "3": 8}
 
 
@@ -260,7 +258,7 @@ def cmd_majorize(args) -> int:
 
 
 def _verify_prop1(args, deadline) -> tuple[dict, bool]:
-    from .indices import BivariateFunction, GridSpec, check_escalating
+    from .indices import DEFAULT_PROP1_ALPHAS, BivariateFunction, GridSpec, check_escalating
     from .sombor import classify_alpha
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_PROP1_ALPHAS
     grid = GridSpec(args.grid)
@@ -318,7 +316,8 @@ def _sweep(units, run, deadline) -> tuple[list[dict], bool]:
 
 
 def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
-    from .oracle import generate_c_cyclic_sequences, verify_special_bfs_existence
+    from .oracle import (DEFAULT_T1_ALPHAS, generate_c_cyclic_sequences,
+                         verify_special_bfs_existence)
     cs = _int_list(args.c) if args.c else (0, 1, 2, 3)
     alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T1_ALPHAS
     units = ((pi, a) for c in cs
@@ -463,6 +462,11 @@ def main(argv=None) -> int:
         # an index value past the float range (e.g. SO_alpha at alpha = 400)
         # is a bad input, not a counterexample
         print("error: value out of float range; use a smaller |alpha|", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # an input too large for this machine (e.g. a huge --grid) is not a
+        # counterexample either
+        print("error: out of memory; use a smaller input", file=sys.stderr)
         return EXIT_USAGE
 
 

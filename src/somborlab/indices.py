@@ -30,6 +30,9 @@ in order would give; tests compare against that definition.
 delta(x2, y2) = D[x2] - D[y2] with D = t[x1] - t[y1], so one scan over D and
 a rounding bound settle a whole (x1, y1) block, and only the blocks the bound
 cannot settle, or that may hold max_abs_delta, are evaluated cell by cell.
+A non-strict cell (x1 = y1 or x2 = y2) of a float table never fails, so a
+block x1 = y1 needs no evaluation of its own (proof at `check_escalating`).
+A table of non-floats has no rounding bound and is evaluated cell by cell.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple
 
 from ._value import _Value
@@ -51,6 +54,8 @@ from .sombor import REL_TOL, _check_alpha
 
 #: default grid bound; covers all degree pairs at desk scale (d <= n-1 <= 11)
 DEFAULT_GRID_MAX = 20
+#: the default alphas of Proposition 1: both sides of 0 and 1, and alpha = 1
+DEFAULT_PROP1_ALPHAS = (-3.0, -1.0, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 2.0, 5.0)
 
 #: c * u of the rounding bound E = c * u * S of `check_escalating`, u = 2^-53
 _CU = 16 * 2.0 ** -53
@@ -99,7 +104,7 @@ class BivariateFunction(_Value):
                 for (p, q), v in (((x, y), a), ((y, x), b)):
                     if not math.isfinite(v):
                         raise FunctionNotFiniteError(f"{name}({p}, {q}) = {v!r} is not finite")
-                if not math.isclose(a, b, rel_tol=REL_TOL, abs_tol=REL_TOL):
+                if not math.isclose(a, b, rel_tol=REL_TOL):
                     raise ValidationError(
                         f"{name} is not symmetric: f({x},{y})={a!r} != f({y},{x})={b!r}"
                     )
@@ -183,10 +188,9 @@ def _deltas(rx: list[float], ry: list[float],
 
 
 def _exact_extremes(rx: list[float], ry: list[float],
-                    strict: list[tuple[int, int]]) -> tuple[float, float]:
-    """Smallest and largest delta of the cells y2 < x2 of strict block rows rx,
-    ry: the one exact evaluator of a strict block."""
-    ds = _deltas(rx, ry, strict)
+                    cells: list[tuple[int, int]]) -> tuple[float, float]:
+    """Smallest and largest delta of block rows rx, ry at `cells`."""
+    ds = _deltas(rx, ry, cells)
     return min(ds), max(ds)
 
 
@@ -233,14 +237,24 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
     `FunctionUnderflowError`; a table whose 4 max|t| overflows raises
     `OverflowError`, since a sum of four of its values need not be finite).
-    Blocks x1 = y1 and cells x2 = y2 are evaluated exactly. A strict block
-    (y1 < x1) is bounded from D = t[x1] - t[y1]:
+    A table holding a non-float (an int or Fraction from a custom f) has no
+    rounding bound, and every block of it is evaluated cell by cell. A float
+    table is settled block by block:
 
-    - Identity: exactly, delta(x2, y2) = D[x2] - D[y2], so one prefix max/min
-      scan of D gives the block's approximate extremes p_lo, p_hi in O(B).
+    - Non-strict cells (x1 = y1 or x2 = y2) never fail: their reads t1, t2,
+      t1, t2 give delta = ((t1 + t2) - t1) - t2, or t1 and t2 swapped, which
+      is 0 exactly. A float sum or difference with a subnormal result is
+      exact, so a nonzero delta needs rounding in the normal range, at
+      relative error at most u = 2^-53 per operation: |delta| <=
+      2u (|t1| + |t2|)(1 + O(u)). That is about 10^6 times below
+      tol = REL_TOL (2|t1| + 2|t2|), and below the block's E. So a block
+      x1 = y1, with no strict cell, has p_lo = p_hi = 0.
+    - Identity: in a strict block (y1 < x1), exactly,
+      delta(x2, y2) = D[x2] - D[y2] with D = t[x1] - t[y1], so one prefix
+      max/min scan of D gives the approximate extremes p_lo, p_hi in O(B).
     - Bound: by recursive summation (Higham, Accuracy and Stability of
       Numerical Algorithms, 2nd ed., 4.2) a computed delta and a computed
-      D[x2] - D[y2] differ by at most E = c u S, u = 2^-53,
+      D[x2] - D[y2] differ by at most E = c u S,
       S = 2 (a_max[x1] + a_max[y1]), with c = 5 + O(u); c = 16 also covers
       the rounding of E and p +- E. E = 0 when all values are integer-valued
       floats below 2^51, where every sum is exact.
@@ -248,12 +262,12 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
       tol of the block, proves that every strict cell fails the de-escalating
       (escalating) verdict on sign; only the examples kept are evaluated.
       Once all examples are kept, m + E <= lb (m below) proves that no cell
-      fails on sign. Any other block, and every block when f returns
-      non-floats, is evaluated exactly.
-    - Exact max: max_abs_delta comes from exact cells only. A bounded block
-      is deferred with its largest |delta| in [m - E, m + E],
-      m = max(p_hi, -p_lo), and evaluated after the scan only if m + E
-      reaches the best proven lower bound.
+      fails on sign. Any other block is evaluated cell by cell.
+    - Exact max: max_abs_delta comes from computed deltas only. With E = 0
+      a settled block's p_lo, p_hi are its exact extremes; otherwise it is
+      deferred with its largest |delta|, over all of its cells, in
+      [m - E, m + E], m = max(p_hi, -p_lo), and evaluated whole after the
+      scan only if m + E reaches the best proven lower bound.
 
     `cells_checked` counts cells certified, not deltas computed. An h_alpha
     with alpha != 1 none of whose cells fails on sign raises
@@ -297,39 +311,20 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
             deadline.check()
         rx, vx, ax = t[x1], v[x1], a[x1]
         for y1 in range(1, x1 + 1):
-            ry, vy, ay = t[y1], v[y1], a[y1]
-            if y1 < x1:
-                ns = list(map(sub, map(sub, map(add, vx, vy), vy), vx))
-            else:
-                ns = _deltas(rx, rx, block)
-            n_lo, n_hi = min(ns), max(ns)
-            hi = max(hi, n_hi)
-            lo = min(lo, n_lo)
-            collecting = len(esc_bad) < keep or len(de_bad) < keep
-            classify = collecting or (track and not signed)
-            if classify:
-                # Rounding is monotone, so a tol sum taken in the cell's order
-                # over the two rows' largest (smallest) |t| is at least (at
-                # most) every tol in the block, with no slack.
-                ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
-                lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
-                diag_ok = -lb <= n_lo and n_hi <= lb     # no non-strict cell fails
-            exact = False                       # hi, lo hold the strict extremes
-            if y1 < x1 and (not classify or diag_ok):
-                # every strict delta lies in [p_lo - err, p_hi + err]
-                if bounded:
-                    p_lo, p_hi = _spread(list(map(sub, vx, vy)))
-                    err = cu * (2 * (a_max[x1] + a_max[y1])) + tiny
-                else:
-                    p_lo, p_hi = _exact_extremes(rx, ry, strict)
-                    err = 0.0
-                if not err:                     # p_lo, p_hi are the exact extremes
-                    hi = max(hi, p_hi)
-                    lo = min(lo, p_lo)
-                    exact = True
+            ry, ay = t[y1], a[y1]
+            if bounded:
+                # every strict delta lies in [p_lo - err, p_hi + err], and every
+                # non-strict one in [-err, err]; a block x1 = y1 has no strict cell
+                p_lo, p_hi = _spread(list(map(sub, vx, v[y1]))) if y1 < x1 else (0.0, 0.0)
+                err = cu * (2 * (a_max[x1] + a_max[y1])) + tiny
                 m = max(p_hi, -p_lo)
-                if not classify:
-                    settled = True
+                collecting = len(esc_bad) < keep or len(de_bad) < keep
+                # Rounding is monotone, so a tol sum taken in the cell's order
+                # over the two rows' largest |t| is at least every tol in the
+                # block, with no slack.
+                ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
+                if y1 == x1 or not (collecting or track and not signed):
+                    settled = True              # no cell fails, or none is sought
                 elif p_lo - err > ub:           # on every strict cell delta > tol
                     signed = settled = True
                     if len(de_bad) < keep:
@@ -340,20 +335,21 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                         esc_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(esc_bad)])
                 else:
                     # with every example kept, only a sign failure is sought,
-                    # and no |delta| above the block's smallest tol means none
+                    # and no |delta| above the block's smallest tol (the same
+                    # sum over the rows' smallest |t|) means none
+                    lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
                     settled = not collecting and m + err <= lb
                 if settled:
-                    if not exact:
+                    if err:
                         deferred.append((m + err, m - err, x1, y1))
+                    else:                       # p_lo, p_hi are the exact extremes
+                        hi = max(hi, p_hi)
+                        lo = min(lo, p_lo)
                     continue
-            if y1 == x1:
-                if not classify or diag_ok:     # ns covered the whole block
-                    continue
-            elif not exact:
-                d_lo, d_hi = _exact_extremes(rx, ry, strict)
-                hi = max(hi, d_hi)
-                lo = min(lo, d_lo)
-            for (x2, y2), delta in zip(block, _deltas(rx, ry, block)):
+            ds = _deltas(rx, ry, block)
+            hi = max(hi, max(ds))
+            lo = min(lo, min(ds))
+            for (x2, y2), delta in zip(block, ds):
                 tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
                 if delta > tol:
                     esc_reason, de_reason = None, "sign"
@@ -374,7 +370,7 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     best = max([hi, -lo] + [low for _, low, _, _ in deferred])
     for up, _, x1, y1 in deferred:
         if up >= best:
-            d_lo, d_hi = _exact_extremes(t[x1], t[y1], strict)
+            d_lo, d_hi = _exact_extremes(t[x1], t[y1], block)
             hi = max(hi, d_hi)
             lo = min(lo, d_lo)
     max_abs = max(hi, -lo)

@@ -72,7 +72,9 @@ from .sombor import values as _values_for_alphas
 if TYPE_CHECKING:
     from .bfs import BfsWitness
 
-#: the default alphas of Theorem 2 (de-escalating, then escalating) and Theorem 3
+#: the default alphas of Theorem 1, of Theorem 2 (de-escalating, then
+#: escalating) and of Theorem 3
+DEFAULT_T1_ALPHAS = (0.5, 2.0)
 DEFAULT_T2_ALPHAS = (0.25, 0.5, 0.75, -1.0, -0.5, 1.5, 2.0, 3.0)
 DEFAULT_T3_ALPHAS = (1.5, 2.0, 3.0)
 

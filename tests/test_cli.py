@@ -499,6 +499,20 @@ def test_verify_prop1_unresolvable_alpha_exit2(capsys, alpha):
     assert "grid cannot resolve" in err
 
 
+def test_out_of_memory_exit2(capsys, monkeypatch):
+    # a grid too large for the machine is a bad input, not a counterexample
+    from somborlab import indices
+
+    def no_memory(f, bound):
+        raise MemoryError
+
+    monkeypatch.setattr(indices, "_table", no_memory)
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "20000",
+                         "--alpha", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory; use a smaller input\n"
+
+
 def test_verify_prop1_budget_expires_inside_the_grid(capsys):
     # one B = 300 grid takes seconds; the budget is checked once per row, so
     # it expires inside h_2's grid rather than before h_3's

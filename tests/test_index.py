@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from somborlab import (
     AlphaRegime,
@@ -18,7 +20,6 @@ from somborlab import (
     sombor_general,
 )
 from somborlab import indices
-from somborlab.cli import DEFAULT_PROP1_ALPHAS
 from somborlab.errors import (
     AlphaNotFiniteError,
     AlphaZeroError,
@@ -31,6 +32,7 @@ from somborlab.errors import (
 )
 from somborlab.indices import (
     DEFAULT_GRID_MAX,
+    DEFAULT_PROP1_ALPHAS,
     REL_TOL,
     Counterexample,
     EscalationReport,
@@ -82,8 +84,10 @@ def test_connectivity_function_examples():
 
 
 def test_custom_function_symmetry_is_spot_checked():
-    with pytest.raises(ValidationError):
-        BivariateFunction.custom(lambda x, y: x - y, name="asym")
+    # asymmetric at any scale: values below REL_TOL are compared relatively too
+    for fn in (lambda x, y: x - y, lambda x, y: 1e-12 * x):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            BivariateFunction.custom(fn, name="asym")
 
 
 def test_classify_alpha():
@@ -332,43 +336,101 @@ def test_grid_default_bound_matches_per_call_definition():
     _assert_grid_matches_reference(_reference_functions() + unresolvable, DEFAULT_GRID_MAX)
 
 
-def _count_exact_blocks(monkeypatch):
-    """Calls of the grid's one exact strict-block evaluator, as a list that grows."""
+#: largest magnitude drawn: 4 times it stays finite, as check_escalating requires
+_WIDE = 2.0 ** 1020
+
+
+@st.composite
+def _symmetric_tables(draw):
+    """(bound, t) with t[x, y] = t[y, x] for 1 <= x, y <= bound <= 8: every
+    entry from one kind of value, or each from any kind."""
+    bound = draw(st.integers(3, 8))
+    base = draw(st.floats(-_WIDE, _WIDE))
+    scale = draw(st.integers(-32, 32)) * REL_TOL / 4
+    kinds = [
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.0 ** -1022, 2.0 ** -1022),           # subnormals and zero
+        st.floats(-_WIDE, _WIDE),                         # every magnitude and sign
+        st.floats(-1, 1),                                 # rounding at every step
+        st.integers(-64, 64).map(float),                  # exact arithmetic, E = 0
+        # deltas near tol: REL_TOL-sized relative noise around one value
+        st.integers(-16, 16).map(lambda k: base * (1 + k * REL_TOL / 8)),
+    ]
+    value = draw(st.sampled_from(kinds + [st.one_of(kinds)]))
+    # separable: t = g[x] + g[y] has every delta 0 in exact arithmetic, so
+    # rounding alone decides which cell, strict or not, holds max |delta|
+    g = [draw(value) for _ in range(bound + 1)] if draw(st.booleans()) else None
+    # a bilinear trend of about tol per cell: whole blocks on one side of
+    # their tol, as the fast branches need
+    trend = draw(st.booleans())
+    t = {}
+    for x in range(1, bound + 1):
+        for y in range(1, x + 1):
+            v = g[x] + g[y] if g else draw(value)
+            if trend:
+                v += base * scale * x * y
+            t[x, y] = t[y, x] = v
+    return bound, t
+
+
+#: g of a separable table t = g[x] + g[y] whose max |delta| lies only in a
+#: block x1 = y1, by rounding alone
+_G_DIAGONAL_MAX = (None, 0.1, 1.1, 1.1)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_symmetric_tables())
+@example((3, {(x, y): _G_DIAGONAL_MAX[x] + _G_DIAGONAL_MAX[y]
+              for x in (1, 2, 3) for y in (1, 2, 3)}))
+def test_grid_matches_per_call_definition_on_adversarial_tables(case):
+    # non-strict cells are never evaluated outside the per-cell loop and the
+    # final pass; zeros, subnormals, extreme magnitudes and near-tol deltas
+    # must still give the definition's report bit for bit
+    bound, t = case
+    f = BivariateFunction("custom", fn=lambda x, y: t[x, y], name="table")
+    _assert_grid_matches_reference([f], bound)
+
+
+def _count_block_evaluations(monkeypatch, bound):
+    """Whole-block delta evaluations of the grid, the per-cell loop's and the
+    final pass's, as a list that grows."""
     calls = []
-    exact = indices._exact_extremes
+    deltas = indices._deltas
+    size = bound * (bound + 1) // 2
 
-    def counted(rx, ry, strict):
-        calls.append(1)
-        return exact(rx, ry, strict)
+    def counted(rx, ry, cells):
+        if len(cells) == size:
+            calls.append(1)
+        return deltas(rx, ry, cells)
 
-    monkeypatch.setattr(indices, "_exact_extremes", counted)
+    monkeypatch.setattr(indices, "_deltas", counted)
     return calls
 
 
 def test_grid_exact_blocks_are_few(monkeypatch):
-    # machine-independent work gate: of the 190 strict blocks at B = 20 the
-    # rounding bound leaves at most two to exact evaluation. The values of
-    # h_1, h_2 and h_5 are integers below 2^51, so their bound is exact and no
-    # block needs the exact evaluator.
-    calls = _count_exact_blocks(monkeypatch)
+    # machine-independent work gate: of the 210 blocks at B = 20 the rounding
+    # bound leaves at most two to whole-block evaluation, and no block x1 = y1
+    # is evaluated. The values of h_2 are integers below 2^51, so its bound is
+    # exact and settles every block.
+    calls = _count_block_evaluations(monkeypatch, DEFAULT_GRID_MAX)
     counts = {}
     for a in DEFAULT_PROP1_ALPHAS:
         calls.clear()
         check_escalating(BivariateFunction.sombor(a), GridSpec(DEFAULT_GRID_MAX))
         counts[a] = len(calls)
     assert counts == {-3.0: 2, -1.0: 1, -0.1: 1, 0.1: 1, 0.25: 1, 0.5: 1, 0.75: 1,
-                      0.9: 1, 1.0: 0, 1.1: 1, 2.0: 0, 5.0: 0}
-    calls.clear()
+                      0.9: 1, 1.0: 1, 1.1: 1, 2.0: 0, 5.0: 1}
+    calls = _count_block_evaluations(monkeypatch, 40)
     check_escalating(BivariateFunction.sombor(2), GridSpec(40))
     assert len(calls) <= counts[2.0]
 
 
 def test_grid_fallback_and_final_pass_run(monkeypatch):
-    # near-ub: blocks the bound cannot settle are evaluated exactly in the
+    # near-ub: the 20 blocks the bound cannot settle go through the per-cell
     # loop; tied: with every example kept after the first block, the
     # deferred blocks (x1, 1), x1 >= 8, all reach the best lower bound, and
-    # the final exact pass picks the largest |delta| among them
-    calls = _count_exact_blocks(monkeypatch)
+    # the final pass picks the largest |delta| among them
+    calls = _count_block_evaluations(monkeypatch, 20)
     check_escalating(BivariateFunction.custom(_near_ub, name="near-ub"), GridSpec(20), 1000)
     assert len(calls) == 20
     calls.clear()

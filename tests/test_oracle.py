@@ -27,7 +27,6 @@ from somborlab import (
     verify_theorem3,
 )
 from somborlab import _kernels, construct, oracle, sombor
-from somborlab.cli import DEFAULT_T1_ALPHAS
 from somborlab.errors import (
     AlphaDegenerateError,
     AlphaNotAboveOneError,
@@ -44,7 +43,7 @@ from somborlab.errors import (
     UnsupportedCyclomaticError,
     ValidationError,
 )
-from somborlab.oracle import ENUM_N_MAX, Deadline, _gamma, load_caps
+from somborlab.oracle import DEFAULT_T1_ALPHAS, ENUM_N_MAX, Deadline, _gamma, load_caps
 
 
 def test_enumerate_gamma_unique_realizations():
