@@ -6,12 +6,22 @@ desk-scale cap in the library. Every entry point takes or yields masks, so the
 walker's leaves go to the labeling as they are.
 
 One realization walker, `_realizations`, backtracks over the labeled
-realizations of a degree sequence with residual and twin pruning and yields
-the connected leaves. It has two consumers: `enumerate_classes` dedups the
-leaves by canonical bits into isomorphism classes, and `joint_degree_matrices`
-collects their joint degree matrices, each read by `sombor.jdm_key`: all that
-an index summed over edges can see, found without canonical labeling. The
-walk is one loop over an explicit stack, and it hands the consumer the leaves
+realizations of a degree sequence with residual, twin and pair pruning and
+yields the connected leaves. Twin and pair pruning are lex-leader symmetry
+breaking (Crawford, Ginsberg, Luks and Roy, KR 1996). Read the walk's
+variables row by row, columns ascending, with 1 above 0. Permuting vertices
+within a block of equal degree maps realizations to realizations, so each
+class has a lex-greatest labeling L, and L >= sigma L for every such sigma.
+Twin pruning is this inequality for a transposition of twins, truncated at
+the choosing row; pair pruning is it for sigma = (v-1 v). L passes both, so
+every class keeps a leaf, and over every sequence with n <= 9 and c <= 3 the
+walk yields 1.24 leaves per class (5,311 for 4,297).
+
+The walker has two consumers: `enumerate_classes` dedups the leaves by
+canonical bits into isomorphism classes, and `joint_degree_matrices` collects
+their joint degree matrices, each read by `sombor.jdm_key`: all that an index
+summed over edges can see, found without canonical labeling. The walk is one
+loop over an explicit stack, and it hands the consumer the leaves
 of the vertex-by-vertex backtracking one at a time, in backtracking order;
 their count over every sequence with c <= 3 is pinned in the tests.
 
@@ -211,8 +221,19 @@ def _realizations(degrees):
     swapping two of them fixes the partial graph and every degree target. So
     from each such group only a lowest-index prefix is chosen; every other
     choice is the image of one of these under a twin swap and completes to
-    the same classes. Every class therefore has at least one leaf, and some
-    have several.
+    the same classes.
+
+    Pair pruning: when degrees[v-1] == degrees[v], v keeps only the choices
+    after which d, the set of vertices other than v-1 and v adjacent to
+    exactly one of them, is empty or has its lowest vertex adjacent to v-1.
+    The transposition sigma = (v-1 v) fixes every degree target, and the
+    first variable where a labeling L and sigma L differ is the lowest
+    vertex w of d: in row w if w < v-1, else in row v-1 at column w. So
+    L >= sigma L exactly when w is adjacent to v-1, and that is settled once
+    v chooses. The lex-greatest labeling of a class (module docstring)
+    passes this rule and the twin rule, so every class keeps a leaf; over
+    every sequence with n <= 9 and c <= 3 the walk yields 1.24 leaves per
+    class, and 1.30 at n = 10 (15,566 for 11,989).
 
     The walk is one loop over an explicit stack of vertices with choices
     left. A vertex's choices are built when the walk reaches it: the prefix
@@ -235,7 +256,7 @@ def _realizations(degrees):
             if connected_masks(adj):
                 yield tuple(adj)
         else:
-            stack.append([v, _choices(v, res, adj), 0])
+            stack.append([v, _choices(v, degrees, res, adj), 0])
         # move the top vertex from its last choice to its next, touching only
         # the vertices the two masks differ in; pop it when none is left
         while stack:
@@ -269,13 +290,15 @@ def _realizations(degrees):
             return
 
 
-def _choices(v: int, res: list[int], adj: list[int]) -> list[int]:
+def _choices(v: int, degrees, res: list[int], adj: list[int]) -> list[int]:
     """Masks of vertex v's feasible neighbour choices, in walk order.
 
     Residual feasibility: after the choice, every open vertex after v needs
     as many open partners as its residual degree. That is a running count
     and maximum: the count drops by the chosen vertices of residual 1, and
-    the maximum drops by one if every vertex holding it was chosen.
+    the maximum drops by one if every vertex holding it was chosen. Pair
+    pruning (see `_realizations`) then drops the choices that make v's
+    neighbourhood first differ from v-1's at a vertex v-1 does not see.
     """
     r = res[v]
     open_ = [j for j in range(v + 1, len(res)) if res[j]]
@@ -314,11 +337,17 @@ def _choices(v: int, res: list[int], adj: list[int]) -> list[int]:
             partial = [(mask | prefixes[k], left - k)
                        for mask, left in partial
                        for k in range(max(0, left - room), min(len(group), left) + 1)]
+    # pair rule; adj[v - 1] is complete and nonzero, and the choice adds
+    # only bits above v to adj[v], so d = diff ^ mask
+    prev = adj[v - 1] if v and degrees[v - 1] == degrees[v] else 0
+    diff = (prev ^ adj[v]) & ~(3 << (v - 1)) if prev else 0
     out = []
     for mask, _ in partial:
         after = count - (mask & ones).bit_count()
         if not after or (top if mask & top_mask != top_mask else top - 1) < after:
-            out.append(mask)
+            d = diff ^ mask
+            if not prev or not d or d & -d & prev:
+                out.append(mask)
     return out
 
 

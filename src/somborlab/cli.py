@@ -46,6 +46,13 @@ def _check_cap(n: int, caps: Caps) -> None:
                             f"enum=N sets the cap, up to {MAX_VERTICES}")
 
 
+def _distinct(values: tuple, what: str, text: str) -> tuple:
+    # a repeated value would run each of its checks twice
+    if len(set(values)) < len(values):
+        raise ValidationError(f"{what} list {text!r} repeats a value")
+    return values
+
+
 def _alpha_list(text: str) -> tuple[float, ...]:
     from .sombor import classify_alpha
     try:
@@ -56,14 +63,15 @@ def _alpha_list(text: str) -> tuple[float, ...]:
         raise ValidationError("alpha list is empty")
     for a in values:
         classify_alpha(a)
-    return values
+    return _distinct(values, "alpha", text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise ValidationError(f"bad integer list {text!r}")
+    return _distinct(values, "integer", text)
 
 
 def _emit(record: dict, fmt: str, table_lines) -> None:

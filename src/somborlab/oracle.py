@@ -10,9 +10,10 @@ as finite checks:
   theorem 3   majorization pi < pi' implies strictly larger oracle maximum
               for alpha > 1
 
-The primary enumeration backtracks over neighbour assignments with residual
-and twin pruning and dedups by canonical code (see _kernels); its class lists
-are memoized per degree sequence, since the verifiers revisit the same pi.
+The primary enumeration backtracks over neighbour assignments with residual,
+twin and pair pruning and dedups by canonical code (see _kernels); its class
+lists are memoized per degree sequence, since the verifiers revisit the same
+pi.
 SO_alpha sums over edges, so a graph's value depends only on its joint degree
 matrix (JDM), and values come from the JDM layer in `sombor`: each class's
 key is cached beside its class list, values are computed once per distinct

@@ -233,6 +233,28 @@ def test_verify_rejects_non_finite_alpha(capsys, alpha):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "1", "--c", "1,1", "--n-max", "4"),
+    ("verify", "--theorem", "3", "--c", "0,1,0"),
+])
+def test_repeated_c_exit2(capsys, argv):
+    # each repeated c would be checked twice and counted twice in "checked"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "repeats a value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "2", "--alpha", "0.5,0.5"),
+    ("verify", "--theorem", "prop1", "--alpha", "2,2.0"),
+    ("construct", "--pi", "3,2,2,1,1,1", "--alpha", "0.5,2,0.50"),
+])
+def test_repeated_alpha_exit2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "repeats a value" in err
+
+
 def test_overflow_is_a_validation_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--theorem", "prop1", "--alpha", "200")
     assert code == 2 and out == ""

@@ -124,8 +124,9 @@ def test_enumerate_classes_pinned_n8():
     )
 
 
-def test_twin_pruning_canon_calls(monkeypatch):
-    # 3,3,2^7: the unpruned search canonicalizes 40,320 connected leaves
+def test_twin_and_pair_pruning_canon_calls(monkeypatch):
+    # 3,3,2^7: the unpruned search canonicalizes 40,320 connected leaves,
+    # twin pruning alone 31, and twin and pair pruning together 18
     calls = []
     canon_bits = _kernels.canon_bits
 
@@ -135,7 +136,7 @@ def test_twin_pruning_canon_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "canon_bits", counted)
     assert len(_kernels.enumerate_classes((3, 3, 2, 2, 2, 2, 2, 2, 2))) == 13
-    assert len(calls) == 31
+    assert len(calls) == 18
 
 
 def _sequences(n_range, cs=range(4)):
@@ -169,10 +170,10 @@ def test_layer_key_matches_literal_reader_n8():
 
 
 @st.composite
-def _connected_relabeled(draw):
+def _connected_relabeled(draw, n_max=12):
     # a random tree (vertex v joins an earlier vertex), extra edges, and a
     # random relabeling, so degrees are in no particular order
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, n_max))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
     if pairs:
@@ -315,8 +316,8 @@ def test_canon_bits_invariant_on_twin_cell_families():
 
 
 @pytest.mark.parametrize("n_range,leaves", [
-    (range(2, 10), 10667),
-    pytest.param((10,), 34257, marks=pytest.mark.slow),
+    (range(2, 10), 5311),
+    pytest.param((10,), 15566, marks=pytest.mark.slow),
 ])
 def test_walker_leaves(n_range, leaves):
     # labeled leaves over every sequence with c <= 3: the walker's work,
@@ -337,6 +338,58 @@ def test_class_table_and_joint_degree_matrices_n10():
         assert total == count, c
 
 
+def _lex_key(adj):
+    """The walk's variables as one integer: rows in order, columns ascending,
+    the first variable most significant, so integer order is lex order."""
+    n = len(adj)
+    key = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = key << 1 | (adj[i] >> j & 1)
+    return key
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_connected_relabeled(n_max=7))
+def test_walker_yields_lex_greatest_labeling(g):
+    # brute force over every permutation within the degree blocks: the
+    # lex-greatest labeling of the class passes both pruning rules
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
+    degrees = tuple(g.degree(v) for v in order)
+    pos = {v: i for i, v in enumerate(order)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges]
+    blocks = [[i for i, d in enumerate(degrees) if d == k]
+              for k in sorted(set(degrees), reverse=True)]
+
+    def relabeled(perms):
+        label = [x for p in perms for x in p]
+        adj = [0] * g.n
+        for u, v in edges:
+            adj[label[u]] |= 1 << label[v]
+            adj[label[v]] |= 1 << label[u]
+        return tuple(adj)
+
+    best = max((relabeled(perms) for perms in
+                itertools.product(*(itertools.permutations(b) for b in blocks))),
+               key=_lex_key)
+    assert best in set(_kernels._realizations(degrees))
+
+
+def test_walker_leaves_obey_pair_rule_n8():
+    # at each adjacent equal-degree pair, the neighbourhoods (the pair
+    # itself aside) first differ at a neighbour of the lower vertex
+    leaves = 0
+    for pi in _sequences(range(2, 9)):
+        d = pi.degrees
+        for adj in _kernels._realizations(d):
+            leaves += 1
+            for v in range(1, len(d)):
+                diff = (adj[v - 1] ^ adj[v]) & ~(3 << (v - 1))
+                if d[v - 1] == d[v] and diff:
+                    assert diff & -diff & adj[v - 1], (d, adj, v)
+    assert leaves == 1335
+
+
 @pytest.mark.slow
 def test_class_table_n11():
     # OEIS A000055, A001429, A001435, A001436 at n = 11
@@ -346,6 +399,16 @@ def test_class_table_n11():
               for c in expected}
     assert counts == expected
     assert sum(counts.values()) == 44725
+
+
+@pytest.mark.slow
+def test_class_table_n12():
+    # OEIS A000055, A001429, A001435, A001436 at n = 12
+    expected = {0: 551, 1: 5026, 2: 28908, 3: 130365}
+    counts = {c: sum(len(_kernels.enumerate_classes(pi.degrees))
+                     for pi in _sequences((12,), (c,)))
+              for c in expected}
+    assert counts == expected
 
 
 def _classes_by_sequence_unfiltered(n, m):
