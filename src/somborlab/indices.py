@@ -20,7 +20,7 @@ delta vanishes identically and neither strict verdict applies.
 majorization monotonicity result: positive and convex first-argument partials
 (closed forms below) plus a three-term shift inequality on the grid.
 
-Grid certification evaluates f once per grid point. A NaN or infinite value,
+`check_escalating` evaluates f once per grid point. A NaN or infinite value,
 an h_alpha value that underflows to 0.0 or a subnormal, and an h_alpha
 (alpha != 1) none of whose deltas clears its tolerance are validation errors,
 not verdicts; values so large that 4 max|f| overflows raise `OverflowError`.
@@ -395,7 +395,8 @@ class GoodEscalatingReport(NamedTuple):
     alpha: float
     grid_max: int
     holds: bool
-    failed_condition: str | None       # "escalating" | "first-partial" | ...
+    # "escalating" | "first-partial" | "second-partial" | "three-term" | None
+    failed_condition: str | None
     counterexamples: tuple[Counterexample, ...]
     cells_checked: int
 
@@ -417,52 +418,45 @@ def _three_term_failures(t: list[list[float]], bound: int,
 
     `t` is the (bound+1)-table of h. Returns the failures and the number of
     cells examined up to and including the last one checked. A cell fails when
-    lhs - rhs <= tol = REL_TOL * (|lhs| + |rhs|). The exact tol of each cell
-    is skipped only in an (x1, y1) block whose smallest lhs - rhs exceeds a
-    bound proven to be at least every tol in the block.
+    lhs - rhs <= tol = REL_TOL * (|lhs| + |rhs|).
     """
     block = _block_cells(bound)
     bad: list[Counterexample] = []
-    blocks_done = 0
+    cells = 0
     for x1 in range(2, bound + 1):
         row_next, row_x1 = t[x1 + 1], t[x1]
         for y1 in range(2, x1 + 1):
             row_y1 = t[y1]
             lhs_c, rhs_c = row_next[y1 - 1], row_x1[y1]
-            lhs = [row_next[x2] + row_next[y2] + lhs_c for x2, y2 in block]
-            rhs = [row_x1[x2] + row_y1[y2] + rhs_c for x2, y2 in block]
-            # monotone rounding: this tol over the largest |lhs|, |rhs| is at
-            # least every tol in the block. A gap of inf - inf is NaN and never
-            # fails; `not >` sends a block whose min() came out NaN to the
-            # exact check.
-            ub = REL_TOL * (max(map(abs, lhs)) + max(map(abs, rhs)))
-            if not min(map(sub, lhs, rhs)) > ub:
-                for k, (x2, y2) in enumerate(block):
-                    gap = lhs[k] - rhs[k]
-                    if gap <= REL_TOL * (abs(lhs[k]) + abs(rhs[k])):
-                        bad.append(Counterexample(x1, y1, x2, y2, gap, "three-term"))
-                        if len(bad) >= max_counterexamples:
-                            return bad, blocks_done * len(block) + k + 1
-            blocks_done += 1
-    return bad, blocks_done * len(block)
+            for x2, y2 in block:
+                cells += 1
+                lhs = row_next[x2] + row_next[y2] + lhs_c
+                rhs = row_x1[x2] + row_y1[y2] + rhs_c
+                gap = lhs - rhs
+                if gap <= REL_TOL * (abs(lhs) + abs(rhs)):
+                    bad.append(Counterexample(x1, y1, x2, y2, gap, "three-term"))
+                    if len(bad) >= max_counterexamples:
+                        return bad, cells
+    return bad, cells
 
 
 def check_good_escalating(alpha: float, grid: GridSpec | None = None,
                           max_counterexamples: int = 10) -> GoodEscalatingReport:
     """Certify that h_alpha is a good escalating function on the grid.
 
-    Requires, in order: non-negative and escalating (per `check_escalating`),
-    first partial > 0 and second partial >= 0 at every grid point, and the
-    three-term shift inequality
+    Requires, in order: positive and escalating (per `check_escalating`, whose
+    table rejects an h value below the normal float range), first partial > 0
+    and second partial >= 0 at every grid point, and the three-term shift
+    inequality
 
         h(x1+1,x2) + h(x1+1,y2) + h(x1+1,y1-1) > h(x1,x2) + h(y1,y2) + h(x1,y1)
 
     for all x1 >= y1 >= 2, x2 >= y2 >= 1 within the bound.
 
-    h is evaluated once per grid point: the three-term check reads a table over
-    1..B+1, since it looks up x1+1. Counterexamples are the first
-    `max_counterexamples` found in grid order (x1, y1, x2, y2 ascending, x1
-    outermost) of the first condition that fails.
+    h is evaluated twice per grid point: once by `check_escalating`, and once
+    for the three-term check's table over 1..B+1, since it looks up x1+1.
+    Counterexamples are the first `max_counterexamples` found in grid order
+    (x1, y1, x2, y2 ascending, x1 outermost) of the first condition that fails.
     """
     h = BivariateFunction.sombor(alpha)     # rejects zero and non-finite alpha
     grid = grid or GridSpec()
@@ -479,9 +473,7 @@ def check_good_escalating(alpha: float, grid: GridSpec | None = None,
     for x in range(1, bound + 1):
         for y in range(1, bound + 1):
             cells += 1
-            if h(x, y) < 0:
-                bad.append(Counterexample(x, 0, y, 0, h(x, y), "negative-value"))
-            elif first_partial(x, y, alpha) <= 0:
+            if first_partial(x, y, alpha) <= 0:
                 bad.append(Counterexample(x, 0, y, 0, first_partial(x, y, alpha),
                                           "first-partial"))
             elif second_partial(x, y, alpha) < -REL_TOL:

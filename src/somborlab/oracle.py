@@ -402,8 +402,10 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
                    deadline=deadline)
     pairs: list[PairCheck] = []
     for i, lo in enumerate(seqs):
-        for j, hi in enumerate(seqs):
-            if i == j or not is_majorized(lo, hi).holds:
+        # lo majorized by hi (so lo != hi) forces lo_k < hi_k at their first
+        # difference k: hi precedes lo in the descending lex order of `seqs`
+        for j, hi in enumerate(seqs[:i]):
+            if not is_majorized(lo, hi).holds:
                 continue
             for k, a in enumerate(alphas):
                 mlo, mhi = maxima[i][k], maxima[j][k]

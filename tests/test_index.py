@@ -334,6 +334,15 @@ def test_grid_tables_match_per_call_definition():
 def test_grid_default_bound_matches_per_call_definition():
     unresolvable = [BivariateFunction.sombor(a) for a in UNRESOLVABLE_ALPHAS]
     _assert_grid_matches_reference(_reference_functions() + unresolvable, DEFAULT_GRID_MAX)
+    # the shift inequality of the good escalating alphas at the default bound
+    for a in (1.1, 1.5, 2, 3, 5):
+        h = BivariateFunction.sombor(a)
+        t = _table(h, DEFAULT_GRID_MAX + 1)
+        for limit in (0, 1, 10):
+            bad, cells = _three_term_failures(t, DEFAULT_GRID_MAX, limit)
+            want_bad, want_cells = _reference_three_term(h, DEFAULT_GRID_MAX, limit)
+            assert (bad, cells) == (want_bad, want_cells)
+            assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
 
 
 #: largest magnitude drawn: 4 times it stays finite, as check_escalating requires
@@ -512,6 +521,28 @@ def test_good_escalating():
     assert not bad.holds and bad.failed_condition == "escalating"
     neg = check_good_escalating(-1, grid)
     assert not neg.holds and neg.failed_condition == "first-partial"
+
+
+def test_good_escalating_rejects_underflow_before_partials():
+    # check_escalating's table rejects any h_alpha value below the normal
+    # range, 0 and below included, before the partial-derivative pass:
+    # h_-200(1, 6) = 37**-200 is subnormal
+    with pytest.raises(FunctionUnderflowError, match=r"h_-200\(1, 6\)"):
+        check_good_escalating(-200, GridSpec(20))
+
+
+def test_good_escalating_evaluates_h_twice_per_grid_point(monkeypatch):
+    # check_escalating's B x B table, then the three-term table over 1..B+1
+    calls = []
+    call = BivariateFunction.__call__
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return call(self, x, y)
+
+    monkeypatch.setattr(BivariateFunction, "__call__", counted)
+    assert check_good_escalating(1.5, GridSpec(6)).holds
+    assert len(calls) == 6 ** 2 + 7 ** 2
 
 
 def test_three_term_hand_cell():

@@ -292,6 +292,19 @@ def test_theorem3_small_all_cases():
             assert rep.holds, rep.to_record()["violations"]
 
 
+def test_theorem3_pairs_equal_all_ordered_pairs():
+    # the scan over earlier sequences only finds every majorization pair, in
+    # the order of a scan over all ordered pairs
+    for n in range(2, 9):
+        for c in range(4):
+            for pendant in (False, True):
+                seqs = generate_c_cyclic_sequences(n, c, require_pendant=pendant)
+                want = [(lo, hi) for lo in seqs for hi in seqs
+                        if lo != hi and is_majorized(lo, hi).holds]
+                rep = verify_theorem3(n, c, (2.0,), require_pendant=pendant)
+                assert [(p.lower, p.upper) for p in rep.pairs] == want, (n, c, pendant)
+
+
 def test_maxima_one_equals_max_over_classes():
     alphas = (1.5, 2.0, 3.0)
     for n in range(2, 9):
