@@ -17,13 +17,17 @@ the choosing row; pair pruning is it for sigma = (v-1 v). L passes both, so
 every class keeps a leaf, and over every sequence with n <= 9 and c <= 3 the
 walk yields 1.24 leaves per class (5,311 for 4,297).
 
-The walker has two consumers: `enumerate_classes` dedups the leaves by
-canonical bits into isomorphism classes, and `joint_degree_matrices` collects
+The walker has three consumers. `enumerate_classes` dedups the leaves by
+canonical bits into isomorphism classes. `joint_degree_matrices` collects
 their joint degree matrices, each read by `sombor.jdm_key`: all that an index
-summed over edges can see, found without canonical labeling. The walk is one
-loop over an explicit stack, and it hands the consumer the leaves
-of the vertex-by-vertex backtracking one at a time, in backtracking order;
-their count over every sequence with c <= 3 is pinned in the tests.
+summed over edges can see, found without canonical labeling.
+`leaves_by_jdm` groups the leaves by that key and labels none of them; the
+oracle labels a group only where a report needs its classes, and at once
+only where the group holds two or more leaves, since only labels tell how
+many classes those are. The walk is one loop over an explicit stack, and it
+hands the consumer the leaves of the vertex-by-vertex backtracking one at a
+time, in backtracking order; their count over every sequence with c <= 3 is
+pinned in the tests.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
@@ -365,6 +369,19 @@ def joint_degree_matrices(degrees) -> set[JdmKey]:
     """Joint degree matrices (`sombor.jdm_key`) of the connected realizations
     of `degrees`; non-isomorphic classes may share one."""
     return {jdm_key(degrees, adj) for adj in _realizations(degrees)}
+
+
+def leaves_by_jdm(degrees) -> dict[JdmKey, list[tuple[int, ...]]]:
+    """The connected leaves of `_realizations(degrees)` grouped by their joint
+    degree matrix (`sombor.jdm_key`), keys and leaves in walk order.
+
+    A key with one leaf is one isomorphism class; a key with more leaves
+    holds at least one class and at most one per leaf.
+    """
+    out: dict[JdmKey, list[tuple[int, ...]]] = {}
+    for adj in _realizations(degrees):
+        out.setdefault(jdm_key(degrees, adj), []).append(adj)
+    return out
 
 
 def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]:

@@ -412,6 +412,33 @@ def second_partial(x: float, y: float, alpha: float) -> float:
     return 2 * alpha * s ** (alpha - 2) * (s + 2 * x * x * (alpha - 1))
 
 
+def _partial_failures(alpha: float, bound: int,
+                      max_counterexamples: int) -> tuple[list[Counterexample], int]:
+    """First- and second-partial failures in grid order, x outermost.
+
+    A point fails when the first partial is <= 0, or else when the second is
+    below -REL_TOL. Like `_three_term_failures`, the scan stops once it holds
+    `max_counterexamples` failures (after the first when that is 0) and
+    returns them with the number of points examined.
+    """
+    bad: list[Counterexample] = []
+    cells = 0
+    for x in range(1, bound + 1):
+        for y in range(1, bound + 1):
+            cells += 1
+            d1 = first_partial(x, y, alpha)
+            if d1 <= 0:
+                bad.append(Counterexample(x, 0, y, 0, d1, "first-partial"))
+            else:
+                d2 = second_partial(x, y, alpha)
+                if d2 >= -REL_TOL:
+                    continue
+                bad.append(Counterexample(x, 0, y, 0, d2, "second-partial"))
+            if len(bad) >= max_counterexamples:
+                return bad, cells
+    return bad, cells
+
+
 def _three_term_failures(t: list[list[float]], bound: int,
                          max_counterexamples: int) -> tuple[list[Counterexample], int]:
     """Three-term shift failures in grid order, stopping at `max_counterexamples`.
@@ -469,28 +496,13 @@ def check_good_escalating(alpha: float, grid: GridSpec | None = None,
         bad = esc.counterexamples[:max_counterexamples]
         return GoodEscalatingReport(alpha, bound, False, "escalating", bad, cells)
 
-    bad = []
-    for x in range(1, bound + 1):
-        for y in range(1, bound + 1):
-            cells += 1
-            if first_partial(x, y, alpha) <= 0:
-                bad.append(Counterexample(x, 0, y, 0, first_partial(x, y, alpha),
-                                          "first-partial"))
-            elif second_partial(x, y, alpha) < -REL_TOL:
-                bad.append(Counterexample(x, 0, y, 0, second_partial(x, y, alpha),
-                                          "second-partial"))
-            if len(bad) >= max_counterexamples:
-                break
-        if bad:
-            break
+    bad, checked = _partial_failures(alpha, bound, max_counterexamples)
+    cells += checked
+    if not bad:
+        bad, checked = _three_term_failures(_table(h, bound + 1), bound,
+                                            max_counterexamples)
+        cells += checked
     if bad:
         return GoodEscalatingReport(alpha, bound, False, bad[0].reason,
                                     tuple(bad[:max_counterexamples]), cells)
-
-    bad, three_term_cells = _three_term_failures(_table(h, bound + 1), bound,
-                                                 max_counterexamples)
-    cells += three_term_cells
-    if bad:
-        return GoodEscalatingReport(alpha, bound, False, "three-term",
-                                    tuple(bad), cells)
     return GoodEscalatingReport(alpha, bound, True, None, (), cells)

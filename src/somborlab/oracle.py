@@ -11,24 +11,34 @@ as finite checks:
               for alpha > 1
 
 The primary enumeration backtracks over neighbour assignments with residual,
-twin and pair pruning and dedups by canonical code (see _kernels); its class
-lists are memoized per degree sequence, since the verifiers revisit the same
-pi.
-SO_alpha sums over edges, so a graph's value depends only on its joint degree
-matrix (JDM), and values come from the JDM layer in `sombor`: each class's
-key is cached beside its class list, values are computed once per distinct
-key, and Theorem 3, which reports no class, takes its maxima over the keys
-the same walk yields without building or canonically labeling a class. An
-independent strategy filters all edge subsets and is compared class set by
-class set in `verify_enumeration_cross_check`.
+twin and pair pruning (see _kernels). SO_alpha sums over edges, so a graph's
+value depends only on its joint degree matrix (JDM), and values come from the
+JDM layer in `sombor`, once per distinct key. So Gamma(pi) is read by JDM:
+one `GammaRecord` per degree sequence, memoized since the verifiers revisit
+the same pi, groups the walk's leaves by key. A key with one leaf is one
+class; a key with two or more is canonically labeled when the record is
+built, since only labels tell how many classes it holds. Any other class
+gets its canonical label only when a report names it:
+
+  enumerate_gamma, gamma_values, oracle_extrema and the `enumerate` command
+              label every key, and list the classes by canonical code
+  theorem 1   labels the keys attaining the extremum, and runs the BFS
+              recognizer once per class, its verdict kept on the record
+  theorem 2   labels the keys attaining each extremum, for its witness
+  theorem 3   reports no class: its maxima come from the keys alone, with no
+              class built or labeled
+
+An independent strategy filters all edge subsets and is compared class set
+by class set in `verify_enumeration_cross_check`.
 
 Values are binary64, and one rule, `extremum`, decides which classes attain
 an extremum: those whose value equals it exactly, since classes with one JDM
-get bit-identical sums. The relative tolerance 1e-9 (`_close`) only refuses
-what floats cannot resolve: a distinct value within it of an extremum, or of
-Theorem 3's other maximum, raises `ExtremumResolutionError` rather than
-decide a verdict by rounding. Graphs are always compared by canonical code,
-never by float.
+get bit-identical sums. The verifiers apply it to the distinct keys' values,
+which are the same distinct floats as the classes' values. The relative
+tolerance 1e-9 (`_close`) only refuses what floats cannot resolve: a
+distinct value within it of an extremum, or of Theorem 3's other maximum,
+raises `ExtremumResolutionError` rather than decide a verdict by rounding.
+Graphs are always compared by canonical code, never by float.
 
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
 `Caps.enum` and the time budget `Deadline` live in `limits` and are bound
@@ -36,8 +46,9 @@ here too; the cap is checked once, by the CLI, where outside input enters.
 `is_majorized` and `MajorizationVerdict` (from `graphs`) and `Objective` and
 `objective_for_alpha` (from `sombor`) are bound here as well, and so is the
 layer's evaluator, `sombor.values`, as `_values_for_alphas`. The BFS
-recognizer and the constructor are imported by the one verifier that calls
-each (Theorem 1 and Theorem 2), so a sweep loads only the layers it runs.
+recognizer and the constructor are imported where they are called, for
+Theorem 1 (`GammaRecord.special_bfs`) and Theorem 2 (`_theorem2_one`), so a
+sweep loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ from .graphs import (  # noqa: F401
     validate_connected_c_cyclic,
 )
 from .limits import ENUM_N_MAX, Caps, Deadline, load_caps  # noqa: F401
-from .sombor import (REL_TOL, Objective, classify_alpha, edge_pair_counts,
+from .sombor import (REL_TOL, JdmKey, Objective, classify_alpha, edge_pair_counts,
                      objective_for_alpha, values_by_key)
 from .sombor import values as _values_for_alphas
 
@@ -101,13 +112,13 @@ def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
     """All of Gamma(pi) up to isomorphism, sorted by canonical code.
 
     Representatives are canonically labeled, so the list (and every report
-    built from it) is deterministic. The class list is cached per degree
-    sequence; the returned list is a fresh copy. An n above the kernel's
-    `MAX_VERTICES` raises `TooLargeError`; the desk-scale cap is the CLI's.
+    built from it) is deterministic. Gamma(pi) is cached per degree sequence
+    (`GammaRecord`), and this labels every class of it; the returned list is
+    a fresh copy. An n above the kernel's `MAX_VERTICES` raises
+    `TooLargeError`; the desk-scale cap is the CLI's.
     """
-    validate_connected_c_cyclic(pi)
-    _check_kernel_bound(pi.n)
-    return list(_gamma(pi.degrees)[0])
+    record = _record(pi)
+    return [record.graph(bits) for bits, _ in record.labeled()]
 
 
 def _check_kernel_bound(n: int) -> None:
@@ -116,21 +127,83 @@ def _check_kernel_bound(n: int) -> None:
                             f"got n = {n}")
 
 
+class GammaRecord:
+    """Gamma(pi) read by joint degree matrix, labeled only where asked.
+
+    The enumeration walk's leaves are grouped by JDM key
+    (`_kernels.leaves_by_jdm`). A key with one leaf is one class and stays
+    unlabeled. A key with two or more leaves is labeled when the record is
+    built: its leaves' canonical bits, deduplicated and sorted, are its
+    classes. `size`, the class count, is the sum over keys. A one-leaf key
+    is labeled the first time a report asks for its class, and the label,
+    each class's `Graph` and its BFS verdict are kept on the record.
+    """
+
+    def __init__(self, degrees: tuple[int, ...]):
+        self.n = len(degrees)
+        groups = _kernels.leaves_by_jdm(degrees)
+        self.keys: tuple[JdmKey, ...] = tuple(groups)   # walk order
+        self._leaf = {key: leaves[0] for key, leaves in groups.items()
+                      if len(leaves) == 1}
+        self._bits = {key: tuple(sorted({_kernels.canon_bits(adj) for adj in leaves}))
+                      for key, leaves in groups.items() if len(leaves) > 1}
+        self.size = len(self._leaf) + sum(map(len, self._bits.values()))
+        self._graphs: dict[int, Graph] = {}
+        self._verdicts: dict[int, BfsWitness | None] = {}
+
+    def _classes(self, key: JdmKey) -> tuple[int, ...]:
+        """The canonical bits of key's classes, ascending."""
+        if key not in self._bits:
+            self._bits[key] = (_kernels.canon_bits(self._leaf.pop(key)),)
+        return self._bits[key]
+
+    def labeled(self) -> list[tuple[int, JdmKey]]:
+        """(canonical bits, key) of every class, in canonical order."""
+        return sorted((bits, key) for key in self.keys for bits in self._classes(key))
+
+    def graph(self, bits: int) -> Graph:
+        """The canonically labeled representative of the class `bits`."""
+        if bits not in self._graphs:
+            self._graphs[bits] = Graph(self.n, _kernels.bits_to_edges(self.n, bits))
+        return self._graphs[bits]
+
+    def extremum(self, pi: DegreeSequence, table: dict[JdmKey, dict[float, float]],
+                 alpha: float, objective: Objective) -> tuple[float, list[int]]:
+        """`gamma_extremum` over the keys' values in `table` (`values_by_key`),
+        and the canonical bits of the classes that attain it, ascending; only
+        the winning keys are labeled."""
+        value, winners = gamma_extremum(pi, [table[key] for key in self.keys],
+                                        alpha, objective)
+        return value, sorted(bits for i in winners for bits in self._classes(self.keys[i]))
+
+    def special_bfs(self, bits: int, c: int) -> BfsWitness | None:
+        """`is_special_extremal_bfs` of the class `bits`, run once per class."""
+        if bits not in self._verdicts:
+            from .bfs import is_special_extremal_bfs
+            self._verdicts[bits] = is_special_extremal_bfs(self.graph(bits), c)
+        return self._verdicts[bits]
+
+
+def _record(pi: DegreeSequence) -> GammaRecord:
+    """pi's record, after the input checks of `enumerate_gamma`."""
+    validate_connected_c_cyclic(pi)
+    _check_kernel_bound(pi.n)
+    return _gamma(pi.degrees)
+
+
 @functools.lru_cache(maxsize=1024)
-def _gamma(degrees: tuple[int, ...]) -> tuple[tuple[Graph, ...], tuple]:
-    """Gamma(pi)'s classes and, beside them, each class's JDM key."""
-    graphs = tuple(Graph(len(degrees), edges)
-                   for edges in _kernels.enumerate_classes(degrees))
-    return graphs, tuple(edge_pair_counts(g) for g in graphs)
+def _gamma(degrees: tuple[int, ...]) -> GammaRecord:
+    return GammaRecord(degrees)
 
 
 def gamma_values(pi: DegreeSequence, alphas) -> tuple[list[Graph], list[dict[float, float]]]:
     """`enumerate_gamma(pi)` and each class's SO_alpha per alpha; classes with
     one JDM key share one dict."""
-    graphs = enumerate_gamma(pi)
-    keys = _gamma(pi.degrees)[1]
-    table = values_by_key(keys, alphas)
-    return graphs, [table[key] for key in keys]
+    record = _record(pi)
+    classes = record.labeled()
+    table = values_by_key(record.keys, alphas)
+    return ([record.graph(bits) for bits, _ in classes],
+            [table[key] for _, key in classes])
 
 
 # -- the extremum rule ---------------------------------------------------------------
@@ -159,8 +232,9 @@ def extremum(values, objective: Objective) -> tuple[float, tuple[int, ...]]:
 
 def gamma_extremum(pi: DegreeSequence, per_graph, alpha: float,
                    objective: Objective) -> tuple[float, tuple[int, ...]]:
-    """`extremum` over Gamma(pi) at alpha, read off `gamma_values`' per-class
-    dicts; an unresolvable extremum names pi and alpha."""
+    """`extremum` over Gamma(pi) at alpha, read off value dicts per class
+    (`gamma_values`) or per key (`GammaRecord.extremum`); an unresolvable
+    extremum names pi and alpha."""
     try:
         return extremum([v[alpha] for v in per_graph], objective)
     except ExtremumResolutionError as exc:
@@ -234,7 +308,9 @@ class SequenceCheck(NamedTuple):
     class_size: int
     ok: bool
     constructed: Graph
-    oracle_witness: Graph           # a class of Gamma(pi) that attains oracle_value
+    # the class attaining oracle_value with the smallest canonical code; only
+    # the keys attaining it are labeled to find it
+    oracle_witness: Graph
 
     def to_record(self) -> dict:
         """The check's values; a violation also names both graphs in graph6."""
@@ -281,15 +357,16 @@ def _theorem2_one(args) -> list[SequenceCheck]:
     pi = DegreeSequence(degrees)
     built = extremal_graph(pi).graph
     built_values = _values_for_alphas(edge_pair_counts(built), alphas)
-    graphs, per_graph = gamma_values(pi, alphas)
+    record = _record(pi)
+    table = values_by_key(record.keys, alphas)
     checks = []
     for alpha in alphas:
         objective = objective_for_alpha(alpha)
-        oracle_value, winners = gamma_extremum(pi, per_graph, alpha, objective)
+        oracle_value, winners = record.extremum(pi, table, alpha, objective)
         built_value = built_values[alpha]
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
-                                    oracle_value, len(graphs), built_value == oracle_value,
-                                    built, graphs[winners[0]]))
+                                    oracle_value, record.size, built_value == oracle_value,
+                                    built, record.graph(winners[0])))
     return checks
 
 
@@ -379,6 +456,14 @@ def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float,
     return tuple(max(v[a] for v in table.values()) for a in alphas)
 
 
+@functools.lru_cache(maxsize=64)
+def _c_cyclic_sequences(n: int, c: int) -> tuple[DegreeSequence, ...]:
+    """`generate_c_cyclic_sequences(n, c)` without the pendant filter, cached
+    so that the pendant pass of a Theorem 3 sweep filters the list the first
+    pass generated: the pendant ones are those ending in 1, in the same order."""
+    return tuple(generate_c_cyclic_sequences(n, c, require_pendant=False))
+
+
 def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
                     require_pendant: bool = False,
                     deadline: Deadline | None = None) -> Theorem3Report:
@@ -397,7 +482,8 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
         classify_alpha(a)
         if a <= 1:
             raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
-    seqs = generate_c_cyclic_sequences(n, c, require_pendant=require_pendant)
+    seqs = [s for s in _c_cyclic_sequences(n, c)
+            if not require_pendant or s.degrees[-1] == 1]
     maxima = _pmap(_maxima_one, [(s.degrees, alphas) for s in seqs],
                    deadline=deadline)
     pairs: list[PairCheck] = []
@@ -454,19 +540,19 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
     The extremum is the one `objective_for_alpha` pairs with alpha, and only
     that one is resolved; its pool is the classes that attain it exactly.
     """
-    from .bfs import is_special_extremal_bfs
     objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:
         raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")
     c = validate_connected_c_cyclic(pi)
-    graphs, per_graph = gamma_values(pi, (alpha,))
-    value, winners = gamma_extremum(pi, per_graph, alpha, objective)
-    for i in winners:
-        w = is_special_extremal_bfs(graphs[i], c)
+    record = _record(pi)
+    value, winners = record.extremum(pi, values_by_key(record.keys, (alpha,)),
+                                     alpha, objective)
+    for bits in winners:
+        w = record.special_bfs(bits, c)
         if w is not None:
-            return ExistenceReport(pi, alpha, objective.value, value, len(graphs),
-                                   len(winners), True, graphs[i], w)
-    return ExistenceReport(pi, alpha, objective.value, value, len(graphs),
+            return ExistenceReport(pi, alpha, objective.value, value, record.size,
+                                   len(winners), True, record.graph(bits), w)
+    return ExistenceReport(pi, alpha, objective.value, value, record.size,
                            len(winners), False, None, None)
 
 

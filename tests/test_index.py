@@ -229,29 +229,31 @@ def _reference_good_escalating(alpha, bound, max_counterexamples=10):
     if esc.verdict != "escalating":
         return GoodEscalatingReport(alpha, bound, False, "escalating",
                                     esc.counterexamples[:max_counterexamples], cells)
-    bad = []
-    for x in range(1, bound + 1):
-        for y in range(1, bound + 1):
-            cells += 1
-            if h(x, y) < 0:
-                bad.append(Counterexample(x, 0, y, 0, h(x, y), "negative-value"))
-            elif first_partial(x, y, alpha) <= 0:
-                bad.append(Counterexample(x, 0, y, 0, first_partial(x, y, alpha),
-                                          "first-partial"))
-            elif second_partial(x, y, alpha) < -REL_TOL:
-                bad.append(Counterexample(x, 0, y, 0, second_partial(x, y, alpha),
-                                          "second-partial"))
-            if len(bad) >= max_counterexamples:
-                break
-        if bad:
-            break
-    if bad:
-        return GoodEscalatingReport(alpha, bound, False, bad[0].reason,
-                                    tuple(bad[:max_counterexamples]), cells)
+    # every failing grid point with its 1-based position in grid order
+    points = [(x, y) for x in range(1, bound + 1) for y in range(1, bound + 1)]
+    failures = []
+    for i, (x, y) in enumerate(points, 1):
+        if h(x, y) < 0:
+            failures.append((i, Counterexample(x, 0, y, 0, h(x, y), "negative-value")))
+        elif first_partial(x, y, alpha) <= 0:
+            failures.append((i, Counterexample(x, 0, y, 0, first_partial(x, y, alpha),
+                                               "first-partial")))
+        elif second_partial(x, y, alpha) < -REL_TOL:
+            failures.append((i, Counterexample(x, 0, y, 0, second_partial(x, y, alpha),
+                                               "second-partial")))
+    if failures:
+        # the scan stops at failure max(limit, 1) and reports the first limit
+        stop = max(max_counterexamples, 1)
+        cells += failures[stop - 1][0] if len(failures) >= stop else len(points)
+        return GoodEscalatingReport(alpha, bound, False, failures[0][1].reason,
+                                    tuple(c for _, c in failures[:max_counterexamples]),
+                                    cells)
+    cells += len(points)
     bad, three_term_cells = _reference_three_term(h, bound, max_counterexamples)
     cells += three_term_cells
     if bad:
-        return GoodEscalatingReport(alpha, bound, False, "three-term", tuple(bad), cells)
+        return GoodEscalatingReport(alpha, bound, False, "three-term",
+                                    tuple(bad[:max_counterexamples]), cells)
     return GoodEscalatingReport(alpha, bound, True, None, (), cells)
 
 
@@ -521,6 +523,24 @@ def test_good_escalating():
     assert not bad.holds and bad.failed_condition == "escalating"
     neg = check_good_escalating(-1, grid)
     assert not neg.holds and neg.failed_condition == "first-partial"
+
+
+@pytest.mark.parametrize("limit", [0, 1, 10, 1000])
+def test_good_escalating_partial_pass_limits(limit):
+    # the partial pass scans rows in grid order and reports the first `limit`
+    # failures: at alpha 2 every limit checks all 36 points (441 escalating
+    # cells, 36 partial points, 315 three-term cells), and at alpha -1 every
+    # one of the 36 points fails the first partial
+    grid = GridSpec(6)
+    for a in (2, -1):
+        got = check_good_escalating(a, grid, limit)
+        assert got == _reference_good_escalating(a, 6, limit)
+    assert check_good_escalating(2, grid, limit).cells_checked == 792
+    neg = check_good_escalating(-1, grid, limit)
+    assert len(neg.counterexamples) == min(limit, 36)
+    assert [(c.x1, c.x2) for c in neg.counterexamples] == \
+        [(x, y) for x in range(1, 7) for y in range(1, 7)][:limit]
+    assert neg.cells_checked == 441 + max(min(limit, 36), 1)
 
 
 def test_good_escalating_rejects_underflow_before_partials():

@@ -158,14 +158,17 @@ def _jdms_of_classes(pi):
 
 def test_layer_key_matches_literal_reader_n8():
     # every class with n <= 8 and c <= 3: the key a Graph reads, and the one
-    # the oracle caches beside the class list
+    # the oracle's record files the class under
     seqs = _sequences(range(2, 9))
     classes = 0
     for pi in seqs:
-        graphs, keys = oracle._gamma(pi.degrees)
-        for g, key in zip(graphs, keys):
+        record = oracle._gamma(pi.degrees)
+        labeled = record.labeled()
+        for bits, key in labeled:
+            g = record.graph(bits)
             assert key == sombor.edge_pair_counts(g) == _literal_jdm(g), (pi, g.edges)
-        classes += len(graphs)
+        assert len(labeled) == record.size
+        classes += record.size
     assert classes == 1138
 
 
@@ -201,7 +204,14 @@ def test_joint_degree_matrices_match_classes_n9():
     seqs = _sequences(range(2, 10))
     assert len(seqs) == 337
     for pi in seqs:
-        assert _kernels.joint_degree_matrices(pi.degrees) == _jdms_of_classes(pi), pi
+        jdms = _kernels.joint_degree_matrices(pi.degrees)
+        assert jdms == _jdms_of_classes(pi), pi
+        # the oracle's grouping: the same keys, each leaf filed under its own
+        groups = _kernels.leaves_by_jdm(pi.degrees)
+        assert set(groups) == jdms
+        assert [adj for leaves in groups.values() for adj in leaves] == \
+            sorted(_kernels._realizations(pi.degrees), key=lambda adj: list(groups).index(
+                sombor.jdm_key(pi.degrees, adj)))
 
 
 def test_joint_degree_matrices_small():

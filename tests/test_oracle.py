@@ -206,16 +206,114 @@ def test_generated_sequences_are_realizable():
                 assert graphs, pi
 
 
-def test_theorem2_small():
+def _counted(monkeypatch, module, name) -> list:
+    """The argument tuples of every call to module.name from here on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_theorem2_small(monkeypatch):
     for c in (0, 1, 2):
         rep = verify_theorem2(6, c, (0.5, 2.0))
         assert rep.holds, rep
-    # the memoized class lists give the same checks as a fresh enumeration
+    # the memoized records give the same checks as a fresh enumeration: each
+    # pi's record is built once, and the warm sweep finds every label it
+    # needs kept on its record
     _gamma.cache_clear()
     cold = verify_theorem2(6, 1, (0.5, 2.0))
+    canon = _counted(monkeypatch, _kernels, "canon_bits")
     warm = verify_theorem2(6, 1, (0.5, 2.0))
-    assert _gamma.cache_info().hits > 0
+    assert canon == []
+    assert _gamma.cache_info().misses == len(generate_c_cyclic_sequences(6, 1, True))
     assert cold.checks == warm.checks
+
+
+def test_default_sweeps_work_counters(monkeypatch):
+    # machine-independent gates, each from a cleared cache. Theorem 1 labels
+    # only the keys attaining its extremum and recognizes each class once:
+    # the alpha 0.5 minimizer is often the alpha 2 maximizer, so its 170
+    # checks need only 88 recognizer runs.
+    # Theorem 2 labels the keys holding two or more leaves and its winners.
+    from somborlab import bfs
+    canon = _counted(monkeypatch, _kernels, "canon_bits")
+    recognized = _counted(monkeypatch, bfs, "is_special_extremal_bfs")
+    _gamma.cache_clear()
+    checks = 0
+    for c in range(4):
+        for n in range(3, 8):
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
+                for a in DEFAULT_T1_ALPHAS:
+                    assert verify_special_bfs_existence(pi, a).holds
+                    checks += 1
+    assert checks == 170
+    assert len(recognized) == len({format_graph6(g) for g, _ in recognized}) == 88
+    assert len(canon) <= 188
+    canon.clear()
+    _gamma.cache_clear()
+    for c in range(3):
+        for n in range(2, 9):
+            assert verify_theorem2(n, c).holds
+    assert len(canon) <= 427
+
+
+def _reference_winners(graphs, alpha):
+    """The extremum objective_for_alpha picks over the class list, each value
+    read off its graph, and the classes that attain it, in canonical order."""
+    value, winners = oracle.extremum([sombor_general(g, alpha) for g in graphs],
+                                     objective_for_alpha(alpha))
+    return value, [graphs[i] for i in winners]
+
+
+def test_record_matches_class_list_reference():
+    # every sequence with n <= 8 and c <= 3, at the default alphas of
+    # Theorems 1 and 2: the record, labeled lazily from a cleared cache,
+    # against the full class list
+    from somborlab.bfs import is_special_extremal_bfs
+    _gamma.cache_clear()
+    alphas = oracle.DEFAULT_T2_ALPHAS
+    assert set(DEFAULT_T1_ALPHAS) <= set(alphas)
+    classes = 0
+    for c in range(4):
+        for n in range(2, 9):
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
+                record = _gamma(pi.degrees)
+                pendant = pi.degrees[-1] == 1
+                t1 = ({a: verify_special_bfs_existence(pi, a) for a in DEFAULT_T1_ALPHAS}
+                      if pendant and n >= 3 else {})
+                t2 = (oracle._theorem2_one((pi.degrees, alphas))
+                      if pendant and c <= 2 else [])
+                table = sombor.values_by_key(record.keys, alphas)
+                graphs = enumerate_gamma(pi)
+                assert record.size == len(graphs)
+                classes += record.size
+                # at alpha = 1 every class ties, so every key wins at once
+                ties = record.extremum(pi, sombor.values_by_key(record.keys, (1.0,)),
+                                       1.0, Objective.MIN)[1]
+                assert [record.graph(b) for b in ties] == graphs
+                for a in alphas:
+                    value, winners = _reference_winners(graphs, a)
+                    got_value, got = record.extremum(pi, table, a, objective_for_alpha(a))
+                    assert got_value == value and [record.graph(b) for b in got] == winners
+                    if a in t1:
+                        rep = t1[a]
+                        first = next(((g, w) for g in winners
+                                      if (w := is_special_extremal_bfs(g, c)) is not None),
+                                     (None, None))
+                        assert (rep.extremal_value, rep.class_size, rep.witnesses_checked,
+                                rep.witness, rep.witness_ordering) == \
+                            (value, len(graphs), len(winners)) + first, (pi, a)
+                for check in t2:
+                    value, winners = _reference_winners(graphs, check.alpha)
+                    assert (check.oracle_value, check.class_size, check.oracle_witness) == \
+                        (value, len(graphs), winners[0]), (pi, check.alpha)
+    assert classes == 1138
 
 
 def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
@@ -317,19 +415,18 @@ def test_maxima_one_equals_max_over_classes():
 
 
 def test_theorem3_makes_no_canon_calls(monkeypatch):
-    calls = []
-    canon = _kernels.canon_bits
-
-    def counted(adj):
-        calls.append(len(adj))
-        return canon(adj)
-
-    monkeypatch.setattr(_kernels, "canon_bits", counted)
+    # the default sweep, from a cleared cache
+    calls = _counted(monkeypatch, _kernels, "canon_bits")
     _gamma.cache_clear()
     oracle._maxima.cache_clear()
+    pairs = 0
     for pendant in (False, True):
-        rep = verify_theorem3(8, 2, (1.5, 2.0, 3.0), require_pendant=pendant)
-        assert rep.holds and rep.pairs
+        for c in (0, 1, 2):
+            for n in range(2, 9):
+                rep = verify_theorem3(n, c, require_pendant=pendant)
+                assert rep.holds
+                pairs += len(rep.pairs)
+    assert pairs > 0
     assert calls == []
     assert oracle._maxima.cache_info().currsize > 0
     # the matrix path keeps enumerate_gamma's input checks
@@ -396,12 +493,15 @@ def test_theorem3_pendant_pass_reuses_maxima(monkeypatch):
         return values(pairs, alphas)
 
     monkeypatch.setattr(sombor, "values", counted)
+    generated = _counted(monkeypatch, oracle, "generate_c_cyclic_sequences")
     oracle._maxima.cache_clear()
+    oracle._c_cyclic_sequences.cache_clear()
     everything = verify_theorem3(7, 1, (1.5, 2.0))
-    assert calls
+    assert calls and len(generated) == 1
     calls.clear()
     pendant = verify_theorem3(7, 1, (1.5, 2.0), require_pendant=True)
-    assert calls == [] and pendant.pairs
+    # the pendant pass filters the list the first pass generated
+    assert calls == [] and pendant.pairs and len(generated) == 1
     # every pendant maximum is the one the first pass computed
     first = {(p.lower, p.alpha): p.lower_max for p in everything.pairs}
     for p in pendant.pairs:
