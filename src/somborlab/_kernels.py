@@ -17,17 +17,16 @@ the choosing row; pair pruning is it for sigma = (v-1 v). L passes both, so
 every class keeps a leaf, and over every sequence with n <= 9 and c <= 3 the
 walk yields 1.24 leaves per class (5,311 for 4,297).
 
-The walker has three consumers. `enumerate_classes` dedups the leaves by
-canonical bits into isomorphism classes. `joint_degree_matrices` collects
-their joint degree matrices, each read by `sombor.jdm_key`: all that an index
-summed over edges can see, found without canonical labeling.
-`leaves_by_jdm` groups the leaves by that key and labels none of them; the
-oracle labels a group only where a report needs its classes, and at once
-only where the group holds two or more leaves, since only labels tell how
-many classes those are. The walk is one loop over an explicit stack, and it
-hands the consumer the leaves of the vertex-by-vertex backtracking one at a
-time, in backtracking order; their count over every sequence with c <= 3 is
-pinned in the tests.
+The walker has two consumers. `enumerate_classes` dedups the leaves by
+canonical bits into isomorphism classes. `leaves_by_jdm` groups them by
+their joint degree matrix, read by `sombor.jdm_key`: all that an index
+summed over edges can see, found without canonical labeling. It labels none
+of them; the oracle labels a group only where a report needs its classes,
+and at once only where the group holds two or more leaves, since only labels
+tell how many classes those are. The walk is one loop over an explicit
+stack, and it hands the consumer the leaves of the vertex-by-vertex
+backtracking one at a time, in backtracking order; their count over every
+sequence with c <= 3 is pinned in the tests.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
@@ -363,12 +362,6 @@ def enumerate_classes(degrees) -> list[tuple[tuple[int, int], ...]]:
     """
     reps = {canon_bits(adj) for adj in _realizations(degrees)}
     return [bits_to_edges(len(degrees), b) for b in sorted(reps)]
-
-
-def joint_degree_matrices(degrees) -> set[JdmKey]:
-    """Joint degree matrices (`sombor.jdm_key`) of the connected realizations
-    of `degrees`; non-isomorphic classes may share one."""
-    return {jdm_key(degrees, adj) for adj in _realizations(degrees)}
 
 
 def leaves_by_jdm(degrees) -> dict[JdmKey, list[tuple[int, ...]]]:

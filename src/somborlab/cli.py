@@ -202,25 +202,27 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from .graphs import format_graph6, parse_degree_sequence
-    from .oracle import Objective, gamma_extremum, gamma_values
+    from .oracle import Objective, gamma_record
+    from .sombor import values_by_key
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
     _check_cap(pi.n, caps)
     alphas = _alpha_list(args.alpha) if args.alpha else ()
-    graphs, values = gamma_values(pi, alphas)
-    classes = []
-    for g, vals in zip(graphs, values):
-        entry = {"graph6": format_graph6(g), "so": {_alpha_key(a): vals[a] for a in alphas}}
-        classes.append(entry)
+    gamma = gamma_record(pi)
+    values = values_by_key(gamma.keys, alphas)
+    by_bits = {bits: {"graph6": format_graph6(gamma.graph(bits)),
+                      "so": {_alpha_key(a): values[key][a] for a in alphas}}
+               for bits, key in gamma.labeled()}
     for a in alphas:
         for objective in (Objective.MIN, Objective.MAX):
-            winners = gamma_extremum(pi, values, a, objective)[1]
-            for i, entry in enumerate(classes):
-                entry.setdefault(f"is_{objective.value}", {})[_alpha_key(a)] = i in winners
+            winners = set(gamma.extremum(values, a, objective)[1])
+            for bits, entry in by_bits.items():
+                entry.setdefault(f"is_{objective.value}", {})[_alpha_key(a)] = bits in winners
+    classes = list(by_bits.values())
     record = {
         "command": "enumerate",
         "pi": list(pi.degrees),
-        "class_size": len(graphs),
+        "class_size": len(classes),
         "classes": classes,
     }
     if args.format == "graph6":

@@ -13,31 +13,33 @@ as finite checks:
 The primary enumeration backtracks over neighbour assignments with residual,
 twin and pair pruning (see _kernels). SO_alpha sums over edges, so a graph's
 value depends only on its joint degree matrix (JDM), and values come from the
-JDM layer in `sombor`, once per distinct key. So Gamma(pi) is read by JDM:
-one `GammaRecord` per degree sequence, memoized since the verifiers revisit
-the same pi, groups the walk's leaves by key. A key with one leaf is one
-class; a key with two or more is canonically labeled when the record is
-built, since only labels tell how many classes it holds. Any other class
-gets its canonical label only when a report names it:
+JDM layer in `sombor`, once per distinct key. So Gamma(pi) is read by JDM,
+from the walk's leaves grouped by key (`_kernels.leaves_by_jdm`), and its
+classes only through pi's `GammaRecord` (`gamma_record`), memoized since the
+verifiers revisit the same pi. A key with one leaf is one class; a key with
+two or more is canonically labeled when the record is built, since only
+labels tell how many classes it holds. Any other class gets its canonical
+label only when a report names it:
 
-  enumerate_gamma, gamma_values, oracle_extrema and the `enumerate` command
+  enumerate_gamma and the `enumerate` command
               label every key, and list the classes by canonical code
-  theorem 1   labels the keys attaining the extremum, and runs the BFS
-              recognizer once per class, its verdict kept on the record
-  theorem 2   labels the keys attaining each extremum, for its witness
-  theorem 3   reports no class: its maxima come from the keys alone, with no
-              class built or labeled
+  oracle_extrema, theorem 1 and theorem 2
+              label the keys attaining each extremum, for their witnesses;
+              theorem 1 keeps each class's BFS verdict on the record
+  theorem 3   reports no class: its maxima come from the keys alone, and it
+              keeps no record
 
 An independent strategy filters all edge subsets and is compared class set
 by class set in `verify_enumeration_cross_check`.
 
 Values are binary64, and one rule, `extremum`, decides which classes attain
 an extremum: those whose value equals it exactly, since classes with one JDM
-get bit-identical sums. The verifiers apply it to the distinct keys' values,
-which are the same distinct floats as the classes' values. The relative
-tolerance 1e-9 (`_close`) only refuses what floats cannot resolve: a
-distinct value within it of an extremum, or of Theorem 3's other maximum,
-raises `ExtremumResolutionError` rather than decide a verdict by rounding.
+get bit-identical sums. `GammaRecord.extremum` applies it to the distinct
+keys' values, which are the same distinct floats as the classes' values.
+The relative tolerance 1e-9 (`_close`) only refuses what floats cannot
+resolve: a distinct value within it of an extremum, or of Theorem 3's other
+maximum, raises `ExtremumResolutionError` rather than decide a verdict by
+rounding.
 Graphs are always compared by canonical code, never by float.
 
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
@@ -117,7 +119,7 @@ def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
     a fresh copy. An n above the kernel's `MAX_VERTICES` raises
     `TooLargeError`; the desk-scale cap is the CLI's.
     """
-    record = _record(pi)
+    record = gamma_record(pi)
     return [record.graph(bits) for bits, _ in record.labeled()]
 
 
@@ -140,6 +142,7 @@ class GammaRecord:
     """
 
     def __init__(self, degrees: tuple[int, ...]):
+        self.degrees = degrees
         self.n = len(degrees)
         groups = _kernels.leaves_by_jdm(degrees)
         self.keys: tuple[JdmKey, ...] = tuple(groups)   # walk order
@@ -167,13 +170,19 @@ class GammaRecord:
             self._graphs[bits] = Graph(self.n, _kernels.bits_to_edges(self.n, bits))
         return self._graphs[bits]
 
-    def extremum(self, pi: DegreeSequence, table: dict[JdmKey, dict[float, float]],
-                 alpha: float, objective: Objective) -> tuple[float, list[int]]:
-        """`gamma_extremum` over the keys' values in `table` (`values_by_key`),
+    def extremum(self, table: dict[JdmKey, dict[float, float]], alpha: float,
+                 objective: Objective) -> tuple[float, list[int]]:
+        """`extremum` over the keys' values at alpha in `table` (`values_by_key`),
         and the canonical bits of the classes that attain it, ascending; only
-        the winning keys are labeled."""
-        value, winners = gamma_extremum(pi, [table[key] for key in self.keys],
-                                        alpha, objective)
+        the winning keys are labeled. An unresolvable extremum names pi and
+        alpha."""
+        try:
+            value, winners = extremum([table[key][alpha] for key in self.keys], objective)
+        except ExtremumResolutionError as exc:
+            raise ExtremumResolutionError(
+                f"cannot resolve the {objective.value} of SO_alpha over Gamma(pi) at "
+                f"alpha = {alpha!r} for pi = {','.join(map(str, self.degrees))}: "
+                f"{exc}") from None
         return value, sorted(bits for i in winners for bits in self._classes(self.keys[i]))
 
     def special_bfs(self, bits: int, c: int) -> BfsWitness | None:
@@ -184,8 +193,9 @@ class GammaRecord:
         return self._verdicts[bits]
 
 
-def _record(pi: DegreeSequence) -> GammaRecord:
-    """pi's record, after the input checks of `enumerate_gamma`."""
+def gamma_record(pi: DegreeSequence) -> GammaRecord:
+    """pi's memoized record. pi must be connected-realizable with n at most
+    the kernel's `MAX_VERTICES`, or this raises."""
     validate_connected_c_cyclic(pi)
     _check_kernel_bound(pi.n)
     return _gamma(pi.degrees)
@@ -194,16 +204,6 @@ def _record(pi: DegreeSequence) -> GammaRecord:
 @functools.lru_cache(maxsize=1024)
 def _gamma(degrees: tuple[int, ...]) -> GammaRecord:
     return GammaRecord(degrees)
-
-
-def gamma_values(pi: DegreeSequence, alphas) -> tuple[list[Graph], list[dict[float, float]]]:
-    """`enumerate_gamma(pi)` and each class's SO_alpha per alpha; classes with
-    one JDM key share one dict."""
-    record = _record(pi)
-    classes = record.labeled()
-    table = values_by_key(record.keys, alphas)
-    return ([record.graph(bits) for bits, _ in classes],
-            [table[key] for _, key in classes])
 
 
 # -- the extremum rule ---------------------------------------------------------------
@@ -230,19 +230,6 @@ def extremum(values, objective: Objective) -> tuple[float, tuple[int, ...]]:
     return best, tuple(i for i, v in enumerate(values) if v == best)
 
 
-def gamma_extremum(pi: DegreeSequence, per_graph, alpha: float,
-                   objective: Objective) -> tuple[float, tuple[int, ...]]:
-    """`extremum` over Gamma(pi) at alpha, read off value dicts per class
-    (`gamma_values`) or per key (`GammaRecord.extremum`); an unresolvable
-    extremum names pi and alpha."""
-    try:
-        return extremum([v[alpha] for v in per_graph], objective)
-    except ExtremumResolutionError as exc:
-        raise ExtremumResolutionError(
-            f"cannot resolve the {objective.value} of SO_alpha over Gamma(pi) at "
-            f"alpha = {alpha!r} for pi = {','.join(map(str, pi.degrees))}: {exc}") from None
-
-
 class ExtremaReport(NamedTuple):
     pi: DegreeSequence
     alpha: float
@@ -255,11 +242,12 @@ class ExtremaReport(NamedTuple):
 
 def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
     classify_alpha(alpha)       # rejects zero and non-finite alpha; at 1 all tie
-    graphs, per_graph = gamma_values(pi, (alpha,))
-    lo, min_i = gamma_extremum(pi, per_graph, alpha, Objective.MIN)
-    hi, max_i = gamma_extremum(pi, per_graph, alpha, Objective.MAX)
-    return ExtremaReport(pi, alpha, lo, hi, tuple(graphs[i] for i in min_i),
-                         tuple(graphs[i] for i in max_i), len(graphs))
+    record = gamma_record(pi)
+    table = values_by_key(record.keys, (alpha,))
+    lo, min_bits = record.extremum(table, alpha, Objective.MIN)
+    hi, max_bits = record.extremum(table, alpha, Objective.MAX)
+    return ExtremaReport(pi, alpha, lo, hi, tuple(map(record.graph, min_bits)),
+                         tuple(map(record.graph, max_bits)), record.size)
 
 
 # -- sequence generation -----------------------------------------------------------
@@ -351,18 +339,17 @@ class Theorem2Report(NamedTuple):
         }
 
 
-def _theorem2_one(args) -> list[SequenceCheck]:
+def _theorem2_one(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> list[SequenceCheck]:
     from .construct import extremal_graph
-    degrees, alphas = args
     pi = DegreeSequence(degrees)
     built = extremal_graph(pi).graph
     built_values = _values_for_alphas(edge_pair_counts(built), alphas)
-    record = _record(pi)
+    record = gamma_record(pi)
     table = values_by_key(record.keys, alphas)
     checks = []
     for alpha in alphas:
         objective = objective_for_alpha(alpha)
-        oracle_value, winners = record.extremum(pi, table, alpha, objective)
+        oracle_value, winners = record.extremum(table, alpha, objective)
         built_value = built_values[alpha]
         checks.append(SequenceCheck(pi, alpha, objective.value, built_value,
                                     oracle_value, record.size, built_value == oracle_value,
@@ -386,9 +373,10 @@ def verify_theorem2(n: int, c: int, alphas=DEFAULT_T2_ALPHAS, *,
         raise EmptySweepError("theorem 2 needs at least one alpha")
     for a in alphas:
         objective_for_alpha(a)
+    _check_kernel_bound(n)
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=True)
-    groups = _pmap(_theorem2_one, [(s.degrees, alphas) for s in seqs],
-                   deadline=deadline)
+    groups = _pmap(lambda degrees: _theorem2_one(degrees, alphas),
+                   [s.degrees for s in seqs], deadline=deadline)
     checks = tuple(ch for group in groups for ch in group)
     return Theorem2Report(n, c, alphas, checks, all(ch.ok for ch in checks),
                           time.monotonic() - t0)
@@ -436,23 +424,17 @@ class Theorem3Report(NamedTuple):
         }
 
 
-def _maxima_one(args) -> tuple[float, ...]:
-    """Max SO_alpha over Gamma(pi) per alpha, read off the joint degree matrices.
-
-    No class is reported, so no class is built: the values depend only on
-    each graph's matrix, and the realization walk yields every matrix
-    Gamma(pi) realizes. The maxima are cached per (pi, alphas), since the
-    pendant pass of a sweep revisits every pendant pi.
-    """
-    degrees, alphas = args
-    validate_connected_c_cyclic(DegreeSequence(degrees))
-    _check_kernel_bound(len(degrees))
-    return _maxima(degrees, alphas)
-
-
 @functools.lru_cache(maxsize=1024)
 def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float, ...]:
-    table = values_by_key(_kernels.joint_degree_matrices(degrees), alphas)
+    """Max SO_alpha over Gamma(pi) per alpha, read off the JDM keys of the
+    walk's leaves (`_kernels.leaves_by_jdm`).
+
+    No class is reported, so none is built or labeled, and the leaves are
+    dropped after the call rather than kept on pi's record. The maxima are
+    cached per (pi, alphas), since the pendant pass of a sweep revisits
+    every pendant pi.
+    """
+    table = values_by_key(_kernels.leaves_by_jdm(degrees), alphas)
     return tuple(max(v[a] for v in table.values()) for a in alphas)
 
 
@@ -482,10 +464,10 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
         classify_alpha(a)
         if a <= 1:
             raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
+    _check_kernel_bound(n)
     seqs = [s for s in _c_cyclic_sequences(n, c)
             if not require_pendant or s.degrees[-1] == 1]
-    maxima = _pmap(_maxima_one, [(s.degrees, alphas) for s in seqs],
-                   deadline=deadline)
+    maxima = _pmap(lambda s: _maxima(s.degrees, alphas), seqs, deadline=deadline)
     pairs: list[PairCheck] = []
     for i, lo in enumerate(seqs):
         # lo majorized by hi (so lo != hi) forces lo_k < hi_k at their first
@@ -544,9 +526,8 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
     if pi.degrees[-1] != 1:
         raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")
     c = validate_connected_c_cyclic(pi)
-    record = _record(pi)
-    value, winners = record.extremum(pi, values_by_key(record.keys, (alpha,)),
-                                     alpha, objective)
+    record = gamma_record(pi)
+    value, winners = record.extremum(values_by_key(record.keys, (alpha,)), alpha, objective)
     for bits in winners:
         w = record.special_bfs(bits, c)
         if w is not None:

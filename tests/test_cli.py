@@ -171,6 +171,23 @@ def test_enumerate_exact_ties_mark_min_and_max(capsys):
         assert entry["is_min"] == entry["is_max"] == {"1": True}
 
 
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "063684a9a49de0909425192b3d228cfd6502d93c48f7fe64a45eccacfd68a6c3"),
+    ("table", "4c32028d33d1612883b9093fc15db339a27bfb93b99c830f62bc16c57a8f826c"),
+])
+def test_enumerate_marks_every_class_of_a_winning_key(capsys, fmt, digest):
+    # Gq`@?_ and GsP@?_ share one JDM, the only one attaining the min at
+    # alpha 0.5 and the max at alpha 2: both classes carry both marks
+    code, out, _ = run(capsys, "enumerate", "--pi", "3,3,2,2,1^4", "--alpha", "0.5,2",
+                       "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if fmt == "table":
+        marked = [line.split("\t")[0] for line in out.splitlines()
+                  if line.split("\t")[2::2] == ["min", "max"]]
+        assert marked == ["Gq`@?_", "GsP@?_"]
+
+
 def test_alpha_keys_keep_distinct_alphas(capsys, monkeypatch):
     # the :g form keeps 6 digits, so these alphas used to share one key
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))

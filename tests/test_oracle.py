@@ -129,7 +129,11 @@ def test_exact_pools_equal_the_tolerance_pools():
     seqs.append(parse_degree_sequence("3,3,2^7"))
     built_checks = 0
     for pi in seqs:
-        graphs, per_graph = oracle.gamma_values(pi, alphas)
+        record = oracle.gamma_record(pi)
+        table = sombor.values_by_key(record.keys, alphas)
+        classes = record.labeled()
+        graphs = [record.graph(bits) for bits, _ in classes]
+        per_graph = [table[key] for _, key in classes]
         c = sum(pi.degrees) // 2 - pi.n + 1
         built = extremal_graph(pi).graph if pi.degrees[-1] == 1 and c <= 2 else None
         for a in alphas:
@@ -283,23 +287,23 @@ def test_record_matches_class_list_reference():
     for c in range(4):
         for n in range(2, 9):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
-                record = _gamma(pi.degrees)
+                record = oracle.gamma_record(pi)
                 pendant = pi.degrees[-1] == 1
                 t1 = ({a: verify_special_bfs_existence(pi, a) for a in DEFAULT_T1_ALPHAS}
                       if pendant and n >= 3 else {})
-                t2 = (oracle._theorem2_one((pi.degrees, alphas))
+                t2 = (oracle._theorem2_one(pi.degrees, alphas)
                       if pendant and c <= 2 else [])
                 table = sombor.values_by_key(record.keys, alphas)
                 graphs = enumerate_gamma(pi)
                 assert record.size == len(graphs)
                 classes += record.size
                 # at alpha = 1 every class ties, so every key wins at once
-                ties = record.extremum(pi, sombor.values_by_key(record.keys, (1.0,)),
+                ties = record.extremum(sombor.values_by_key(record.keys, (1.0,)),
                                        1.0, Objective.MIN)[1]
                 assert [record.graph(b) for b in ties] == graphs
                 for a in alphas:
                     value, winners = _reference_winners(graphs, a)
-                    got_value, got = record.extremum(pi, table, a, objective_for_alpha(a))
+                    got_value, got = record.extremum(table, a, objective_for_alpha(a))
                     assert got_value == value and [record.graph(b) for b in got] == winners
                     if a in t1:
                         rep = t1[a]
@@ -403,14 +407,14 @@ def test_theorem3_pairs_equal_all_ordered_pairs():
                 assert [(p.lower, p.upper) for p in rep.pairs] == want, (n, c, pendant)
 
 
-def test_maxima_one_equals_max_over_classes():
+def test_maxima_equal_max_over_classes():
     alphas = (1.5, 2.0, 3.0)
     for n in range(2, 9):
         for c in range(4):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
                 graphs = enumerate_gamma(pi)
                 expected = [max(sombor_general(g, a) for g in graphs) for a in alphas]
-                got = oracle._maxima_one((pi.degrees, alphas))
+                got = oracle._maxima(pi.degrees, alphas)
                 assert [x.hex() for x in got] == [x.hex() for x in expected], pi
 
 
@@ -429,11 +433,18 @@ def test_theorem3_makes_no_canon_calls(monkeypatch):
     assert pairs > 0
     assert calls == []
     assert oracle._maxima.cache_info().currsize > 0
-    # the matrix path keeps enumerate_gamma's input checks
-    with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
-        verify_theorem3(17, 0)
-    with pytest.raises(NotGraphicalError):
-        oracle._maxima_one(((3, 3, 1, 1), (2.0,)))
+
+
+def test_sweeps_check_the_kernel_bound_before_generating(monkeypatch):
+    # the matrix path keeps enumerate_gamma's kernel bound, checked before
+    # any sequence is generated
+    generated = _counted(monkeypatch, oracle, "generate_c_cyclic_sequences")
+    oracle._c_cyclic_sequences.cache_clear()
+    for call in (lambda: verify_theorem2(17, 0), lambda: verify_theorem3(17, 0),
+                 lambda: verify_theorem3(17, 1, require_pendant=True)):
+        with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
+            call()
+    assert generated == []
 
 
 def test_too_small_n_is_a_validation_error():
@@ -517,12 +528,12 @@ def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
         verify_theorem3(8, 1, (100.0,))
     assert issubclass(ExtremumResolutionError, ValidationError)
     # a maximum below its partner's by more than the tolerance stays a violation
-    monkeypatch.setattr(oracle, "_maxima_one",
-                        lambda args: (1.0 / sum(d * d for d in args[0]),))
+    monkeypatch.setattr(oracle, "_maxima",
+                        lambda degrees, alphas: (1.0 / sum(d * d for d in degrees),))
     rep = verify_theorem3(6, 0, (2.0,))
     assert rep.pairs and not rep.holds
     assert not any(p.ok for p in rep.pairs)
-    monkeypatch.setattr(oracle, "_maxima_one", lambda args: (1.0,))
+    monkeypatch.setattr(oracle, "_maxima", lambda degrees, alphas: (1.0,))
     with pytest.raises(ExtremumResolutionError):
         verify_theorem3(6, 0, (2.0,))
 
