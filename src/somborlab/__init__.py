@@ -20,16 +20,18 @@ _EXPORTS = {
     "bfs": ("BfsWitness", "bfs_distances", "is_bfs_graph", "is_special_extremal_bfs",
             "witness_violation"),
     "construct": ("ConstructionResult", "extremal_graph"),
-    "graphs": ("CanonicalCode", "DegreeSequence", "Graph", "MajorizationVerdict",
-               "canonical_code", "canonical_form", "degree_sequence_of",
-               "format_degree_sequence", "format_edge_list", "format_graph6", "is_connected",
-               "is_majorized", "parse_degree_sequence", "parse_edge_list", "parse_graph6",
-               "reduced_graph", "to_dot", "validate_connected_c_cyclic"),
+    "crosscheck": ("verify_enumeration_cross_check",),
+    "formats": ("CanonicalCode", "canonical_code", "canonical_form", "format_edge_list",
+                "parse_degree_sequence", "parse_edge_list", "parse_graph6", "reduced_graph",
+                "to_dot"),
+    "graphs": ("DegreeSequence", "Graph", "MajorizationVerdict", "degree_sequence_of",
+               "format_degree_sequence", "format_graph6", "is_connected", "is_majorized",
+               "validate_connected_c_cyclic"),
     "indices": ("BivariateFunction", "GridSpec", "check_escalating", "check_good_escalating"),
     "limits": ("Caps", "Deadline", "load_caps"),
     "oracle": ("ExtremaReport", "enumerate_gamma", "generate_c_cyclic_sequences",
-               "oracle_extrema", "verify_enumeration_cross_check",
-               "verify_special_bfs_existence", "verify_theorem2", "verify_theorem3"),
+               "oracle_extrema", "verify_special_bfs_existence", "verify_theorem2",
+               "verify_theorem3"),
     "sombor": ("AlphaRegime", "Objective", "classify_alpha", "connectivity_function",
                "objective_for_alpha", "sombor_general"),
 }

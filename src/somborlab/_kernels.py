@@ -26,7 +26,10 @@ and at once only where the group holds two or more leaves, since only labels
 tell how many classes those are. The walk is one loop over an explicit
 stack, and it hands the consumer the leaves of the vertex-by-vertex
 backtracking one at a time, in backtracking order; their count over every
-sequence with c <= 3 is pinned in the tests.
+sequence with c <= 3 is pinned in the tests. The independent subset filter
+that the walk is checked against lives in `crosscheck`, which no sweep
+loads; it takes nothing from here but `MAX_VERTICES`, `connected_masks` and
+`canon_bits`.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first
@@ -52,8 +55,6 @@ exact on regular graphs. Two identities keep it cheap without changing a code:
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .sombor import JdmKey, jdm_key
 
@@ -375,33 +376,3 @@ def leaves_by_jdm(degrees) -> dict[JdmKey, list[tuple[int, ...]]]:
     for adj in _realizations(degrees):
         out.setdefault(jdm_key(degrees, adj), []).append(adj)
     return out
-
-
-def classes_by_sequence(n: int, m: int) -> dict[tuple[int, ...], frozenset[int]]:
-    """Independent cross-check enumerator: filter all m-subsets of vertex pairs.
-
-    Returns, per sorted-non-increasing degree sequence, the frozenset of
-    canonical bit keys of the connected graphs on exactly n vertices (no
-    isolated vertex) among all C(n(n-1)/2, m) edge subsets. Deliberately shares
-    no search logic with `enumerate_classes`.
-
-    Symmetry reduction: only subsets whose degrees are non-increasing by vertex
-    label are connectivity-tested and canonicalized. Relabeling by degree maps
-    any graph to such a subset, so every class is still found.
-    """
-    if n < 2 or n > MAX_VERTICES:
-        raise ValueError(f"kernel handles 2 <= n <= {MAX_VERTICES}, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out: dict[tuple[int, ...], set[int]] = {}
-    for subset in combinations(pairs, m):
-        adj = [0] * n
-        for u, v in subset:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        degs = [a.bit_count() for a in adj]
-        if degs[-1] == 0 or degs != sorted(degs, reverse=True):
-            continue
-        if not connected_masks(adj):
-            continue
-        out.setdefault(tuple(degs), set()).add(canon_bits(adj))
-    return {k: frozenset(v) for k, v in out.items()}

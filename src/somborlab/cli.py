@@ -13,10 +13,15 @@ SOMBOR_CAPS (e.g. "enum=12") is its only override, up to the kernel's 16.
 The cap and the `--time-budget` deadline come from `limits`.
 
 At load time this module imports only `errors`, `limits` and the package
-version, so `--version` loads no library layer. Each command imports the
-layers it runs when it runs: `verify --theorem prop1` loads `sombor` and
-`indices` alone, never `graphs`, `oracle` or the kernel, and `majorize`
-loads `graphs` but not the kernel.
+version, so `--version` loads no library layer, and it holds only `verify`
+and what every command shares: the parser, the argument helpers, `_emit`
+and the exit codes. The parser refers to the handlers of the single-input
+commands (construct, eval, enumerate, majorize) by name, and `main` imports
+their module, `_commands`, only when one of them runs, so no verify sweep
+compiles them. Each command imports the layers it runs when it runs:
+`verify --theorem prop1` loads `sombor` and `indices` alone, never
+`graphs`, `oracle` or the kernel, and `majorize` loads `graphs` and
+`formats` but not the kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import sys
 
 from . import __version__
 from .errors import (EmptySweepError, SomborlabError, TimeBudgetExceededError,
-                     TooLargeError, UnsupportedObjectiveError, ValidationError)
+                     TooLargeError, ValidationError)
 from .limits import Caps, Deadline, load_caps
 
 EXIT_OK = 0
@@ -71,6 +76,8 @@ def _int_list(text: str) -> tuple[int, ...]:
         values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise ValidationError(f"bad integer list {text!r}")
+    if not values:
+        raise ValidationError("integer list is empty")
     return _distinct(values, "integer", text)
 
 
@@ -89,188 +96,10 @@ def _emit(record: dict, fmt: str, table_lines) -> None:
         print(text)
 
 
-def _alpha_key(alpha: float) -> str:
-    """`alpha` in `:g` form ("0.5", "2", "-1"), or its repr where that form
-    would read back as another float, so that distinct alphas get distinct keys."""
-    short = f"{alpha:g}"
-    return short if float(short) == alpha else repr(alpha)
-
-
-def _read_graph(path: str, input_format: str):
-    from .graphs import parse_edge_list, parse_graph6
-    try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read graph file {path!r}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ValidationError(f"graph file {path!r} is not ASCII text") from None
-    if input_format == "graph6":
-        return parse_graph6(text)
-    if input_format == "edgelist":
-        return parse_edge_list(text)
-    # the first line that is neither blank nor a comment; graph6 never starts with "#"
-    first = next((line for line in map(str.strip, text.splitlines())
-                  if line and not line.startswith("#")), "")
-    parts = first.split()
-    if len(parts) == 2 and all(p.isdigit() for p in parts):
-        return parse_edge_list(text)
-    return parse_graph6(text)
-
-
-def cmd_construct(args) -> int:
-    """Build `extremal_graph(pi)`; `--objective` must be the one its alpha pairs with."""
-    from .construct import extremal_graph
-    from .graphs import format_degree_sequence, format_graph6, parse_degree_sequence, to_dot
-    from .sombor import objective_for_alpha, sombor_general
-    pi = parse_degree_sequence(args.pi)
-    alphas = _alpha_list(args.alpha)
-    if args.objective:
-        if len(alphas) != 1:
-            raise ValidationError("--objective needs exactly one --alpha value")
-        if objective_for_alpha(alphas[0]).value != args.objective:
-            raise UnsupportedObjectiveError(
-                f"objective {args.objective} does not pair with alpha = {alphas[0]:g}")
-    result = extremal_graph(pi)
-    g = result.graph
-    so = {_alpha_key(a): sombor_general(g, a) for a in alphas}
-    record = {
-        "command": "construct",
-        "pi": list(pi.degrees),
-        "pi_text": format_degree_sequence(pi),
-        "resorted": pi.resorted,
-        "class": result.klass,
-        "case": result.case,
-        "n": g.n,
-        "m": g.m,
-        "edges": [list(e) for e in g.edges],
-        "ordering": list(result.ordering),
-        "layers": list(result.layers),
-        "graph6": format_graph6(g),
-        "so": so,
-    }
-    if args.format == "dot":
-        out = to_dot(g)
-        for a in alphas:
-            out += f"// SO_{_alpha_key(a)} = {so[_alpha_key(a)]!r}\n"
-        print(out, end="")
-    elif args.format == "graph6":
-        print(format_graph6(g))
-        for a in alphas:
-            print(f"SO_{_alpha_key(a)} = {so[_alpha_key(a)]!r}")
-    else:
-        def table():
-            yield f"class      {result.klass}" + (f" (case {result.case})" if result.case else "")
-            yield f"graph6     {format_graph6(g)}"
-            yield f"edges      {' '.join(f'{u}-{v}' for u, v in g.edges)}"
-            yield f"ordering   {' '.join(map(str, result.ordering))}"
-            yield f"layers     {' '.join(map(str, result.layers))}"
-            for a in alphas:
-                yield f"SO_{_alpha_key(a):<8} {so[_alpha_key(a)]!r}"
-        _emit(record, args.format, table)
-    return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    from .graphs import degree_sequence_of, format_degree_sequence, format_graph6, is_connected
-    from .sombor import sombor_general
-    g = _read_graph(args.graph, args.input_format)
-    if not is_connected(g):
-        raise ValidationError("input graph is not connected")
-    alphas = _alpha_list(args.alpha)
-    so = {_alpha_key(a): sombor_general(g, a) for a in alphas}
-    record = {
-        "command": "eval",
-        "n": g.n,
-        "m": g.m,
-        "degrees": list(degree_sequence_of(g).degrees),
-        "graph6": format_graph6(g),
-        "so": so,
-    }
-
-    def table():
-        yield f"n={g.n} m={g.m} degrees={format_degree_sequence(degree_sequence_of(g))}"
-        for a in alphas:
-            yield f"SO_{_alpha_key(a):<8} {so[_alpha_key(a)]!r}"
-
-    _emit(record, args.format, table)
-    return EXIT_OK
-
-
-def cmd_enumerate(args) -> int:
-    from .graphs import format_graph6, parse_degree_sequence
-    from .oracle import Objective, gamma_record
-    from .sombor import values_by_key
-    caps = load_caps()
-    pi = parse_degree_sequence(args.pi)
-    _check_cap(pi.n, caps)
-    alphas = _alpha_list(args.alpha) if args.alpha else ()
-    gamma = gamma_record(pi)
-    values = values_by_key(gamma.keys, alphas)
-    by_bits = {bits: {"graph6": format_graph6(gamma.graph(bits)),
-                      "so": {_alpha_key(a): values[key][a] for a in alphas}}
-               for bits, key in gamma.labeled()}
-    for a in alphas:
-        for objective in (Objective.MIN, Objective.MAX):
-            winners = set(gamma.extremum(values, a, objective)[1])
-            for bits, entry in by_bits.items():
-                entry.setdefault(f"is_{objective.value}", {})[_alpha_key(a)] = bits in winners
-    classes = list(by_bits.values())
-    record = {
-        "command": "enumerate",
-        "pi": list(pi.degrees),
-        "class_size": len(classes),
-        "classes": classes,
-    }
-    if args.format == "graph6":
-        for entry in classes:
-            print(entry["graph6"])
-    else:
-        def table():
-            for entry in classes:
-                cols = [entry["graph6"]]
-                for a in alphas:
-                    cols.append(repr(entry["so"][_alpha_key(a)]))
-                    marks = ""
-                    if entry["is_min"][_alpha_key(a)]:
-                        marks += "min"
-                    if entry["is_max"][_alpha_key(a)]:
-                        marks += "+max" if marks else "max"
-                    cols.append(marks or "-")
-                yield "\t".join(cols)
-        _emit(record, args.format, table)
-    return EXIT_OK
-
-
-def cmd_majorize(args) -> int:
-    from .graphs import format_degree_sequence, is_majorized, parse_degree_sequence
-    x = parse_degree_sequence(args.x)
-    y = parse_degree_sequence(args.y)
-    verdict = is_majorized(x, y)
-    record = {
-        "command": "majorize",
-        "x": list(x.degrees),
-        "y": list(y.degrees),
-        "holds": verdict.holds,
-        "failing_prefix": verdict.failing_prefix,
-    }
-
-    def table():
-        yield f"{format_degree_sequence(x)} majorized by {format_degree_sequence(y)}: {verdict.holds}"
-        if verdict.failing_prefix is not None:
-            yield f"prefix sums cross at j = {verdict.failing_prefix}"
-
-    _emit(record, args.format, table)
-    return EXIT_OK
-
-
 def _verify_prop1(args, deadline) -> tuple[dict, bool]:
     from .indices import DEFAULT_PROP1_ALPHAS, BivariateFunction, GridSpec, check_escalating
     from .sombor import classify_alpha
-    alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_PROP1_ALPHAS
+    alphas = _alpha_list(args.alpha) if args.alpha is not None else DEFAULT_PROP1_ALPHAS
     grid = GridSpec(args.grid)
     results = []
     ok = True
@@ -328,8 +157,8 @@ def _sweep(units, run, deadline) -> tuple[list[dict], bool]:
 def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
     from .oracle import (DEFAULT_T1_ALPHAS, generate_c_cyclic_sequences,
                          verify_special_bfs_existence)
-    cs = _int_list(args.c) if args.c else (0, 1, 2, 3)
-    alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T1_ALPHAS
+    cs = _int_list(args.c) if args.c is not None else (0, 1, 2, 3)
+    alphas = _alpha_list(args.alpha) if args.alpha is not None else DEFAULT_T1_ALPHAS
     units = ((pi, a) for c in cs
              for n in range(3, n_max + 1)   # definition needs n >= 3
              for pi in generate_c_cyclic_sequences(n, c, require_pendant=True)
@@ -344,8 +173,8 @@ def _verify_theorem1(args, n_max, deadline) -> tuple[dict, bool]:
 
 def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
     from .oracle import DEFAULT_T2_ALPHAS, verify_theorem2
-    cs = _int_list(args.c) if args.c else (0, 1, 2)
-    alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T2_ALPHAS
+    cs = _int_list(args.c) if args.c is not None else (0, 1, 2)
+    alphas = _alpha_list(args.alpha) if args.alpha is not None else DEFAULT_T2_ALPHAS
     reports, ok = _sweep(
         ((n, c) for c in cs for n in range(2, n_max + 1)),
         lambda n, c: verify_theorem2(n, c, alphas, deadline=deadline), deadline)
@@ -358,8 +187,8 @@ def _verify_theorem2(args, n_max, deadline) -> tuple[dict, bool]:
 
 def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
     from .oracle import DEFAULT_T3_ALPHAS, verify_theorem3
-    cs = _int_list(args.c) if args.c else (0, 1, 2)
-    alphas = _alpha_list(args.alpha) if args.alpha else DEFAULT_T3_ALPHAS
+    cs = _int_list(args.c) if args.c is not None else (0, 1, 2)
+    alphas = _alpha_list(args.alpha) if args.alpha is not None else DEFAULT_T3_ALPHAS
     reports, ok = _sweep(
         ((n, c, pendant) for pendant in (False, True) for c in cs
          for n in range(2, n_max + 1)),
@@ -397,6 +226,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `sombor` parser. Each subcommand sets `fn` to its handler: `cmd_verify`
+    itself, or the name of a handler in `_commands`, which `main` imports."""
     parser = argparse.ArgumentParser(
         prog="sombor",
         description="extremal graphs and exhaustive verification for the general "
@@ -411,20 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["min", "max"],
                    help="check that the single --alpha pairs with this extremum")
     p.add_argument("--format", choices=["json", "dot", "graph6", "table"], default="json")
-    p.set_defaults(fn=cmd_construct)
+    p.set_defaults(fn="cmd_construct")
 
     p = sub.add_parser("eval", help="evaluate SO_alpha on a graph file")
     p.add_argument("--graph", required=True, help="path to graph6/edge-list file, or -")
     p.add_argument("--input-format", choices=["auto", "graph6", "edgelist"], default="auto")
     p.add_argument("--alpha", default="0.5")
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn="cmd_eval")
 
     p = sub.add_parser("enumerate", help="list Gamma(pi) up to isomorphism")
     p.add_argument("--pi", required=True)
     p.add_argument("--alpha", default=None)
     p.add_argument("--format", choices=["json", "table", "graph6"], default="json")
-    p.set_defaults(fn=cmd_enumerate)
+    p.set_defaults(fn="cmd_enumerate")
 
     p = sub.add_parser("verify", help="run a theorem verification suite")
     p.add_argument("--theorem", required=True, choices=["1", "2", "3", "prop1"])
@@ -443,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", help="first degree sequence")
     p.add_argument("y", help="second degree sequence")
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(fn=cmd_majorize)
+    p.set_defaults(fn="cmd_majorize")
 
     return parser
 
@@ -451,8 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    fn = args.fn
+    if isinstance(fn, str):
+        from . import _commands
+        fn = getattr(_commands, fn)
     try:
-        code = args.fn(args)
+        code = fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,4 +1,5 @@
-"""Graph and degree-sequence data model, realizability checks, and formats.
+"""Graph and degree-sequence data model, realizability checks and the writers
+reports use.
 
 Vertices are dense integer labels 0..n-1 (the literature's v1 is label 0).
 Graphs and degree sequences are immutable value objects; every operation here
@@ -13,29 +14,29 @@ from the classic edge-exchange argument that links components of any
 realization without changing degrees. Majorization of degree sequences
 (`is_majorized`) is a prefix-sum comparison and lives here too.
 
-The functions that need the kernel (`_kernels`) import it when they run, so
-loading this module, as `majorize` does, leaves the kernel unloaded.
+Every theorem sweep loads this module, so the text parsers, the other
+writers, canonical forms and `reduced_graph`, which no sweep calls, live in
+`formats`. Of the text formats only the two writers that reports and
+`DegreeSequence.__repr__` use stay here (`format_graph6`,
+`format_degree_sequence`).
+
+`is_connected` imports the kernel (`_kernels`) when it runs, so loading this
+module, as `majorize` does, leaves the kernel unloaded.
 """
 
 from __future__ import annotations
 
-import re
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from ._value import _Value
 from .errors import (
-    AcyclicError,
     DegreeTooLargeError,
-    Graph6LengthError,
     GraphStructureError,
     LengthMismatchError,
-    MalformedHeaderError,
     NonPositiveEntryError,
     NotGraphicalError,
     OddSumError,
-    SequenceSyntaxError,
-    TooLargeError,
     TooSparseError,
     ValidationError,
 )
@@ -116,7 +117,8 @@ class DegreeSequence(_Value):
     """Non-increasing sequence of positive integer degrees.
 
     The constructor is strict about order; use :meth:`of` to sort silently or
-    :func:`parse_degree_sequence` to sort with the `resorted` warning flag set.
+    :func:`formats.parse_degree_sequence` to sort with the `resorted` warning
+    flag set.
     `resorted` takes no part in equality or hashing.
     """
 
@@ -192,12 +194,6 @@ def is_majorized(x: DegreeSequence, y: DegreeSequence) -> MajorizationVerdict:
     return MajorizationVerdict(px == py, None)
 
 
-class CanonicalCode(NamedTuple):
-    """Isomorphism-invariant byte code; equal codes <=> isomorphic graphs."""
-
-    code: bytes
-
-
 def degree_sequence_of(g: Graph) -> DegreeSequence:
     return DegreeSequence.of(g.degrees)
 
@@ -240,50 +236,7 @@ def _connected_c(degs: tuple[int, ...]) -> int:
     return total // 2 - n + 1
 
 
-def reduced_graph(g: Graph) -> Graph:
-    """Recursively delete degree-1 vertices; relabels the core to 0..k-1."""
-    alive = set(range(g.n))
-    degs = list(g.degrees)
-    pend = [v for v in alive if degs[v] == 1]
-    while pend:
-        nxt = []
-        for v in pend:
-            if v not in alive or degs[v] > 1:
-                continue
-            alive.discard(v)
-            for w in g.neighbors(v):
-                if w in alive:
-                    degs[w] -= 1
-                    if degs[w] == 1:
-                        nxt.append(w)
-        pend = nxt
-    if len(alive) < 3:
-        raise AcyclicError("graph has no cycle: reduction deletes every vertex")
-    order = sorted(alive)
-    relabel = {v: i for i, v in enumerate(order)}
-    edges = [(relabel[u], relabel[v]) for u, v in g.edges if u in alive and v in alive]
-    return Graph(len(order), edges)
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Canonically relabeled copy of g (identical for isomorphic inputs)."""
-    from . import _kernels
-    if g.n > _kernels.MAX_VERTICES:
-        raise TooLargeError(
-            f"canonical labeling capped at n <= {_kernels.MAX_VERTICES}, got {g.n}"
-        )
-    return Graph(g.n, _kernels.bits_to_edges(g.n, _kernels.canon_bits(g.adjacency_masks)))
-
-
-def canonical_code(g: Graph) -> CanonicalCode:
-    """graph6 bytes of the canonical labeling."""
-    return CanonicalCode(format_graph6(canonical_form(g)).encode("ascii"))
-
-
-# -- graph6 (bit-exact per the public format specification) -------------------
-
-_G6_HEADER = ">>graph6<<"
-
+# -- writers (graph6 bit-exact per the public format specification) -------------
 
 def format_graph6(g: Graph) -> str:
     n = g.n
@@ -308,122 +261,6 @@ def format_graph6(g: Graph) -> str:
     if nbits:
         out.append((acc << (6 - nbits)) + 63)
     return bytes(out).decode("ascii")
-
-
-def parse_graph6(text: str) -> Graph:
-    from . import _kernels
-    s = text.strip()
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
-    if not s:
-        raise MalformedHeaderError("empty graph6 string")
-    try:
-        data = s.encode("ascii")
-    except UnicodeEncodeError:
-        raise MalformedHeaderError("graph6 strings are printable ASCII")
-    if any(b < 63 or b > 126 for b in data):
-        raise MalformedHeaderError("graph6 bytes must be in range 63..126")
-    pos = 0
-    if data[0] != 126:
-        n = data[0] - 63
-        pos = 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise MalformedHeaderError("truncated 3-byte vertex count")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        pos = 4
-    else:
-        if len(data) < 8:
-            raise MalformedHeaderError("truncated 6-byte vertex count")
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        pos = 8
-    if n < 2:
-        raise MalformedHeaderError(f"graphs with n = {n} are rejected (need n >= 2)")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    body = data[pos:]
-    if len(body) != need:
-        raise Graph6LengthError(f"expected {need} data bytes for n={n}, got {len(body)}")
-    bits = 0
-    for b in body:
-        bits = (bits << 6) | (b - 63)
-    pad = 6 * need - nbits
-    if pad and bits & ((1 << pad) - 1):
-        raise Graph6LengthError("nonzero padding bits")
-    bits >>= pad
-    return Graph(n, _kernels.bits_to_edges(n, bits))
-
-
-# -- edge-list text and DOT ----------------------------------------------------
-
-def format_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges)
-
-
-def parse_edge_list(text: str) -> Graph:
-    """One "u v" pair per line, 0-based; n is max label + 1.
-
-    Isolated vertices are not representable; that is fine for the connected
-    graphs this library works with.
-    """
-    edges = []
-    top = -1
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"edge list line {ln}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValidationError(f"edge list line {ln}: non-integer label in {raw!r}")
-        if u < 0 or v < 0:
-            raise ValidationError(f"edge list line {ln}: negative label in {raw!r}")
-        top = max(top, u, v)
-        edges.append((u, v))
-    if not edges:
-        raise ValidationError("edge list is empty")
-    return Graph(top + 1, edges)
-
-
-def to_dot(g: Graph) -> str:
-    lines = ["graph {"]
-    lines += [f"  {v};" for v in range(g.n)]
-    lines += [f"  {u} -- {v};" for u, v in g.edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# -- degree-sequence text grammar ----------------------------------------------
-#
-#   seq := term ("," term)* ; term := INT ("^" INT)?
-
-_TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
-
-
-def parse_degree_sequence(text: str) -> DegreeSequence:
-    """Parse "5,4,3^3,2^10,1^8"-style text; unsorted input is sorted and flagged."""
-    s = text.strip()
-    if not s:
-        raise SequenceSyntaxError("empty degree sequence")
-    degrees: list[int] = []
-    for part in s.split(","):
-        m = _TERM_RE.match(part.strip())
-        if not m:
-            raise SequenceSyntaxError(f"bad term {part.strip()!r} (expected INT or INT^INT)")
-        value = int(m.group(1))
-        count = int(m.group(2)) if m.group(2) else 1
-        if value < 1:
-            raise NonPositiveEntryError(f"degree {value} must be >= 1")
-        if count < 1:
-            raise SequenceSyntaxError(f"repetition count {count} must be >= 1")
-        degrees.extend([value] * count)
-    ordered = sorted(degrees, reverse=True)
-    return DegreeSequence(tuple(ordered), resorted=(ordered != degrees))
 
 
 def format_degree_sequence(pi: DegreeSequence) -> str:

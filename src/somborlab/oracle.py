@@ -29,8 +29,9 @@ label only when a report names it:
   theorem 3   reports no class: its maxima come from the keys alone, and it
               keeps no record
 
-An independent strategy filters all edge subsets and is compared class set
-by class set in `verify_enumeration_cross_check`.
+An independent strategy, which filters all edge subsets, lives in
+`crosscheck` and is compared with `enumerate_gamma` class set by class set
+there; no sweep loads it.
 
 Values are binary64, and one rule, `extremum`, decides which classes attain
 an extremum: those whose value equals it exactly, since classes with one JDM
@@ -535,52 +536,3 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
                                    len(winners), True, record.graph(bits), w)
     return ExistenceReport(pi, alpha, objective.value, value, record.size,
                            len(winners), False, None, None)
-
-
-class CrossCheckReport(NamedTuple):
-    n: int
-    c: int
-    sequences_checked: int
-    classes_total: int
-    mismatches: tuple[tuple[DegreeSequence, int, int], ...]
-    holds: bool
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "sequences_checked": self.sequences_checked,
-            "classes_total": self.classes_total,
-            "mismatches": [
-                {"pi": list(pi.degrees), "backtracking": a, "subsets": b}
-                for pi, a, b in self.mismatches
-            ],
-            "holds": self.holds,
-        }
-
-
-def verify_enumeration_cross_check(n: int, c: int) -> CrossCheckReport:
-    """The backtracking and subset-filter strategies must find the same classes.
-
-    Compared per pi as sets of canonical keys (a duplicate class also counts
-    as a mismatch); a mismatch reports both class counts. The subset filter
-    visits C(n(n-1)/2, n+c-1) edge subsets, which is practical for n <= 7.
-    """
-    _check_kernel_bound(n)
-    seqs = generate_c_cyclic_sequences(n, c, require_pendant=False)
-    by_subsets = _kernels.classes_by_sequence(n, n + c - 1)
-    mismatches = []
-    total = 0
-    for pi in seqs:
-        graphs = enumerate_gamma(pi)
-        keys_a = {_kernels.canon_bits(g.adjacency_masks) for g in graphs}
-        keys_b = by_subsets.get(pi.degrees, frozenset())
-        total += len(graphs)
-        if len(keys_a) != len(graphs) or keys_a != keys_b:
-            mismatches.append((pi, len(graphs), len(keys_b)))
-    # the subset pass must not see sequences the generator misses
-    extra = set(by_subsets) - {pi.degrees for pi in seqs}
-    for degs in sorted(extra, reverse=True):
-        mismatches.append((DegreeSequence(degs), 0, len(by_subsets[degs])))
-    return CrossCheckReport(n, c, len(seqs), total, tuple(mismatches),
-                            not mismatches)

@@ -272,6 +272,18 @@ def test_repeated_alpha_exit2(capsys, argv):
     assert "repeats a value" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("verify", "--theorem", "2", "--n-max", "4", "--alpha", ""), "alpha"),
+    (("verify", "--theorem", "2", "--n-max", "4", "--c", ""), "integer"),
+    (("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", ""), "alpha"),
+], ids=["verify-alpha", "verify-c", "enumerate-alpha"])
+def test_empty_list_exit2(capsys, argv, what):
+    # an empty list flag neither falls back to the defaults nor drops every value
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{what} list is empty" in err
+
+
 def test_overflow_is_a_validation_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--theorem", "prop1", "--alpha", "200")
     assert code == 2 and out == ""

@@ -23,7 +23,7 @@ from somborlab import (
     validate_connected_c_cyclic,
 )
 from somborlab.construct import extremal_graph
-from somborlab.graphs import CanonicalCode
+from somborlab.formats import CanonicalCode
 from somborlab.errors import (
     AcyclicError,
     DegreeTooLargeError,

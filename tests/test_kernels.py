@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from somborlab import Graph, _kernels, oracle, sombor
+from somborlab import Graph, _kernels, crosscheck, oracle, sombor
 from somborlab.oracle import enumerate_gamma, generate_c_cyclic_sequences
 
 
@@ -439,5 +439,5 @@ def test_subset_filter_degree_order_keeps_every_class():
     # non-increasing by label; brute force over every subset, c <= 3
     for n in range(2, 7):
         for m in range(n - 1, min(n + 2, n * (n - 1) // 2) + 1):
-            assert _kernels.classes_by_sequence(n, m) == _classes_by_sequence_unfiltered(n, m)
+            assert crosscheck.classes_by_sequence(n, m) == _classes_by_sequence_unfiltered(n, m)
 

@@ -63,6 +63,8 @@ _BASE = ["somborlab", "somborlab.cli", "somborlab.errors", "somborlab.limits"]
 #: what every theorem sweep loads: the oracle and the layers under it
 _SWEEP = _BASE + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
                   "somborlab.oracle", "somborlab.sombor"]
+#: what every single-input command loads: the handlers' module and the text formats
+_COMMANDS = _BASE + ["somborlab._commands", "somborlab.formats"]
 
 
 def _cli(*argv: str) -> str:
@@ -81,16 +83,23 @@ def _cli(*argv: str) -> str:
     (_cli("verify", "--theorem", "1", "--n-max", "4"), _SWEEP + ["somborlab.bfs"]),
     (_cli("verify", "--theorem", "2", "--n-max", "4"), _SWEEP + ["somborlab.construct"]),
     (_cli("verify", "--theorem", "3", "--n-max", "4"), _SWEEP),
-    (_cli("majorize", "3,2,1", "4,1,1"), _BASE + ["somborlab._value", "somborlab.graphs"]),
+    (_cli("majorize", "3,2,1", "4,1,1"), _COMMANDS + ["somborlab._value", "somborlab.graphs"]),
     (_cli("construct", "--pi", "3,2,2,1,1,1", "--alpha", "0.5", "--objective", "min"),
-     _BASE + ["somborlab._kernels", "somborlab._value", "somborlab.construct",
-              "somborlab.graphs", "somborlab.sombor"]),
+     _COMMANDS + ["somborlab._kernels", "somborlab._value", "somborlab.construct",
+                  "somborlab.graphs", "somborlab.sombor"]),
     (_cli("eval", "--graph", "-", "--input-format", "graph6"),
-     _BASE + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
-              "somborlab.sombor"]),
-    (_cli("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "0.5"), _SWEEP),
+     _COMMANDS + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
+                  "somborlab.sombor"]),
+    (_cli("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "0.5"),
+     _SWEEP + ["somborlab._commands", "somborlab.formats"]),
+    # the text formats need only the graph model; the cross-check needs the oracle
+    ("from somborlab import parse_graph6",
+     ["somborlab", "somborlab._value", "somborlab.errors", "somborlab.formats",
+      "somborlab.graphs"]),
+    ("from somborlab import verify_enumeration_cross_check",
+     [m for m in _SWEEP if m != "somborlab.cli"] + ["somborlab.crosscheck"]),
 ], ids=["import", "export", "version", "prop1", "theorem1", "theorem2", "theorem3",
-        "majorize", "construct-objective", "eval", "enumerate"])
+        "majorize", "construct-objective", "eval", "enumerate", "formats", "crosscheck"])
 def test_entry_point_loads_only_its_layers(code, loaded):
     probe = ("\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'somborlab'),"
              " sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
