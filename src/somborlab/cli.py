@@ -97,10 +97,11 @@ def _emit(record: dict, fmt: str, table_lines) -> None:
 
 
 def _verify_prop1(args, deadline) -> tuple[dict, bool]:
-    from .indices import DEFAULT_PROP1_ALPHAS, BivariateFunction, GridSpec, check_escalating
+    from .indices import (DEFAULT_GRID_MAX, DEFAULT_PROP1_ALPHAS, BivariateFunction,
+                          GridSpec, check_escalating)
     from .sombor import classify_alpha
     alphas = _alpha_list(args.alpha) if args.alpha is not None else DEFAULT_PROP1_ALPHAS
-    grid = GridSpec(args.grid)
+    grid = GridSpec(args.grid if args.grid is not None else DEFAULT_GRID_MAX)
     results = []
     ok = True
     for a in alphas:
@@ -124,7 +125,7 @@ def _verify_prop1(args, deadline) -> tuple[dict, bool]:
             "max_abs_delta": report.max_abs_delta,
             "ok": matches,
         })
-    return {"proposition": 1, "grid": args.grid, "results": results}, ok
+    return {"proposition": 1, "grid": grid.max_value, "results": results}, ok
 
 
 def _require_checks(theorem: str, n_max: int, cs, count: int, what: str) -> None:
@@ -203,8 +204,18 @@ def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
 
 _SWEEPS = {"1": _verify_theorem1, "2": _verify_theorem2, "3": _verify_theorem3}
 
+#: the scale flags each theorem reads; every theorem reads --alpha,
+#: --time-budget, --format and the hidden --workers
+_SCALE_FLAGS = {"prop1": ("grid",), "1": ("n_max", "c"), "2": ("n_max", "c"),
+                "3": ("n_max", "c")}
+
 
 def cmd_verify(args) -> int:
+    own = _SCALE_FLAGS[args.theorem]
+    for name in ("n_max", "c", "grid"):
+        if name not in own and getattr(args, name) is not None:
+            raise ValidationError(f"verify --theorem {args.theorem} does not read "
+                                  f"--{name.replace('_', '-')}")
     deadline = Deadline(args.time_budget)
     caps = load_caps()
     if args.theorem == "prop1":
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--c", default=None, help="comma-separated cyclomatic numbers")
     p.add_argument("--alpha", default=None)
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--grid", type=int, default=None)
     # verification is serial; the flag is still accepted so that scripts
     # passing it (perfbench/pin.py) keep working
     p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)

@@ -25,22 +25,22 @@ an h_alpha value that underflows to 0.0 or a subnormal, and an h_alpha
 (alpha != 1) none of whose deltas clears its tolerance are validation errors,
 not verdicts; values so large that 4 max|f| overflows raise `OverflowError`.
 Every report is bit for bit the one that evaluating each cell's definition
-in order would give; tests compare against that definition.
-`check_escalating` is O(B^3), not O(B^4): in exact arithmetic
-delta(x2, y2) = D[x2] - D[y2] with D = t[x1] - t[y1], so one scan over D and
-a rounding bound settle a whole (x1, y1) block, and only the blocks the bound
-cannot settle, or that may hold max_abs_delta, are evaluated cell by cell.
-A non-strict cell (x1 = y1 or x2 = y2) of a float table never fails, so a
-block x1 = y1 needs no evaluation of its own (proof at `check_escalating`).
-A table of non-floats has no rounding bound and is evaluated cell by cell.
+in order would give; tests compare against that definition. In exact
+arithmetic a cell's delta is the sum of the unit mixed differences inside its
+rectangle, so a float table whose units all clear C = 4 REL_TOL + 2^-46 times
+their corners' |t|, with one sign, gets its verdict in O(B^2) and its
+max_abs_delta from the few blocks a rounding bound cannot rule out, and an
+exact table whose units are all 0 has a closed-form report. Any other table
+is evaluated cell by cell in O(B^4). Proofs and constants are at
+`check_escalating`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate
-from operator import sub
+from itertools import islice
+from operator import gt, lt
 from typing import NamedTuple
 
 from ._value import _Value
@@ -57,9 +57,11 @@ DEFAULT_GRID_MAX = 20
 #: the default alphas of Proposition 1: both sides of 0 and 1, and alpha = 1
 DEFAULT_PROP1_ALPHAS = (-3.0, -1.0, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 2.0, 5.0)
 
-#: c * u of the rounding bound E = c * u * S of `check_escalating`, u = 2^-53
+#: C of the unit certificate of `check_escalating`: 4 REL_TOL plus rounding
+_C = 4 * REL_TOL + 2.0 ** -46
+#: c * u of the block slack c * u * (a[x1] + a[y1]) of `check_escalating`, u = 2^-53
 _CU = 16 * 2.0 ** -53
-#: smallest subnormal; added to E so that E stays an upper bound when it underflows
+#: smallest subnormal; added to the slack so that it stays a bound when it underflows
 _TINY = 2.0 ** -1074
 
 
@@ -159,20 +161,27 @@ def _table(f: BivariateFunction, bound: int) -> list[list[float]]:
     Every entry must be finite. h_alpha entries must also be normal floats:
     h_alpha > 0, so 0.0 or a subnormal there is underflow, and the grid
     inequalities cannot be resolved from it. A custom f may be 0 or subnormal.
+    h_alpha rows are evaluated by the expression of `BivariateFunction.__call__`.
     """
     span = range(1, bound + 1)
-    t = [[]] + [[0.0] + [f(x, y) for y in span] for x in span]
-    for x in span:
-        for y in span:
-            v = t[x][y]
+    sombor = f.kind == "sombor"
+    if sombor:
+        alpha = f.alpha
+        rows = [[(x * x + y * y) ** alpha for y in span] for x in span]
+    else:
+        rows = [[f(x, y) for y in span] for x in span]
+    for x, row in zip(span, rows):
+        if all(map(math.isfinite, row)) and not (sombor and min(row) < sys.float_info.min):
+            continue
+        for y, v in zip(span, row):
             if not math.isfinite(v):
                 raise FunctionNotFiniteError(f"{f.name}({x}, {y}) = {v!r} is not finite")
-            if f.kind == "sombor" and v < sys.float_info.min:
+            if sombor and v < sys.float_info.min:
                 raise FunctionUnderflowError(
                     f"{f.name}({x}, {y}) = {v!r} is below the normal float range; "
                     f"use a smaller |alpha| or grid bound"
                 )
-    return t
+    return [[]] + [[0.0] + row for row in rows]
 
 
 def _block_cells(bound: int) -> list[tuple[int, int]]:
@@ -187,33 +196,60 @@ def _deltas(rx: list[float], ry: list[float],
     return [rx[x2] + ry[y2] - ry[x2] - rx[y2] for x2, y2 in cells]
 
 
-def _exact_extremes(rx: list[float], ry: list[float],
-                    cells: list[tuple[int, int]]) -> tuple[float, float]:
-    """Smallest and largest delta of block rows rx, ry at `cells`."""
-    ds = _deltas(rx, ry, cells)
-    return min(ds), max(ds)
+def _unit_sign(v: list[list[float]], a_max: list[float], exact: bool) -> int | None:
+    """The sign every unit mixed difference of float rows v clears, or None.
+
+    1 (-1) when every computed unit is above (below) C times each |t| at its
+    four corners, 0 when the table is exact and every unit is 0. A row of
+    units that clears C times its two rows' largest |t| (`a_max`, one entry
+    per row of v) clears each corner's.
+    """
+    units = [[a - b - c + d for a, b, c, d in zip(hi[1:], hi, lo[1:], lo)]
+             for lo, hi in zip(v, v[1:])]
+    first = units[0][0]
+    if not first:
+        return 0 if exact and not any(map(any, units)) else None
+    sign, above, extreme = (1, gt, min) if first > 0 else (-1, lt, max)
+    c = sign * _C
+    for row, lo, hi, a_lo, a_hi in zip(units, v, v[1:], a_max, a_max[1:]):
+        if above(extreme(row), c * max(a_lo, a_hi)):
+            continue
+        for corners in (lo, hi):
+            bar = [c * abs(x) for x in corners]
+            if not (all(map(above, row, bar)) and all(map(above, row, bar[1:]))):
+                return None
+    return sign
 
 
-def _sign_failures(x1: int, y1: int, rx: list[float], ry: list[float],
-                   cells: list[tuple[int, int]]) -> list[Counterexample]:
-    """Sign counterexamples at `cells` of block (x1, y1)."""
-    return [Counterexample(x1, y1, x2, y2, delta, "sign")
-            for (x2, y2), delta in zip(cells, _deltas(rx, ry, cells))]
+def _max_abs_delta(t: list[list[float]], a_max: list[float],
+                   block: list[tuple[int, int]], deadline) -> float:
+    """max |delta| over the grid of a table whose units all have one sign:
+    block (x1, y1) is evaluated only if |R[x1] - R[y1]| plus the slack
+    reaches the best |delta| so far."""
+    bound = len(t) - 1
+    r = [0.0] + [row[bound] - row[1] for row in t[1:]]
+    best = abs(_deltas(t[bound], t[1], [(bound, 1)])[0])
+    for x1 in range(1, bound + 1):
+        if deadline is not None:
+            deadline.check()
+        rx, ax = r[x1], a_max[x1]
+        ups = [abs(rx - ry) + (_CU * (ax + ay) + _TINY)
+               for ry, ay in zip(r[1:x1 + 1], a_max[1:x1 + 1])]
+        if max(ups) < best:
+            continue
+        for y1, up in enumerate(ups, 1):
+            if up >= best:
+                best = max(best, max(map(abs, _deltas(t[x1], t[y1], block))))
+    return best
 
 
-def _spread(d: list[float]) -> tuple[float, float]:
-    """Min and max over k < j of the rounded d[j] - d[k], by prefix max and min
-    scans. h_alpha's rows are monotone, and for a monotone d the steps give the
-    same two values (rounding is monotone) without the scans' per-element max
-    and min calls."""
-    steps = list(map(sub, d[1:], d))
-    lo, hi = min(steps), max(steps)
-    if lo >= 0:
-        return lo, d[-1] - d[0]
-    if hi <= 0:
-        return d[-1] - d[0], hi
-    return (min(map(sub, d[1:], accumulate(d, max))),
-            max(map(sub, d[1:], accumulate(d, min))))
+def _strict_examples(t: list[list[float]], bound: int,
+                     count: int) -> list[Counterexample]:
+    """The first `count` strict cells in grid order, as strictness failures."""
+    cells = islice(((x1, y1, x2, y2) for x1 in range(2, bound + 1) for y1 in range(1, x1)
+                    for x2 in range(2, bound + 1) for y2 in range(1, x2)), count)
+    return [Counterexample(x1, y1, x2, y2, _deltas(t[x1], t[y1], [(x2, y2)])[0], "strictness")
+            for x1, y1, x2, y2 in cells]
 
 
 def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
@@ -237,42 +273,43 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
     `FunctionUnderflowError`; a table whose 4 max|t| overflows raises
     `OverflowError`, since a sum of four of its values need not be finite).
-    A table holding a non-float (an int or Fraction from a custom f) has no
-    rounding bound, and every block of it is evaluated cell by cell. A float
-    table is settled block by block:
+    A float table is certified from its units
+    Delta(i, j) = t[i+1][j+1] - t[i+1][j] - t[i][j+1] + t[i][j], 1 <= i, j < B,
+    computed in that order; in exact arithmetic on the table's floats a
+    cell's delta is their sum over y1 <= i < x1, y2 <= j < x2. With u = 2^-53,
+    gamma_3 = 3u / (1 - 3u) and m a unit's largest |t| at its four corners:
 
-    - Non-strict cells (x1 = y1 or x2 = y2) never fail: their reads t1, t2,
-      t1, t2 give delta = ((t1 + t2) - t1) - t2, or t1 and t2 swapped, which
-      is 0 exactly. A float sum or difference with a subnormal result is
-      exact, so a nonzero delta needs rounding in the normal range, at
-      relative error at most u = 2^-53 per operation: |delta| <=
-      2u (|t1| + |t2|)(1 + O(u)). That is about 10^6 times below
-      tol = REL_TOL (2|t1| + 2|t2|), and below the block's E. So a block
-      x1 = y1, with no strict cell, has p_lo = p_hi = 0.
-    - Identity: in a strict block (y1 < x1), exactly,
-      delta(x2, y2) = D[x2] - D[y2] with D = t[x1] - t[y1], so one prefix
-      max/min scan of D gives the approximate extremes p_lo, p_hi in O(B).
-    - Bound: by recursive summation (Higham, Accuracy and Stability of
-      Numerical Algorithms, 2nd ed., 4.2) a computed delta and a computed
-      D[x2] - D[y2] differ by at most E = c u S,
-      S = 2 (a_max[x1] + a_max[y1]), with c = 5 + O(u); c = 16 also covers
-      the rounding of E and p +- E. E = 0 when all values are integer-valued
-      floats below 2^51, where every sum is exact.
-    - Fast branches: p_lo - E > ub (p_hi + E < -ub), ub being at least every
-      tol of the block, proves that every strict cell fails the de-escalating
-      (escalating) verdict on sign; only the examples kept are evaluated.
-      Once all examples are kept, m + E <= lb (m below) proves that no cell
-      fails on sign. Any other block is evaluated cell by cell.
-    - Exact max: max_abs_delta comes from computed deltas only. With E = 0
-      a settled block's p_lo, p_hi are its exact extremes; otherwise it is
-      deferred with its largest |delta|, over all of its cells, in
-      [m - E, m + E], m = max(p_hi, -p_lo), and evaluated whole after the
-      scan only if m + E reaches the best proven lower bound.
+    - Non-strict cells (x1 = y1 or x2 = y2) never fail: their delta
+      ((t1 + t2) - t1) - t2, or t1 and t2 swapped, is 0 exactly, and computed
+      it is at most 2u (|t1| + |t2|)(1 + O(u)) (a sum with a subnormal result
+      is exact), about 10^6 times below its tol.
+    - Verdict in O(B^2): if every computed Delta > C m, C = 4 REL_TOL + 2^-46,
+      every strict cell has delta > tol: the verdict is "escalating", with no
+      example. The cell's largest-|t| corner M is a corner of one of the four
+      units at the corners of its rectangle, whose m >= M, and every unit is
+      positive in exact arithmetic, so the exact delta is at least that
+      unit's. 2^-46 exceeds 8 gamma_3 + 5u C, the rounding of the
+      computed Delta (4 gamma_3 m), of the cell's delta (4 gamma_3 M), of its
+      tol (4 REL_TOL M (1 + 4u) at most) and of C m. Where m < 2^-1024 every
+      sum is exact and C > 4 REL_TOL settles it. Every Delta < -C m gives
+      "de-escalating" the same way.
+    - max_abs_delta, one bound per block: when every unit has one sign, block
+      (x1, y1)'s exact extreme is its cell (B, 1), whose delta is
+      R[x1] - R[y1], R[x] = t[x][B] - t[x][1]. Every computed |delta| of the
+      block is at most |fl(R[x1] - R[y1])| + 11u (a[x1] + a[y1]), a[x] the
+      largest |t| of row x (5u from the cell's rounding, 4u from R's, 2u from
+      the bound's own), within the slack 16u (a[x1] + a[y1]) + 2^-1074. From
+      the computed |delta| of cell (B, 1, B, 1), only a block whose bound
+      reaches the best value so far is evaluated whole.
+    - Exact zero: when all values are integer-valued floats below 2^51, every
+      sum is exact; if every Delta is 0, so is every delta, and the report is
+      closed-form: "neither", every strict cell failing on strictness, 0.0.
 
+    Any other table, a table holding a non-float (an int or Fraction from a
+    custom f, with no rounding bound) included, is evaluated cell by cell.
     `cells_checked` counts cells certified, not deltas computed. An h_alpha
     with alpha != 1 none of whose cells fails on sign raises
-    `GridResolutionError` (at alpha = 1 every delta is exactly 0 and the
-    verdict is "neither"). `deadline`, any object with a `check()` method, is
+    `GridResolutionError`. `deadline`, any object with a `check()` method, is
     checked once per x1 row.
 
     Counterexamples are the first `max_counterexamples` found in grid order
@@ -282,99 +319,60 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     grid = grid or GridSpec()
     bound = grid.max_value
     t = _table(f, bound)
-    a = [[abs(v) for v in row] for row in t]
-    a_max = [max(row[1:], default=0.0) for row in a]
-    a_min = [min(row[1:], default=0.0) for row in a]
-    span = range(1, bound + 1)
-    block = _block_cells(bound)
-    strict = [(x2, y2) for x2, y2 in block if y2 < x2]     # when x1 > y1
-    v = [row[1:] for row in t]                              # rows without padding
+    a_max = [max(map(abs, row[1:]), default=0.0) for row in t]
     top = max(a_max)
     if not math.isfinite(4 * top):
         raise OverflowError(f"4 max|{f.name}| = {4 * top!r} is past the float range")
-    bounded = all(type(x) is float for row in v for x in row)
-    if bounded and top < 2.0 ** 51 and all(x.is_integer() for row in v for x in row):
-        cu = tiny = 0.0                 # every sum of these floats is exact
-    else:
-        cu, tiny = _CU, _TINY
+    block = _block_cells(bound)
+    cells = len(block) ** 2
+    v = [row[1:] for row in t[1:]]                          # rows without padding
+    sign = None
+    if f.kind == "sombor" or all(type(x) is float for row in v for x in row):
+        exact = top < 2.0 ** 51 and all(x.is_integer() for row in v for x in row)
+        sign = _unit_sign(v, a_max[1:], exact)
+    if sign:
+        verdict = "escalating" if sign > 0 else "de-escalating"
+        return EscalationReport(f.name, bound, verdict, (), cells,
+                                _max_abs_delta(t, a_max, block, deadline))
     # one kept example records that a verdict failed, even when none is asked for
     keep = max(max_counterexamples, 1)
-    # an h_alpha (alpha != 1) that resolves no cell is a validation error
-    track = f.kind == "sombor" and f.alpha != 1
     signed = False                     # some cell fails a verdict on sign
-    esc_bad: list[Counterexample] = []
-    de_bad: list[Counterexample] = []
-    hi = lo = 0.0
-    deferred: list[tuple[float, float, int, int]] = []   # (m + E, m - E, x1, y1)
-    for x1 in span:
-        if deadline is not None:
-            deadline.check()
-        rx, vx, ax = t[x1], v[x1], a[x1]
-        for y1 in range(1, x1 + 1):
-            ry, ay = t[y1], a[y1]
-            if bounded:
-                # every strict delta lies in [p_lo - err, p_hi + err], and every
-                # non-strict one in [-err, err]; a block x1 = y1 has no strict cell
-                p_lo, p_hi = _spread(list(map(sub, vx, v[y1]))) if y1 < x1 else (0.0, 0.0)
-                err = cu * (2 * (a_max[x1] + a_max[y1])) + tiny
-                m = max(p_hi, -p_lo)
-                collecting = len(esc_bad) < keep or len(de_bad) < keep
-                # Rounding is monotone, so a tol sum taken in the cell's order
-                # over the two rows' largest |t| is at least every tol in the
-                # block, with no slack.
-                ub = REL_TOL * (a_max[x1] + a_max[y1] + a_max[y1] + a_max[x1])
-                if y1 == x1 or not (collecting or track and not signed):
-                    settled = True              # no cell fails, or none is sought
-                elif p_lo - err > ub:           # on every strict cell delta > tol
-                    signed = settled = True
-                    if len(de_bad) < keep:
-                        de_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(de_bad)])
-                elif p_hi + err < -ub:          # on every strict cell delta < -tol
-                    signed = settled = True
-                    if len(esc_bad) < keep:
-                        esc_bad += _sign_failures(x1, y1, rx, ry, strict[:keep - len(esc_bad)])
-                else:
-                    # with every example kept, only a sign failure is sought,
-                    # and no |delta| above the block's smallest tol (the same
-                    # sum over the rows' smallest |t|) means none
-                    lb = REL_TOL * (a_min[x1] + a_min[y1] + a_min[y1] + a_min[x1])
-                    settled = not collecting and m + err <= lb
-                if settled:
-                    if err:
-                        deferred.append((m + err, m - err, x1, y1))
-                    else:                       # p_lo, p_hi are the exact extremes
-                        hi = max(hi, p_hi)
-                        lo = min(lo, p_lo)
-                    continue
-            ds = _deltas(rx, ry, block)
-            hi = max(hi, max(ds))
-            lo = min(lo, min(ds))
-            for (x2, y2), delta in zip(block, ds):
-                tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
-                if delta > tol:
-                    esc_reason, de_reason = None, "sign"
-                    signed = True
-                elif delta < -tol:
-                    esc_reason, de_reason = "sign", None
-                    signed = True
-                elif y1 < x1 and y2 < x2:
-                    esc_reason = de_reason = "strictness"
-                else:
-                    continue
-                if esc_reason and len(esc_bad) < keep:
-                    esc_bad.append(Counterexample(x1, y1, x2, y2, delta, esc_reason))
-                if de_reason and len(de_bad) < keep:
-                    de_bad.append(Counterexample(x1, y1, x2, y2, delta, de_reason))
-    # A deferred block's largest |delta| lies in [m - E, m + E]; one whose
-    # upper end stays below the best proven lower end cannot hold the maximum.
-    best = max([hi, -lo] + [low for _, low, _, _ in deferred])
-    for up, _, x1, y1 in deferred:
-        if up >= best:
-            d_lo, d_hi = _exact_extremes(t[x1], t[y1], block)
-            hi = max(hi, d_hi)
-            lo = min(lo, d_lo)
-    max_abs = max(hi, -lo)
-    if track and not signed:       # every strict cell failed on strictness alone
+    if sign == 0:                      # every delta is exactly 0
+        esc_bad = _strict_examples(t, bound, keep)
+        de_bad = list(esc_bad)
+        max_abs = 0.0
+    else:
+        esc_bad, de_bad = [], []
+        hi = lo = 0.0
+        a = [[abs(v) for v in row] for row in t]
+        for x1 in range(1, bound + 1):
+            if deadline is not None:
+                deadline.check()
+            rx, ax = t[x1], a[x1]
+            for y1 in range(1, x1 + 1):
+                ry, ay = t[y1], a[y1]
+                ds = _deltas(rx, ry, block)
+                hi = max(hi, max(ds))
+                lo = min(lo, min(ds))
+                for (x2, y2), delta in zip(block, ds):
+                    tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
+                    if delta > tol:
+                        esc_reason, de_reason = None, "sign"
+                        signed = True
+                    elif delta < -tol:
+                        esc_reason, de_reason = "sign", None
+                        signed = True
+                    elif y1 < x1 and y2 < x2:
+                        esc_reason = de_reason = "strictness"
+                    else:
+                        continue
+                    if esc_reason and len(esc_bad) < keep:
+                        esc_bad.append(Counterexample(x1, y1, x2, y2, delta, esc_reason))
+                    if de_reason and len(de_bad) < keep:
+                        de_bad.append(Counterexample(x1, y1, x2, y2, delta, de_reason))
+        max_abs = max(hi, -lo)
+    # an h_alpha (alpha != 1) that resolves no cell is a validation error
+    if f.kind == "sombor" and f.alpha != 1 and not signed:
         raise GridResolutionError(
             f"grid cannot resolve h_alpha at alpha = {f.alpha!r}: no delta on the "
             f"grid clears its tolerance (max |delta| = {max_abs!r}); use an alpha "
@@ -387,7 +385,6 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     else:
         verdict = "neither"
         examples = tuple((esc_bad + de_bad)[:max_counterexamples])
-    cells = len(block) ** 2
     return EscalationReport(f.name, bound, verdict, examples, cells, max_abs)
 
 

@@ -261,6 +261,31 @@ def test_repeated_c_exit2(capsys, argv):
     assert "repeats a value" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--theorem", "prop1", "--grid", "3", "--c", "7,7", "--n-max", "99"), "--n-max"),
+    (("--theorem", "prop1", "--c", "0"), "--c"),
+    (("--theorem", "3", "--n-max", "4", "--grid", "0"), "--grid"),
+    (("--theorem", "1", "--grid", "20"), "--grid"),
+    (("--theorem", "2", "--n-max", "4", "--grid", "5"), "--grid"),
+])
+def test_verify_refuses_flags_its_theorem_does_not_read(capsys, argv, flag):
+    # a flag the sweep ignores would read as if it had been applied
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"does not read {flag}" in err
+
+
+def test_verify_prop1_reports_its_default_grid(capsys):
+    # --grid has no default of its own; prop1 reads it as 20, and the hidden
+    # --workers stays accepted by every theorem
+    code, out, _ = run(capsys, "verify", "--theorem", "prop1", "--alpha", "2",
+                       "--workers", "1")
+    assert code == 0 and json.loads(out)["grid"] == 20
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--n-max", "4",
+                       "--workers", "1")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--theorem", "2", "--alpha", "0.5,0.5"),
     ("verify", "--theorem", "prop1", "--alpha", "2,2.0"),
@@ -565,10 +590,11 @@ def test_out_of_memory_exit2(capsys, monkeypatch):
 
 
 def test_verify_prop1_budget_expires_inside_the_grid(capsys):
-    # one B = 300 grid takes seconds; the budget is checked once per row, so
-    # it expires inside h_2's grid rather than before h_3's
+    # at alpha = 1 - 1e-8 the unit certificate fails, so the B = 300 grid runs
+    # the O(B^4) per-cell loop, which takes minutes; the budget is checked
+    # once per row, so it expires inside that grid rather than before h_2's
     code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "300",
-                         "--alpha", "2,3", "--time-budget", "0.2")
+                         "--alpha", "0.99999999,2", "--time-budget", "0.2")
     assert code == 2 and out == ""
     rec = json.loads(err)
     assert "budget" in rec["error"] and rec["partial"] == []

@@ -148,8 +148,9 @@ def _near_tol(x, y):
 
 
 def _near_ub(x, y):
-    # strict deltas 4e-9 (x1 - y1)(x2 - y2): where x1 - y1 = 1 they sit within
-    # rounding of the block's largest tol, so the bound cannot settle the block
+    # every unit mixed difference is 4e-9 = 4 REL_TOL, below C times its
+    # corners' |t| (each above 1), so the certificate fails and the per-cell
+    # loop decides unit cells that sit within rounding of their tol
     return 1 + 4e-9 * x * y
 
 
@@ -164,7 +165,7 @@ def _tied(x, y):
 
 
 def _wavy(x, y):
-    # float difference rows that are not monotone: the bound's prefix scan
+    # units of both signs and rows that are not monotone: the per-cell loop
     return math.sin(x) * math.sin(y) + 1e-3 * (x + y)
 
 
@@ -268,8 +269,10 @@ def _report_bits(report):
 
 
 def _reference_functions():
-    # at alpha = 1 - 1e-8 and 1 + 3e-8, delta crosses tol inside the grid
-    alphas = DEFAULT_PROP1_ALPHAS + (1 - 1e-8, 1 + 3e-8)
+    # at alpha = 1 - 1e-8 and 1 + 3e-8, delta crosses tol inside the grid; at
+    # -50, -10, 30 and 60, h spans a wide range along each row, so the units
+    # near (1, 1) are far below the rounding of the large corners
+    alphas = DEFAULT_PROP1_ALPHAS + (1 - 1e-8, 1 + 3e-8, -50.0, -10.0, 30.0, 60.0)
     functions = [BivariateFunction.sombor(a) for a in alphas]
     for fn, name in ((_mixed, "mixed"), (_near_tol, "near-tol"), (_near_ub, "near-ub"),
                      (_near_ub_negative, "near-ub-negative"), (_tied, "tied"),
@@ -302,9 +305,9 @@ def _assert_grid_matches_reference(functions, bound):
 def test_grid_tables_match_per_call_definition():
     functions = _reference_functions()
     unresolvable = [BivariateFunction.sombor(a) for a in UNRESOLVABLE_ALPHAS]
-    # the default bound, where the bound settles nearly every strict block;
-    # every function there is in the slow test below
-    picked = [f for f in functions if f.name in ("h_-3", "h_0.5", "h_2", "near-ub")]
+    # the default bound, where the unit certificate settles every default
+    # alpha but 1; every function there is in the slow test below
+    picked = [f for f in functions if f.name in ("h_-3", "h_0.5", "h_2", "h_60", "near-ub")]
     _assert_grid_matches_reference(picked, DEFAULT_GRID_MAX)
     for bound in (3, 6, 9):
         _assert_grid_matches_reference(functions + unresolvable, bound)
@@ -371,8 +374,8 @@ def _symmetric_tables(draw):
     # separable: t = g[x] + g[y] has every delta 0 in exact arithmetic, so
     # rounding alone decides which cell, strict or not, holds max |delta|
     g = [draw(value) for _ in range(bound + 1)] if draw(st.booleans()) else None
-    # a bilinear trend of about tol per cell: whole blocks on one side of
-    # their tol, as the fast branches need
+    # a bilinear trend of about tol per cell: units on one side of their
+    # threshold, as the unit certificate needs
     trend = draw(st.booleans())
     t = {}
     for x in range(1, bound + 1):
@@ -394,23 +397,100 @@ _G_DIAGONAL_MAX = (None, 0.1, 1.1, 1.1)
 @example((3, {(x, y): _G_DIAGONAL_MAX[x] + _G_DIAGONAL_MAX[y]
               for x in (1, 2, 3) for y in (1, 2, 3)}))
 def test_grid_matches_per_call_definition_on_adversarial_tables(case):
-    # non-strict cells are never evaluated outside the per-cell loop and the
-    # final pass; zeros, subnormals, extreme magnitudes and near-tol deltas
-    # must still give the definition's report bit for bit
+    # the certificate evaluates non-strict cells only in the blocks its max
+    # pass evaluates whole; zeros, subnormals, extreme magnitudes and
+    # near-tol deltas must still give the definition's report bit for bit
     bound, t = case
     f = BivariateFunction("custom", fn=lambda x, y: t[x, y], name="table")
     _assert_grid_matches_reference([f], bound)
 
 
-def _count_block_evaluations(monkeypatch, bound):
+def _threshold_table(bound, base, s, g=None, noise=None):
+    """t[x, y] = base + g[x] + g[y] + s x y (1 + noise[x, y]) for 1 <= y <= x <= bound,
+    and its mirror: every unit mixed difference is about s."""
+    t = {}
+    for x in range(1, bound + 1):
+        for y in range(1, x + 1):
+            t[x, y] = t[y, x] = (base + (g[x] if g else 0.0) + (g[y] if g else 0.0)
+                                 + s * x * y * (1 + (noise[x, y] if noise else 0.0)))
+    return t
+
+
+@st.composite
+def _near_threshold_tables(draw):
+    """(bound, t) for bound <= 8 from `_threshold_table` with s =
+    (4 REL_TOL + k 2^-53) |base|: k near 0 puts the unit cells within rounding
+    of their tol, k near 128 puts the units at the certificate's threshold
+    C = 4 REL_TOL + 2^-46 times their corners' |t|."""
+    bound = draw(st.integers(3, 8))
+    base = draw(st.sampled_from([-1, 1])) * draw(st.floats(2.0 ** -900, _WIDE / 2))
+    k = draw(st.one_of(st.integers(-16, 32), st.integers(112, 160)))
+    s = draw(st.sampled_from([-1, 1])) * (4 * REL_TOL + k * 2.0 ** -53) * abs(base)
+    g = [base * draw(st.integers(-8, 8)) * 2.0 ** -32 for _ in range(bound + 1)]
+    noise = {(x, y): draw(st.integers(-4, 4)) * 2.0 ** -36
+             for x in range(1, bound + 1) for y in range(1, x + 1)}
+    return bound, _threshold_table(bound, base, s, g, noise)
+
+
+def _record_unit_signs(monkeypatch):
+    """What each grid's unit certificate returned, as a list that grows:
+    1 or -1 when it proved the verdict, 0 for an exact zero, None otherwise."""
+    signs = []
+    unit_sign = indices._unit_sign
+
+    def recorded(*args):
+        signs.append(unit_sign(*args))
+        return signs[-1]
+
+    monkeypatch.setattr(indices, "_unit_sign", recorded)
+    return signs
+
+
+def test_grid_certificate_matches_per_call_definition_near_threshold(monkeypatch):
+    signs = _record_unit_signs(monkeypatch)
+
+    # the example: units of exactly -4 REL_TOL clear 4 REL_TOL times their
+    # corners' |t|, but unit cells whose delta rounds to within their tol fail
+    # on strictness; the certificate must refuse the table
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_near_threshold_tables())
+    @example((3, _threshold_table(3, 1.0, -4 * REL_TOL)))
+    def check(case):
+        bound, t = case
+        f = BivariateFunction("custom", fn=lambda x, y: t[x, y], name="table")
+        _assert_grid_matches_reference([f], bound)
+
+    check()
+    # some tables took the certificate, of either sign, and some did not
+    assert {1, -1, None} <= set(signs)
+
+
+def test_grid_max_may_sit_off_the_extreme_cell(monkeypatch):
+    # every unit clears the certificate, so in exact arithmetic cell
+    # (3, 1, 3, 1) holds the largest delta, 1 - 1.2u, above (3, 1, 3, 2)'s
+    # 1 - 1.3u. Computed, the first rounds to 1 - 2u and the second to 1:
+    # max_abs_delta comes from the cells the max pass evaluates
+    u = 2.0 ** -53
+    values = {(1, 1): 0.0, (1, 2): 1.1 * u, (1, 3): 0.6 * u, (2, 2): 2.25 * u,
+              (2, 3): 1.8 * u, (3, 3): 1.0}
+    t = {**values, **{(y, x): v for (x, y), v in values.items()}}
+    f = BivariateFunction("custom", fn=lambda x, y: t[x, y], name="table")
+    signs = _record_unit_signs(monkeypatch)
+    report = check_escalating(f, GridSpec(3))
+    assert signs == [1]
+    assert report.max_abs_delta == 1.0
+    assert t[3, 3] + t[1, 1] - t[1, 3] - t[3, 1] == 1 - 2 * u
+    _assert_grid_matches_reference([f], 3)
+
+
+def _count_block_evaluations(monkeypatch):
     """Whole-block delta evaluations of the grid, the per-cell loop's and the
-    final pass's, as a list that grows."""
+    max pass's, as a list that grows."""
     calls = []
     deltas = indices._deltas
-    size = bound * (bound + 1) // 2
 
     def counted(rx, ry, cells):
-        if len(cells) == size:
+        if 2 * len(cells) == len(rx) * (len(rx) - 1):       # B (B + 1) / 2 cells
             calls.append(1)
         return deltas(rx, ry, cells)
 
@@ -419,34 +499,30 @@ def _count_block_evaluations(monkeypatch, bound):
 
 
 def test_grid_exact_blocks_are_few(monkeypatch):
-    # machine-independent work gate: of the 210 blocks at B = 20 the rounding
-    # bound leaves at most two to whole-block evaluation, and no block x1 = y1
-    # is evaluated. The values of h_2 are integers below 2^51, so its bound is
-    # exact and settles every block.
-    calls = _count_block_evaluations(monkeypatch, DEFAULT_GRID_MAX)
-    counts = {}
-    for a in DEFAULT_PROP1_ALPHAS:
-        calls.clear()
-        check_escalating(BivariateFunction.sombor(a), GridSpec(DEFAULT_GRID_MAX))
-        counts[a] = len(calls)
-    assert counts == {-3.0: 2, -1.0: 1, -0.1: 1, 0.1: 1, 0.25: 1, 0.5: 1, 0.75: 1,
-                      0.9: 1, 1.0: 1, 1.1: 1, 2.0: 0, 5.0: 1}
-    calls = _count_block_evaluations(monkeypatch, 40)
-    check_escalating(BivariateFunction.sombor(2), GridSpec(40))
-    assert len(calls) <= counts[2.0]
+    # machine-independent work gate: every default alpha but 1 takes the unit
+    # certificate, and its max pass evaluates one block whole, (B, 1); at
+    # alpha = 1 every unit is exactly 0 and the report is closed-form
+    calls = _count_block_evaluations(monkeypatch)
+    for bound in (DEFAULT_GRID_MAX, 40):
+        counts = {}
+        for a in DEFAULT_PROP1_ALPHAS:
+            calls.clear()
+            check_escalating(BivariateFunction.sombor(a), GridSpec(bound))
+            counts[a] = len(calls)
+        assert counts == {a: int(a != 1) for a in DEFAULT_PROP1_ALPHAS}, bound
 
 
 def test_grid_fallback_and_final_pass_run(monkeypatch):
-    # near-ub: the 20 blocks the bound cannot settle go through the per-cell
-    # loop; tied: with every example kept after the first block, the
-    # deferred blocks (x1, 1), x1 >= 8, all reach the best lower bound, and
-    # the final pass picks the largest |delta| among them
-    calls = _count_block_evaluations(monkeypatch, 20)
+    # near-ub fails the certificate, so the per-cell loop evaluates all 210
+    # blocks of B = 20; h_50's max pass evaluates (20, 1), and (20, 2) and
+    # (20, 3) as well, whose computed R differences lie 5.2u and 15.7u times
+    # a[x1] + a[y1] below the best |delta|, within the slack of 16u times it
+    calls = _count_block_evaluations(monkeypatch)
     check_escalating(BivariateFunction.custom(_near_ub, name="near-ub"), GridSpec(20), 1000)
-    assert len(calls) == 20
+    assert len(calls) == 210
     calls.clear()
-    check_escalating(BivariateFunction.custom(_tied, name="tied"), GridSpec(20), 0)
-    assert len(calls) == 14
+    check_escalating(BivariateFunction.sombor(50), GridSpec(20))
+    assert len(calls) == 3
 
 
 def test_grid_resolution_error():
@@ -472,6 +548,11 @@ def test_grid_checks_deadline_once_per_row():
     deadline = Counting()
     check_escalating(BivariateFunction.sombor(2), GridSpec(30), deadline=deadline)
     assert deadline.checks == 30
+    # the per-cell loop checks once per row as well
+    deadline = Counting()
+    check_escalating(BivariateFunction.custom(_near_ub, name="near-ub"), GridSpec(12),
+                     deadline=deadline)
+    assert deadline.checks == 12
     # an expired budget stops a large grid at its first row
     with pytest.raises(TimeBudgetExceededError):
         check_escalating(BivariateFunction.sombor(2), GridSpec(300), deadline=Deadline(0))
@@ -552,17 +633,23 @@ def test_good_escalating_rejects_underflow_before_partials():
 
 
 def test_good_escalating_evaluates_h_twice_per_grid_point(monkeypatch):
-    # check_escalating's B x B table, then the three-term table over 1..B+1
-    calls = []
-    call = BivariateFunction.__call__
+    # check_escalating's B x B table, then the three-term table over 1..B+1;
+    # each evaluates h_alpha's expression itself, bit for bit as h(x, y) does
+    bounds = []
+    table = indices._table
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return call(self, x, y)
+    def counted(f, bound):
+        bounds.append(bound)
+        return table(f, bound)
 
-    monkeypatch.setattr(BivariateFunction, "__call__", counted)
+    monkeypatch.setattr(indices, "_table", counted)
     assert check_good_escalating(1.5, GridSpec(6)).holds
-    assert len(calls) == 6 ** 2 + 7 ** 2
+    assert bounds == [6, 7]
+    for a in (-3.0, 0.5, 1.5, 60.0):
+        h = BivariateFunction.sombor(a)
+        t = table(h, 7)
+        assert [_bits(v) for row in t[1:] for v in row[1:]] == \
+            [_bits(h(x, y)) for x in range(1, 8) for y in range(1, 8)]
 
 
 def test_three_term_hand_cell():
