@@ -21,9 +21,8 @@ _EXPORTS = {
             "witness_violation"),
     "construct": ("ConstructionResult", "extremal_graph"),
     "crosscheck": ("verify_enumeration_cross_check",),
-    "formats": ("CanonicalCode", "canonical_code", "canonical_form", "format_edge_list",
-                "parse_degree_sequence", "parse_edge_list", "parse_graph6", "reduced_graph",
-                "to_dot"),
+    "formats": ("format_edge_list", "parse_degree_sequence", "parse_edge_list",
+                "parse_graph6", "reduced_graph", "to_dot"),
     "graphs": ("DegreeSequence", "Graph", "MajorizationVerdict", "degree_sequence_of",
                "format_degree_sequence", "format_graph6", "is_connected", "is_majorized",
                "validate_connected_c_cyclic"),

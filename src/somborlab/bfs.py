@@ -170,17 +170,13 @@ def is_bfs_graph(g: Graph) -> BfsWitness | None:
     return _search(g, require_triangle=False)
 
 
-def is_special_extremal_bfs(g: Graph, c: int | None = None) -> BfsWitness | None:
-    """Witness for the special extremal variant: triangle on top when c >= 1."""
+def is_special_extremal_bfs(g: Graph) -> BfsWitness | None:
+    """Witness for the special extremal variant: triangle on top when g's
+    cyclomatic number m - n + 1 is at least 1."""
     if not is_connected(g):
         raise DisconnectedError("BFS-graph recognition needs a connected graph")
     if g.n < 3:
         raise ValidationError("special extremal BFS-graphs need n >= 3")
     if min(g.degrees) != 1:
         raise MinDegreeNotOneError("special extremal BFS-graphs need a pendant vertex")
-    derived = g.m - g.n + 1
-    if c is None:
-        c = derived
-    elif c != derived:
-        raise ValidationError(f"c = {c} inconsistent with m - n + 1 = {derived}")
-    return _search(g, require_triangle=c >= 1)
+    return _search(g, require_triangle=g.m - g.n + 1 >= 1)

@@ -190,11 +190,16 @@ def _verify_theorem3(args, n_max, deadline) -> tuple[dict, bool]:
     from .oracle import DEFAULT_T3_ALPHAS, verify_theorem3
     cs = _int_list(args.c) if args.c is not None else (0, 1, 2)
     alphas = _alpha_list(args.alpha) if args.alpha is not None else DEFAULT_T3_ALPHAS
-    reports, ok = _sweep(
-        ((n, c, pendant) for pendant in (False, True) for c in cs
-         for n in range(2, n_max + 1)),
-        lambda n, c, pendant: verify_theorem3(n, c, alphas, require_pendant=pendant,
-                                              deadline=deadline), deadline)
+    full = {}       # (n, c) -> its report, until the pendant pass restricts it
+
+    def run(n, c, pendant):
+        if pendant:
+            return full.pop((n, c)).pendant()
+        full[n, c] = verify_theorem3(n, c, alphas, deadline=deadline)
+        return full[n, c]
+
+    reports, ok = _sweep(((n, c, pendant) for pendant in (False, True) for c in cs
+                          for n in range(2, n_max + 1)), run, deadline)
     _require_checks("3", n_max, cs, sum(r["pairs_checked"] for r in reports),
                     "majorization pair")
     return {"theorem": 3, "n_max": n_max, "c": list(cs),

@@ -76,9 +76,10 @@ class FunctionUnderflowError(ValidationError):
 
 
 class GridResolutionError(ValidationError):
-    """h_alpha with alpha != 1 has no grid cell whose delta clears its
-    tolerance: the grid cannot resolve the sign of any cell, so a strict
-    verdict would fail on rounding, not on a counterexample."""
+    """h_alpha with alpha != 1 has a grid cell that fails the verdict its
+    regime predicts (`classify_alpha`). The regime fixes the sign of every
+    delta, so the cell's delta lies within its tolerance: the verdict would
+    fail on rounding, not on a counterexample."""
 
 
 class ExtremumResolutionError(ValidationError):

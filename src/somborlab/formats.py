@@ -1,21 +1,21 @@
-"""Graph text formats, canonical forms and the reduced graph.
+"""Graph text formats and the reduced graph.
 
 Reading and writing graphs and degree sequences as text (graph6, edge
-lists, DOT and the `5,4,3^3,2^10,1^8` grammar), canonical labeling of a
-`Graph`, and the pendant-free core (`reduced_graph`). The single-input
-commands and library callers use these; no theorem sweep does, so they
-live apart from the data model in `graphs`, which every sweep loads.
-`format_graph6` and `format_degree_sequence` stay in `graphs`, since
-reports and `DegreeSequence.__repr__` write them.
+lists, DOT and the `5,4,3^3,2^10,1^8` grammar) and the pendant-free core
+(`reduced_graph`). The single-input commands and library callers use these;
+no theorem sweep does, so they live apart from the data model in `graphs`,
+which every sweep loads. `format_graph6` and `format_degree_sequence` stay
+in `graphs`, since reports and `DegreeSequence.__repr__` write them.
+Canonical labeling is the kernel's alone (`_kernels.canon_bits`).
 
-The functions that need the kernel (`_kernels`) import it when they run, so
-loading this module, as `majorize` does, leaves the kernel unloaded.
+`parse_graph6`, the one function here that needs the kernel, imports it when
+it runs, so loading this module, as `majorize` does, leaves the kernel
+unloaded.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import (
     AcyclicError,
@@ -23,16 +23,9 @@ from .errors import (
     MalformedHeaderError,
     NonPositiveEntryError,
     SequenceSyntaxError,
-    TooLargeError,
     ValidationError,
 )
-from .graphs import DegreeSequence, Graph, format_graph6
-
-
-class CanonicalCode(NamedTuple):
-    """Isomorphism-invariant byte code; equal codes <=> isomorphic graphs."""
-
-    code: bytes
+from .graphs import DegreeSequence, Graph
 
 
 def reduced_graph(g: Graph) -> Graph:
@@ -58,21 +51,6 @@ def reduced_graph(g: Graph) -> Graph:
     relabel = {v: i for i, v in enumerate(order)}
     edges = [(relabel[u], relabel[v]) for u, v in g.edges if u in alive and v in alive]
     return Graph(len(order), edges)
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Canonically relabeled copy of g (identical for isomorphic inputs)."""
-    from . import _kernels
-    if g.n > _kernels.MAX_VERTICES:
-        raise TooLargeError(
-            f"canonical labeling capped at n <= {_kernels.MAX_VERTICES}, got {g.n}"
-        )
-    return Graph(g.n, _kernels.bits_to_edges(g.n, _kernels.canon_bits(g.adjacency_masks)))
-
-
-def canonical_code(g: Graph) -> CanonicalCode:
-    """graph6 bytes of the canonical labeling."""
-    return CanonicalCode(format_graph6(canonical_form(g)).encode("ascii"))
 
 
 # -- graph6 (bit-exact per the public format specification) -------------------

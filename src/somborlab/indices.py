@@ -22,10 +22,10 @@ majorization monotonicity result: positive and convex first-argument partials
 
 `check_escalating` evaluates f once per grid point. A NaN or infinite value,
 an h_alpha value that underflows to 0.0 or a subnormal, and an h_alpha
-(alpha != 1) none of whose deltas clears its tolerance are validation errors,
-not verdicts; values so large that 4 max|f| overflows raise `OverflowError`.
-Every report is bit for bit the one that evaluating each cell's definition
-in order would give; tests compare against that definition. In exact
+(alpha != 1) with a cell that fails its regime's verdict are validation
+errors, not verdicts; values so large that 4 max|f| overflows raise
+`OverflowError`. Every report is bit for bit the one that evaluating each
+cell's definition in order would give; tests compare against it. In exact
 arithmetic a cell's delta is the sum of the unit mixed differences inside its
 rectangle, so a float table whose units all clear C = 4 REL_TOL + 2^-46 times
 their corners' |t|, with one sign, gets its verdict in O(B^2) and its
@@ -50,7 +50,7 @@ from .errors import (
     GridResolutionError,
     ValidationError,
 )
-from .sombor import REL_TOL, _check_alpha
+from .sombor import REL_TOL, _check_alpha, classify_alpha
 
 #: default grid bound; covers all degree pairs at desk scale (d <= n-1 <= 11)
 DEFAULT_GRID_MAX = 20
@@ -308,9 +308,10 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     Any other table, a table holding a non-float (an int or Fraction from a
     custom f, with no rounding bound) included, is evaluated cell by cell.
     `cells_checked` counts cells certified, not deltas computed. An h_alpha
-    with alpha != 1 none of whose cells fails on sign raises
-    `GridResolutionError`. `deadline`, any object with a `check()` method, is
-    checked once per x1 row.
+    with alpha != 1 raises `GridResolutionError` at the first cell that fails
+    the verdict `classify_alpha` predicts: the regime fixes every delta's
+    sign, so that cell fails on rounding. `deadline`, any object with a
+    `check()` method, is checked once per x1 row.
 
     Counterexamples are the first `max_counterexamples` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost): failures of the escalating
@@ -336,8 +337,9 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                                 _max_abs_delta(t, a_max, block, deadline))
     # one kept example records that a verdict failed, even when none is asked for
     keep = max(max_counterexamples, 1)
-    signed = False                     # some cell fails a verdict on sign
-    if sign == 0:                      # every delta is exactly 0
+    # the verdict h_alpha's regime predicts; a cell that fails it is refused
+    expected = classify_alpha(f.alpha).value if f.kind == "sombor" and f.alpha != 1 else None
+    if sign == 0 and not expected:     # every delta is exactly 0
         esc_bad = _strict_examples(t, bound, keep)
         de_bad = list(esc_bad)
         max_abs = 0.0
@@ -358,26 +360,24 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                     tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
                     if delta > tol:
                         esc_reason, de_reason = None, "sign"
-                        signed = True
                     elif delta < -tol:
                         esc_reason, de_reason = "sign", None
-                        signed = True
                     elif y1 < x1 and y2 < x2:
                         esc_reason = de_reason = "strictness"
                     else:
                         continue
+                    reason = expected and (esc_reason if expected == "escalating"
+                                           else de_reason)
+                    if reason:
+                        raise GridResolutionError(
+                            f"grid cannot resolve h_alpha at alpha = {f.alpha!r}: cell "
+                            f"({x1}, {y1}, {x2}, {y2}) fails the {expected} verdict on "
+                            f"{reason} (delta = {delta!r}); use an alpha farther from 0 and 1")
                     if esc_reason and len(esc_bad) < keep:
                         esc_bad.append(Counterexample(x1, y1, x2, y2, delta, esc_reason))
                     if de_reason and len(de_bad) < keep:
                         de_bad.append(Counterexample(x1, y1, x2, y2, delta, de_reason))
         max_abs = max(hi, -lo)
-    # an h_alpha (alpha != 1) that resolves no cell is a validation error
-    if f.kind == "sombor" and f.alpha != 1 and not signed:
-        raise GridResolutionError(
-            f"grid cannot resolve h_alpha at alpha = {f.alpha!r}: no delta on the "
-            f"grid clears its tolerance (max |delta| = {max_abs!r}); use an alpha "
-            f"farther from 0 and 1"
-        )
     if not esc_bad:
         verdict, examples = "escalating", ()
     elif not de_bad:

@@ -27,7 +27,7 @@ label only when a report names it:
               label the keys attaining each extremum, for their witnesses;
               theorem 1 keeps each class's BFS verdict on the record
   theorem 3   reports no class: its maxima come from the keys alone, and it
-              keeps no record
+              keeps no record; its pendant report restricts the full one
 
 An independent strategy, which filters all edge subsets, lives in
 `crosscheck` and is compared with `enumerate_gamma` class set by class set
@@ -186,11 +186,11 @@ class GammaRecord:
                 f"{exc}") from None
         return value, sorted(bits for i in winners for bits in self._classes(self.keys[i]))
 
-    def special_bfs(self, bits: int, c: int) -> BfsWitness | None:
+    def special_bfs(self, bits: int) -> BfsWitness | None:
         """`is_special_extremal_bfs` of the class `bits`, run once per class."""
         if bits not in self._verdicts:
             from .bfs import is_special_extremal_bfs
-            self._verdicts[bits] = is_special_extremal_bfs(self.graph(bits), c)
+            self._verdicts[bits] = is_special_extremal_bfs(self.graph(bits))
         return self._verdicts[bits]
 
 
@@ -202,6 +202,8 @@ def gamma_record(pi: DegreeSequence) -> GammaRecord:
     return _gamma(pi.degrees)
 
 
+# Theorem 1 asks once per alpha (85 hits in 170 calls by its default sweep),
+# and the test suite runs about a fifth slower without this cache.
 @functools.lru_cache(maxsize=1024)
 def _gamma(degrees: tuple[int, ...]) -> GammaRecord:
     return GammaRecord(degrees)
@@ -411,6 +413,15 @@ class Theorem3Report(NamedTuple):
     holds: bool
     elapsed_seconds: float
 
+    def pendant(self) -> Theorem3Report:
+        """This report restricted to the pairs of two pendant sequences (d_n = 1),
+        in order: filtering keeps the sequences' order, so a sweep over the
+        pendant sequences alone would give the same pairs."""
+        pairs = tuple(p for p in self.pairs
+                      if p.lower.degrees[-1] == p.upper.degrees[-1] == 1)
+        return self._replace(require_pendant=True, pairs=pairs,
+                             holds=all(p.ok for p in pairs))
+
     def to_record(self) -> dict:
         return {
             "theorem": 3,
@@ -425,37 +436,28 @@ class Theorem3Report(NamedTuple):
         }
 
 
-@functools.lru_cache(maxsize=1024)
 def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float, ...]:
     """Max SO_alpha over Gamma(pi) per alpha, read off the JDM keys of the
     walk's leaves (`_kernels.leaves_by_jdm`).
 
     No class is reported, so none is built or labeled, and the leaves are
-    dropped after the call rather than kept on pi's record. The maxima are
-    cached per (pi, alphas), since the pendant pass of a sweep revisits
-    every pendant pi.
+    dropped after the call rather than kept on pi's record: a Theorem 3
+    sweep asks for each pi's maxima once.
     """
     table = values_by_key(_kernels.leaves_by_jdm(degrees), alphas)
     return tuple(max(v[a] for v in table.values()) for a in alphas)
 
 
-@functools.lru_cache(maxsize=64)
-def _c_cyclic_sequences(n: int, c: int) -> tuple[DegreeSequence, ...]:
-    """`generate_c_cyclic_sequences(n, c)` without the pendant filter, cached
-    so that the pendant pass of a Theorem 3 sweep filters the list the first
-    pass generated: the pendant ones are those ending in 1, in the same order."""
-    return tuple(generate_c_cyclic_sequences(n, c, require_pendant=False))
-
-
 def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
-                    require_pendant: bool = False,
                     deadline: Deadline | None = None) -> Theorem3Report:
     """Strictly larger oracle maximum along every majorization pair.
 
-    `alphas` is a non-empty sequence, or the sweep would pass vacuously; each
-    alpha must be finite and above 1, where h_alpha is escalating. Two maxima
-    `_close` to each other cannot be ordered by floats, so such a pair raises
-    `ExtremumResolutionError` rather than count as a violation.
+    The report covers every sequence, and `Theorem3Report.pendant` restricts
+    it to the pendant ones. `alphas` is a non-empty sequence, or the sweep
+    would pass vacuously; each alpha must be finite and above 1, where
+    h_alpha is escalating. Two maxima `_close` to each other cannot be
+    ordered by floats, so such a pair raises `ExtremumResolutionError`
+    rather than count as a violation.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
@@ -466,8 +468,7 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
         if a <= 1:
             raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
     _check_kernel_bound(n)
-    seqs = [s for s in _c_cyclic_sequences(n, c)
-            if not require_pendant or s.degrees[-1] == 1]
+    seqs = generate_c_cyclic_sequences(n, c, require_pendant=False)
     maxima = _pmap(lambda s: _maxima(s.degrees, alphas), seqs, deadline=deadline)
     pairs: list[PairCheck] = []
     for i, lo in enumerate(seqs):
@@ -485,7 +486,7 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
                         f"{','.join(map(str, hi.degrees))}: {mlo!r} and {mhi!r} lie "
                         f"within the relative tolerance {REL_TOL:g}; use a smaller alpha")
                 pairs.append(PairCheck(lo, hi, a, mlo, mhi, mhi > mlo))
-    return Theorem3Report(n, c, alphas, require_pendant, tuple(pairs),
+    return Theorem3Report(n, c, alphas, False, tuple(pairs),
                           all(p.ok for p in pairs), time.monotonic() - t0)
 
 
@@ -526,11 +527,10 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
     objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:
         raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")
-    c = validate_connected_c_cyclic(pi)
     record = gamma_record(pi)
     value, winners = record.extremum(values_by_key(record.keys, (alpha,)), alpha, objective)
     for bits in winners:
-        w = record.special_bfs(bits, c)
+        w = record.special_bfs(bits)
         if w is not None:
             return ExistenceReport(pi, alpha, objective.value, value, record.size,
                                    len(winners), True, record.graph(bits), w)

@@ -15,7 +15,6 @@ from somborlab import (
     DegreeSequence,
     Graph,
     GridSpec,
-    canonical_code,
     check_escalating,
     check_good_escalating,
     enumerate_gamma,
@@ -31,6 +30,7 @@ from somborlab import (
     verify_theorem3,
     witness_violation,
 )
+from somborlab import _kernels
 
 GRID = GridSpec(20)
 
@@ -56,14 +56,15 @@ def test_criterion_1_h1_h2_equality():
     pi2 = parse_degree_sequence("4,2^8,1^4")
     h1 = spider([3, 3, 3, 3])      # the unique BFS-tree of Gamma(pi2)
     h2 = spider([2, 2, 4, 4])
-    assert canonical_code(extremal_graph(pi2).graph) == canonical_code(h1)
+    assert _kernels.canon_bits(extremal_graph(pi2).graph.adjacency_masks) == \
+        _kernels.canon_bits(h1.adjacency_masks)
     for g in (h1, h2):
         assert g.n == 13
         assert sorted(g.degrees, reverse=True) == list(pi2.degrees)
     for alpha in (-2, -1, -0.5, 0.25, 0.5, 0.75, 1.5, 2, 3):
         a, b = sombor_general(h1, alpha), sombor_general(h2, alpha)
         assert math.isclose(a, b, rel_tol=1e-12), (alpha, a, b)
-    assert canonical_code(h1) != canonical_code(h2)
+    assert _kernels.canon_bits(h1.adjacency_masks) != _kernels.canon_bits(h2.adjacency_masks)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(1, f"SO_alpha(H1) = SO_alpha(H2) over 9 alphas, codes differ "
@@ -106,7 +107,7 @@ def test_criterion_4_theorem3_monotonicity():
     pairs = 0
     for c in (0, 1, 2):
         for n in range(2, 9):
-            rep = verify_theorem3(n, c, (1.5, 2.0, 3.0), require_pendant=False)
+            rep = verify_theorem3(n, c, (1.5, 2.0, 3.0))
             assert rep.holds, rep.to_record()["violations"]
             pairs += len(rep.pairs)
     assert pairs > 0

@@ -15,6 +15,7 @@ from somborlab import (
     parse_degree_sequence,
     witness_violation,
 )
+from somborlab import _kernels
 from somborlab.errors import DisconnectedError, MinDegreeNotOneError
 
 
@@ -73,16 +74,16 @@ def test_special_needs_pendant_and_triangle():
     with pytest.raises(MinDegreeNotOneError):
         is_special_extremal_bfs(k3)
     um = extremal_graph(parse_degree_sequence("3,2,2,2,1"))
-    assert is_special_extremal_bfs(um.graph, 1) is not None
+    assert is_special_extremal_bfs(um.graph) is not None
     bm = extremal_graph(parse_degree_sequence("3,3,3,2,1"))
-    assert is_special_extremal_bfs(bm.graph, 2) is not None
+    assert is_special_extremal_bfs(bm.graph) is not None
 
 
 def test_special_absent_when_top_degrees_cannot_form_triangle():
     # C4 with a pendant path of length 2: the unique max-degree vertex is on the
     # cycle, but its two largest-degree companions are not mutually adjacent
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
-    assert is_special_extremal_bfs(g, 1) is None
+    assert is_special_extremal_bfs(g) is None
     assert brute_force_witness(g, require_triangle=True) is None
 
 
@@ -93,32 +94,31 @@ def test_constructions_pass_their_own_ordering():
                 r = extremal_graph(pi)
                 assert witness_violation(r.graph, r.ordering,
                                          require_triangle=(c >= 1)) is None
-                found = is_special_extremal_bfs(r.graph, c) if c else is_bfs_graph(r.graph)
+                found = is_special_extremal_bfs(r.graph) if c else is_bfs_graph(r.graph)
                 assert found is not None
 
 
 def test_greedy_tree_is_unique_bfs_tree():
     # every BFS-tree the recognizer accepts is isomorphic to the greedy tree,
     # and every special BFS-unicyclic graph to the BFS-unicyclic graph
-    from somborlab import canonical_code
-
     for n in range(2, 9):
         for pi in generate_c_cyclic_sequences(n, 0, require_pendant=True):
-            target = canonical_code(extremal_graph(pi).graph)
+            target = _kernels.canon_bits(extremal_graph(pi).graph.adjacency_masks)
             hits = [
                 g for g in enumerate_gamma(pi) if is_bfs_graph(g) is not None
             ]
             assert hits, pi
-            assert all(canonical_code(g) == target for g in hits)
+            assert all(_kernels.canon_bits(g.adjacency_masks) == target for g in hits)
     accepted = {}
     for c in (1, 2):
         for n in range(3, 10):
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=True):
                 accepted[c, pi] = {
-                    canonical_code(g) for g in enumerate_gamma(pi)
-                    if is_special_extremal_bfs(g, c) is not None
+                    _kernels.canon_bits(g.adjacency_masks) for g in enumerate_gamma(pi)
+                    if is_special_extremal_bfs(g) is not None
                 }
-                assert canonical_code(extremal_graph(pi).graph) in accepted[c, pi]
+                assert _kernels.canon_bits(extremal_graph(pi).graph.adjacency_masks) \
+                    in accepted[c, pi]
     unicyclic = [codes for (c, _), codes in accepted.items() if c == 1]
     assert len(unicyclic) == 60
     assert all(len(codes) == 1 for codes in unicyclic)
@@ -146,8 +146,7 @@ def test_search_matches_brute_force_small():
         for triangle in (False, True):
             if triangle and (g.n < 3 or min(g.degrees) != 1):
                 continue
-            got = (is_special_extremal_bfs(g, g.m - g.n + 1)
-                   if triangle else is_bfs_graph(g))
+            got = is_special_extremal_bfs(g) if triangle else is_bfs_graph(g)
             brute = brute_force_witness(g, require_triangle=triangle and
                                         (g.m - g.n + 1) >= 1)
             assert (got is not None) == (brute is not None), (g.edges, triangle)

@@ -566,13 +566,23 @@ def test_verify_prop1_time_budget_exit2(capsys):
     assert "budget" in rec["error"] and rec["partial"] == []
 
 
-@pytest.mark.parametrize("alpha", ["1e-12", "1.0000000001", "1e-300", "-1e-300"])
+@pytest.mark.parametrize("alpha", ["1e-12", "1.0000000001", "1e-300", "-1e-300", "1e-9",
+                                   "1e-7", "-1e-7", "0.99999999", "1.00000003"])
 def test_verify_prop1_unresolvable_alpha_exit2(capsys, alpha):
-    # every delta lies within its tol, so every strict cell failed on
-    # strictness and the sweep exited 1 with verdict "neither"
+    # some strict cell's delta lies within its tol, so it fails the verdict
+    # the regime predicts on strictness: floats cannot resolve that cell,
+    # which is no counterexample, so the sweep does not exit 1
     code, out, err = run(capsys, "verify", "--theorem", "prop1", f"--alpha={alpha}")
     assert code == 2 and out == ""
     assert "grid cannot resolve" in err
+
+
+def test_verify_prop1_resolves_alpha_near_one_on_a_small_grid(capsys):
+    # on B = 3 every strict delta at alpha = 1 + 3e-8 clears its tol
+    code, out, _ = run(capsys, "verify", "--theorem", "prop1", "--grid", "3",
+                       "--alpha", "1.00000003")
+    assert code == 0
+    assert json.loads(out)["results"][0]["verdict"] == "escalating"
 
 
 def test_out_of_memory_exit2(capsys, monkeypatch):
@@ -590,11 +600,10 @@ def test_out_of_memory_exit2(capsys, monkeypatch):
 
 
 def test_verify_prop1_budget_expires_inside_the_grid(capsys):
-    # at alpha = 1 - 1e-8 the unit certificate fails, so the B = 300 grid runs
-    # the O(B^4) per-cell loop, which takes minutes; the budget is checked
-    # once per row, so it expires inside that grid rather than before h_2's
-    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "300",
-                         "--alpha", "0.99999999,2", "--time-budget", "0.2")
+    # h_2's B = 600 table and unit certificate take longer than the budget,
+    # which the grid checks once per row, so it expires inside that grid
+    code, out, err = run(capsys, "verify", "--theorem", "prop1", "--grid", "600",
+                         "--alpha", "2", "--time-budget", "0.05")
     assert code == 2 and out == ""
     rec = json.loads(err)
     assert "budget" in rec["error"] and rec["partial"] == []

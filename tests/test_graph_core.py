@@ -8,8 +8,6 @@ import pytest
 from somborlab import (
     DegreeSequence,
     Graph,
-    canonical_code,
-    canonical_form,
     degree_sequence_of,
     format_degree_sequence,
     format_edge_list,
@@ -22,8 +20,8 @@ from somborlab import (
     to_dot,
     validate_connected_c_cyclic,
 )
+from somborlab import _kernels
 from somborlab.construct import extremal_graph
-from somborlab.formats import CanonicalCode
 from somborlab.errors import (
     AcyclicError,
     DegreeTooLargeError,
@@ -33,7 +31,6 @@ from somborlab.errors import (
     NotGraphicalError,
     OddSumError,
     SequenceSyntaxError,
-    TooLargeError,
     TooSparseError,
     ValidationError,
 )
@@ -78,12 +75,6 @@ def test_degree_sequence_equality_ignores_resorted():
     assert flagged.resorted and not plain.resorted
     assert flagged == plain and hash(flagged) == hash(plain)
     assert len({plain, flagged}) == 1
-
-
-def test_canonical_code_orders_by_bytes():
-    codes = [CanonicalCode(b"Bw"), CanonicalCode(b"Bg"), CanonicalCode(b"A_")]
-    assert sorted(codes) == [CanonicalCode(b"A_"), CanonicalCode(b"Bg"), CanonicalCode(b"Bw")]
-    assert canonical_code(K3).code == format_graph6(canonical_form(K3)).encode("ascii")
 
 
 def test_degree_sequence_of():
@@ -139,7 +130,8 @@ def test_reduced_graph():
     assert reduced_graph(K3) == K3
     bm = extremal_graph(parse_degree_sequence("3,3,3,2,1")).graph
     k4_minus_e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert canonical_code(reduced_graph(bm)) == canonical_code(k4_minus_e)
+    assert _kernels.canon_bits(reduced_graph(bm).adjacency_masks) == \
+        _kernels.canon_bits(k4_minus_e.adjacency_masks)
     with pytest.raises(AcyclicError):
         reduced_graph(P3)
 
@@ -160,19 +152,17 @@ def test_reduced_graph_idempotent_and_c_preserving():
 
 def test_canonical_code_detects_isomorphism():
     relabeled = P3.relabel([2, 0, 1])
-    assert canonical_code(P3) == canonical_code(relabeled)
-    assert canonical_code(K3) != canonical_code(P3)
-    assert canonical_form(P3) == canonical_form(relabeled)
+    assert _kernels.canon_bits(P3.adjacency_masks) == \
+        _kernels.canon_bits(relabeled.adjacency_masks)
+    assert _kernels.canon_bits(K3.adjacency_masks) != _kernels.canon_bits(P3.adjacency_masks)
 
 
 def test_canonical_labeling_capped_at_kernel_bound():
-    # the kernel labels at most 16 vertices; above that the error says so
+    # the kernel labels up to 16 vertices; test_kernels checks the bound
     p16 = Graph(16, [(i, i + 1) for i in range(15)])
-    assert canonical_form(p16).n == 16
-    p17 = Graph(17, [(i, i + 1) for i in range(16)])
-    for fn in (canonical_form, canonical_code):
-        with pytest.raises(TooLargeError, match="n <= 16, got 17"):
-            fn(p17)
+    bits = _kernels.canon_bits(p16.adjacency_masks)
+    assert degree_sequence_of(Graph(16, _kernels.bits_to_edges(16, bits))) == \
+        degree_sequence_of(p16)
 
 
 def test_canonical_code_permutation_invariance():
@@ -181,11 +171,11 @@ def test_canonical_code_permutation_invariance():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = rng.sample(pairs, n + 1)
         g = Graph(n, edges)
-        base = canonical_code(g)
+        base = _kernels.canon_bits(g.adjacency_masks)
         perms = list(itertools.permutations(range(n)))
         chosen = perms if n <= 6 else rng.sample(perms, 800)
         for perm in chosen:
-            assert canonical_code(g.relabel(perm)) == base
+            assert _kernels.canon_bits(g.relabel(perm).adjacency_masks) == base
 
 
 def test_graph6_k3_and_roundtrip():

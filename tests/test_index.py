@@ -283,14 +283,23 @@ def _reference_functions():
 
 def _assert_grid_matches_reference(functions, bound):
     """check_escalating equals the per-call definition at every limit, bit for bit;
-    an unresolvable h_alpha raises where the definition fails on strictness alone."""
+    an h_alpha (alpha != 1) raises where the definition fails the verdict its
+    regime predicts, which it fails on strictness alone."""
     grid = GridSpec(bound)
     for f in functions:
         full = _reference_escalating(f, bound, 10 ** 9)
-        unresolvable = f.kind == "sombor" and f.alpha in UNRESOLVABLE_ALPHAS
+        expected = (classify_alpha(f.alpha).value
+                    if f.kind == "sombor" and f.alpha != 1 else None)
+        unresolvable = expected is not None and full.verdict != expected
         if unresolvable:
+            # a sign failure of the predicted verdict would be a counterexample
+            # to Proposition 1; every counterexample is kept at this limit
             assert full.verdict == "neither"
-            assert {c.reason for c in full.counterexamples} == {"strictness"}
+            wrong = (lambda d: d < 0) if expected == "escalating" else (lambda d: d > 0)
+            assert not [c for c in full.counterexamples
+                        if c.reason == "sign" and wrong(c.delta)]
+        if f.kind == "sombor" and f.alpha in UNRESOLVABLE_ALPHAS:
+            assert unresolvable
         for limit in (0, 1, 10, 1000):
             if unresolvable:
                 with pytest.raises(GridResolutionError, match="grid cannot resolve"):

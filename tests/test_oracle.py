@@ -8,7 +8,6 @@ from somborlab import (
     DegreeSequence,
     Graph,
     Objective,
-    canonical_code,
     degree_sequence_of,
     enumerate_gamma,
     format_graph6,
@@ -58,12 +57,12 @@ def test_enumerate_gamma_unique_realizations():
 
 def test_enumerate_gamma_is_sorted_and_deduplicated():
     graphs = enumerate_gamma(parse_degree_sequence("3,3,2,2,1,1"))
-    codes = [canonical_code(g).code for g in graphs]
+    codes = [_kernels.canon_bits(g.adjacency_masks) for g in graphs]
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
     # representatives are canonically labeled already
-    for g in graphs:
-        assert canonical_code(g).code == format_graph6(g).encode()
+    for g, bits in zip(graphs, codes):
+        assert g == Graph(g.n, _kernels.bits_to_edges(g.n, bits))
 
 
 def test_enumerate_gamma_returns_fresh_lists():
@@ -96,8 +95,8 @@ def test_oracle_extrema_tree_max_is_greedy():
     rep = oracle_extrema(pi, 2)
     built = extremal_graph(pi).graph
     assert math.isclose(rep.max_value, sombor_general(built, 2), rel_tol=1e-12)
-    codes = {canonical_code(g) for g in rep.max_witnesses}
-    assert canonical_code(built) in codes
+    codes = {_kernels.canon_bits(g.adjacency_masks) for g in rep.max_witnesses}
+    assert _kernels.canon_bits(built.adjacency_masks) in codes
     # hand evaluation: spider legs (2,2,1) has pairs (3,2)x2,(3,1),(2,1)x2
     assert rep.max_value == 2 * 13 ** 2 + 10 ** 2 + 2 * 5 ** 2
 
@@ -257,7 +256,7 @@ def test_default_sweeps_work_counters(monkeypatch):
                     assert verify_special_bfs_existence(pi, a).holds
                     checks += 1
     assert checks == 170
-    assert len(recognized) == len({format_graph6(g) for g, _ in recognized}) == 88
+    assert len(recognized) == len({format_graph6(g) for (g,) in recognized}) == 88
     assert len(canon) <= 188
     canon.clear()
     _gamma.cache_clear()
@@ -308,7 +307,7 @@ def test_record_matches_class_list_reference():
                     if a in t1:
                         rep = t1[a]
                         first = next(((g, w) for g in winners
-                                      if (w := is_special_extremal_bfs(g, c)) is not None),
+                                      if (w := is_special_extremal_bfs(g)) is not None),
                                      (None, None))
                         assert (rep.extremal_value, rep.class_size, rep.witnesses_checked,
                                 rep.witness, rep.witness_ordering) == \
@@ -354,8 +353,9 @@ def test_theorem2_violation_names_both_graphs(monkeypatch):
     original = construct.extremal_graph
     built = original(pi)
     # pi has two trees; at alpha = 0.5 and 2 only the built one is extremal
+    target = _kernels.canon_bits(built.graph.adjacency_masks)
     other = next(g for g in enumerate_gamma(pi)
-                 if canonical_code(g) != canonical_code(built.graph))
+                 if _kernels.canon_bits(g.adjacency_masks) != target)
     monkeypatch.setattr(construct, "extremal_graph",
                         lambda p: built._replace(graph=other) if p == pi else original(p))
     alphas = (0.5, 2.0)
@@ -368,7 +368,7 @@ def test_theorem2_violation_names_both_graphs(monkeypatch):
         witness = parse_graph6(v["oracle_graph6"])
         assert degree_sequence_of(witness) == pi
         assert sombor_general(witness, v["alpha"]) == v["oracle_value"]
-        assert canonical_code(witness) == canonical_code(built.graph)
+        assert _kernels.canon_bits(witness.adjacency_masks) == target
     # a check that holds keeps its record as it was
     assert all("constructed_graph6" not in c and "oracle_graph6" not in c
                for c in rep["checks"] if c["ok"])
@@ -389,22 +389,26 @@ def test_theorem3_hand_case():
 
 def test_theorem3_small_all_cases():
     for c in (0, 1, 2):
-        for pendant in (False, True):
-            rep = verify_theorem3(6, c, (1.5, 2.0), require_pendant=pendant)
-            assert rep.holds, rep.to_record()["violations"]
+        rep = verify_theorem3(6, c, (1.5, 2.0))
+        for report in (rep, rep.pendant()):
+            assert report.holds, report.to_record()["violations"]
 
 
 def test_theorem3_pairs_equal_all_ordered_pairs():
     # the scan over earlier sequences only finds every majorization pair, in
-    # the order of a scan over all ordered pairs
+    # the order of a scan over all ordered pairs; the pendant report holds
+    # those of the pendant sequences alone
     for n in range(2, 9):
         for c in range(4):
+            full = verify_theorem3(n, c, (2.0,))
             for pendant in (False, True):
                 seqs = generate_c_cyclic_sequences(n, c, require_pendant=pendant)
                 want = [(lo, hi) for lo in seqs for hi in seqs
                         if lo != hi and is_majorized(lo, hi).holds]
-                rep = verify_theorem3(n, c, (2.0,), require_pendant=pendant)
+                rep = full.pendant() if pendant else full
                 assert [(p.lower, p.upper) for p in rep.pairs] == want, (n, c, pendant)
+                assert rep.require_pendant == pendant
+                assert rep.holds == all(p.ok for p in rep.pairs)
 
 
 def test_maxima_equal_max_over_classes():
@@ -422,26 +426,23 @@ def test_theorem3_makes_no_canon_calls(monkeypatch):
     # the default sweep, from a cleared cache
     calls = _counted(monkeypatch, _kernels, "canon_bits")
     _gamma.cache_clear()
-    oracle._maxima.cache_clear()
     pairs = 0
-    for pendant in (False, True):
-        for c in (0, 1, 2):
-            for n in range(2, 9):
-                rep = verify_theorem3(n, c, require_pendant=pendant)
-                assert rep.holds
-                pairs += len(rep.pairs)
+    for c in (0, 1, 2):
+        for n in range(2, 9):
+            rep = verify_theorem3(n, c)
+            for report in (rep, rep.pendant()):
+                assert report.holds
+                pairs += len(report.pairs)
     assert pairs > 0
     assert calls == []
-    assert oracle._maxima.cache_info().currsize > 0
 
 
 def test_sweeps_check_the_kernel_bound_before_generating(monkeypatch):
     # the matrix path keeps enumerate_gamma's kernel bound, checked before
     # any sequence is generated
     generated = _counted(monkeypatch, oracle, "generate_c_cyclic_sequences")
-    oracle._c_cyclic_sequences.cache_clear()
     for call in (lambda: verify_theorem2(17, 0), lambda: verify_theorem3(17, 0),
-                 lambda: verify_theorem3(17, 1, require_pendant=True)):
+                 lambda: verify_theorem3(17, 1)):
         with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
             call()
     assert generated == []
@@ -495,28 +496,18 @@ def test_sequence_generation_propagates_validator_bugs(monkeypatch):
         generate_c_cyclic_sequences(5, 0, require_pendant=False)
 
 
-def test_theorem3_pendant_pass_reuses_maxima(monkeypatch):
-    calls = []
-    values = sombor.values
-
-    def counted(pairs, alphas):
-        calls.append(pairs)
-        return values(pairs, alphas)
-
-    monkeypatch.setattr(sombor, "values", counted)
-    generated = _counted(monkeypatch, oracle, "generate_c_cyclic_sequences")
-    oracle._maxima.cache_clear()
-    oracle._c_cyclic_sequences.cache_clear()
-    everything = verify_theorem3(7, 1, (1.5, 2.0))
-    assert calls and len(generated) == 1
-    calls.clear()
-    pendant = verify_theorem3(7, 1, (1.5, 2.0), require_pendant=True)
-    # the pendant pass filters the list the first pass generated
-    assert calls == [] and pendant.pairs and len(generated) == 1
-    # every pendant maximum is the one the first pass computed
-    first = {(p.lower, p.alpha): p.lower_max for p in everything.pairs}
-    for p in pendant.pairs:
-        assert first.get((p.lower, p.alpha), p.lower_max) == p.lower_max
+def test_theorem3_sweep_decides_each_pair_once(monkeypatch, capsys):
+    # machine-independent work gate on the default `verify --theorem 3`: the
+    # pendant reports are restrictions of the full ones, so each sequence's
+    # maxima are read once and each ordered pair is tested for majorization
+    # once per (n, c)
+    from somborlab import cli
+    walked = _counted(monkeypatch, _kernels, "leaves_by_jdm")
+    tested = _counted(monkeypatch, oracle, "is_majorized")
+    assert cli.main(["verify", "--theorem", "3"]) == 0
+    capsys.readouterr()
+    assert len(walked) == len(set(walked)) == 126
+    assert len(tested) == 756
 
 
 def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
