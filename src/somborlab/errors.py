@@ -76,10 +76,10 @@ class FunctionUnderflowError(ValidationError):
 
 
 class GridResolutionError(ValidationError):
-    """h_alpha with alpha != 1 has a grid cell that fails the verdict its
-    regime predicts (`classify_alpha`). The regime fixes the sign of every
-    delta, so the cell's delta lies within its tolerance: the verdict would
-    fail on rounding, not on a counterexample."""
+    """h_alpha with alpha != 1 has a strict grid cell whose delta lies within
+    its tolerance. The exact delta there is not 0, but floats cannot decide
+    its sign, so no verdict would rest on the function. A delta past its
+    tolerance is decided, and failing a verdict there is a counterexample."""
 
 
 class ExtremumResolutionError(ValidationError):

@@ -9,9 +9,9 @@ A symmetric f is *escalating* (resp. *de-escalating*) when
 
     delta = f(x1,x2) + f(y1,y2) - f(y1,x2) - f(x1,y2)  >= 0   (resp. <= 0)
 
-for all x1 >= y1 >= 1, x2 >= y2 >= 1, strictly when x1 > y1 and x2 > y2.
-For h_alpha(x,y) = (x^2+y^2)^alpha this is decided analytically by the sign
-regime of alpha (`sombor.classify_alpha`); `check_escalating` certifies the same
+for all x1 >= y1 >= 1, x2 >= y2 >= 1, strictly when x1 > y1 and x2 > y2. For
+h_alpha(x,y) = (x^2+y^2)^alpha this is decided analytically by the sign regime
+of alpha (the alpha rule in `sombor`); `check_escalating` certifies the same
 statement on a finite integer grid, which covers every degree pair arising at
 desk scale. alpha = 1 is degenerate: x^2 + y^2 is additively separable, so
 delta vanishes identically and neither strict verdict applies.
@@ -21,8 +21,8 @@ majorization monotonicity result: positive and convex first-argument partials
 (closed forms below) plus a three-term shift inequality on the grid.
 
 `check_escalating` evaluates f once per grid point. A NaN or infinite value,
-an h_alpha value that underflows to 0.0 or a subnormal, and an h_alpha
-(alpha != 1) with a cell that fails its regime's verdict are validation
+an h_alpha value that underflows to 0.0 or a subnormal, and a strict cell of
+h_alpha, alpha != 1, whose |delta| is within its tolerance are validation
 errors, not verdicts; values so large that 4 max|f| overflows raise
 `OverflowError`. Every report is bit for bit the one that evaluating each
 cell's definition in order would give; tests compare against it. In exact
@@ -30,8 +30,8 @@ arithmetic a cell's delta is the sum of the unit mixed differences inside its
 rectangle, so a float table whose units all clear C = 4 REL_TOL + 2^-46 times
 their corners' |t|, with one sign, gets its verdict in O(B^2) and its
 max_abs_delta from the few blocks a rounding bound cannot rule out, and an
-exact table whose units are all 0 has a closed-form report. Any other table
-is evaluated cell by cell in O(B^4). Proofs and constants are at
+exact table whose units are all 0 has a closed-form report. Any other table is
+evaluated cell by cell in O(B^4). Proofs and constants are at
 `check_escalating`.
 """
 
@@ -50,8 +50,10 @@ from .errors import (
     GridResolutionError,
     ValidationError,
 )
-from .sombor import REL_TOL, _check_alpha, classify_alpha
+from .sombor import REL_TOL, _check_alpha
 
+#: counterexamples a report keeps, the first in grid order
+MAX_COUNTEREXAMPLES = 10
 #: default grid bound; covers all degree pairs at desk scale (d <= n-1 <= 11)
 DEFAULT_GRID_MAX = 20
 #: the default alphas of Proposition 1: both sides of 0 and 1, and alpha = 1
@@ -253,7 +255,6 @@ def _strict_examples(t: list[list[float]], bound: int,
 
 
 def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
-                     max_counterexamples: int = 10,
                      deadline=None) -> EscalationReport:
     """Certify inequality-(2) behaviour of f on the grid.
 
@@ -304,16 +305,20 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     - Exact zero: when all values are integer-valued floats below 2^51, every
       sum is exact; if every Delta is 0, so is every delta, and the report is
       closed-form: "neither", every strict cell failing on strictness, 0.0.
+      An h_alpha with alpha != 1 whose values all round to one integer, e.g.
+      at alpha = 1e-300, is refused instead.
 
     Any other table, a table holding a non-float (an int or Fraction from a
     custom f, with no rounding bound) included, is evaluated cell by cell.
     `cells_checked` counts cells certified, not deltas computed. An h_alpha
-    with alpha != 1 raises `GridResolutionError` at the first cell that fails
-    the verdict `classify_alpha` predicts: the regime fixes every delta's
-    sign, so that cell fails on rounding. `deadline`, any object with a
+    with alpha != 1 raises `GridResolutionError` at the first strict cell
+    whose |delta| <= tol, the one cell floats cannot decide: its exact delta
+    is not 0, but its sign is lost to rounding. A delta past tol keeps its
+    sign, so a cell failing a verdict on sign is a counterexample, which the
+    caller weighs against the regime. `deadline`, any object with a
     `check()` method, is checked once per x1 row.
 
-    Counterexamples are the first `max_counterexamples` found in grid order
+    Counterexamples are the first `MAX_COUNTEREXAMPLES` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost): failures of the escalating
     verdict first, then those of the de-escalating verdict.
     """
@@ -335,12 +340,10 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
         verdict = "escalating" if sign > 0 else "de-escalating"
         return EscalationReport(f.name, bound, verdict, (), cells,
                                 _max_abs_delta(t, a_max, block, deadline))
-    # one kept example records that a verdict failed, even when none is asked for
-    keep = max(max_counterexamples, 1)
-    # the verdict h_alpha's regime predicts; a cell that fails it is refused
-    expected = classify_alpha(f.alpha).value if f.kind == "sombor" and f.alpha != 1 else None
-    if sign == 0 and not expected:     # every delta is exactly 0
-        esc_bad = _strict_examples(t, bound, keep)
+    # an h_alpha with alpha != 1 has delta != 0 at every strict cell
+    refuse = f.kind == "sombor" and f.alpha != 1
+    if sign == 0 and not refuse:       # every delta is exactly 0
+        esc_bad = _strict_examples(t, bound, MAX_COUNTEREXAMPLES)
         de_bad = list(esc_bad)
         max_abs = 0.0
     else:
@@ -363,19 +366,18 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
                     elif delta < -tol:
                         esc_reason, de_reason = "sign", None
                     elif y1 < x1 and y2 < x2:
+                        if refuse:
+                            raise GridResolutionError(
+                                f"grid cannot resolve h_alpha at alpha = {f.alpha!r}: "
+                                f"strict cell ({x1}, {y1}, {x2}, {y2}) has delta = "
+                                f"{delta!r} within its tolerance; use an alpha farther "
+                                f"from 0 and 1")
                         esc_reason = de_reason = "strictness"
                     else:
                         continue
-                    reason = expected and (esc_reason if expected == "escalating"
-                                           else de_reason)
-                    if reason:
-                        raise GridResolutionError(
-                            f"grid cannot resolve h_alpha at alpha = {f.alpha!r}: cell "
-                            f"({x1}, {y1}, {x2}, {y2}) fails the {expected} verdict on "
-                            f"{reason} (delta = {delta!r}); use an alpha farther from 0 and 1")
-                    if esc_reason and len(esc_bad) < keep:
+                    if esc_reason and len(esc_bad) < MAX_COUNTEREXAMPLES:
                         esc_bad.append(Counterexample(x1, y1, x2, y2, delta, esc_reason))
-                    if de_reason and len(de_bad) < keep:
+                    if de_reason and len(de_bad) < MAX_COUNTEREXAMPLES:
                         de_bad.append(Counterexample(x1, y1, x2, y2, delta, de_reason))
         max_abs = max(hi, -lo)
     if not esc_bad:
@@ -384,7 +386,7 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
         verdict, examples = "de-escalating", ()
     else:
         verdict = "neither"
-        examples = tuple((esc_bad + de_bad)[:max_counterexamples])
+        examples = tuple((esc_bad + de_bad)[:MAX_COUNTEREXAMPLES])
     return EscalationReport(f.name, bound, verdict, examples, cells, max_abs)
 
 
@@ -409,14 +411,13 @@ def second_partial(x: float, y: float, alpha: float) -> float:
     return 2 * alpha * s ** (alpha - 2) * (s + 2 * x * x * (alpha - 1))
 
 
-def _partial_failures(alpha: float, bound: int,
-                      max_counterexamples: int) -> tuple[list[Counterexample], int]:
+def _partial_failures(alpha: float, bound: int) -> tuple[list[Counterexample], int]:
     """First- and second-partial failures in grid order, x outermost.
 
     A point fails when the first partial is <= 0, or else when the second is
     below -REL_TOL. Like `_three_term_failures`, the scan stops once it holds
-    `max_counterexamples` failures (after the first when that is 0) and
-    returns them with the number of points examined.
+    `MAX_COUNTEREXAMPLES` failures and returns them with the number of points
+    examined.
     """
     bad: list[Counterexample] = []
     cells = 0
@@ -431,14 +432,14 @@ def _partial_failures(alpha: float, bound: int,
                 if d2 >= -REL_TOL:
                     continue
                 bad.append(Counterexample(x, 0, y, 0, d2, "second-partial"))
-            if len(bad) >= max_counterexamples:
+            if len(bad) >= MAX_COUNTEREXAMPLES:
                 return bad, cells
     return bad, cells
 
 
-def _three_term_failures(t: list[list[float]], bound: int,
-                         max_counterexamples: int) -> tuple[list[Counterexample], int]:
-    """Three-term shift failures in grid order, stopping at `max_counterexamples`.
+def _three_term_failures(t: list[list[float]],
+                         bound: int) -> tuple[list[Counterexample], int]:
+    """Three-term shift failures in grid order, stopping at `MAX_COUNTEREXAMPLES`.
 
     `t` is the (bound+1)-table of h. Returns the failures and the number of
     cells examined up to and including the last one checked. A cell fails when
@@ -459,13 +460,13 @@ def _three_term_failures(t: list[list[float]], bound: int,
                 gap = lhs - rhs
                 if gap <= REL_TOL * (abs(lhs) + abs(rhs)):
                     bad.append(Counterexample(x1, y1, x2, y2, gap, "three-term"))
-                    if len(bad) >= max_counterexamples:
+                    if len(bad) >= MAX_COUNTEREXAMPLES:
                         return bad, cells
     return bad, cells
 
 
-def check_good_escalating(alpha: float, grid: GridSpec | None = None,
-                          max_counterexamples: int = 10) -> GoodEscalatingReport:
+def check_good_escalating(alpha: float,
+                          grid: GridSpec | None = None) -> GoodEscalatingReport:
     """Certify that h_alpha is a good escalating function on the grid.
 
     Requires, in order: positive and escalating (per `check_escalating`, whose
@@ -479,7 +480,7 @@ def check_good_escalating(alpha: float, grid: GridSpec | None = None,
 
     h is evaluated twice per grid point: once by `check_escalating`, and once
     for the three-term check's table over 1..B+1, since it looks up x1+1.
-    Counterexamples are the first `max_counterexamples` found in grid order
+    Counterexamples are the first `MAX_COUNTEREXAMPLES` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost) of the first condition that fails.
     """
     h = BivariateFunction.sombor(alpha)     # rejects zero and non-finite alpha
@@ -490,16 +491,14 @@ def check_good_escalating(alpha: float, grid: GridSpec | None = None,
     esc = check_escalating(h, grid)
     cells += esc.cells_checked
     if esc.verdict != "escalating":
-        bad = esc.counterexamples[:max_counterexamples]
-        return GoodEscalatingReport(alpha, bound, False, "escalating", bad, cells)
+        return GoodEscalatingReport(alpha, bound, False, "escalating",
+                                    esc.counterexamples, cells)
 
-    bad, checked = _partial_failures(alpha, bound, max_counterexamples)
+    bad, checked = _partial_failures(alpha, bound)
     cells += checked
     if not bad:
-        bad, checked = _three_term_failures(_table(h, bound + 1), bound,
-                                            max_counterexamples)
+        bad, checked = _three_term_failures(_table(h, bound + 1), bound)
         cells += checked
     if bad:
-        return GoodEscalatingReport(alpha, bound, False, bad[0].reason,
-                                    tuple(bad[:max_counterexamples]), cells)
+        return GoodEscalatingReport(alpha, bound, False, bad[0].reason, tuple(bad), cells)
     return GoodEscalatingReport(alpha, bound, True, None, (), cells)

@@ -44,11 +44,11 @@ rounding.
 Graphs are always compared by canonical code, never by float.
 
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
-`Caps.enum` and the time budget `Deadline` live in `limits` and are bound
-here too; the cap is checked once, by the CLI, where outside input enters.
-`is_majorized` and `MajorizationVerdict` (from `graphs`) and `Objective` and
-`objective_for_alpha` (from `sombor`) are bound here as well, and so is the
-layer's evaluator, `sombor.values`, as `_values_for_alphas`. The BFS
+`Caps.enum` lives in `limits` and is checked once, by the CLI, where outside
+input enters; the time budget `Deadline` comes from `limits` too.
+`is_majorized` (from `graphs`) and `Objective` and `objective_for_alpha`
+(from `sombor`) are bound here, and so is the layer's evaluator,
+`sombor.values`, as `_values_for_alphas`. The BFS
 recognizer and the constructor are imported where they are called, for
 Theorem 1 (`GammaRecord.special_bfs`) and Theorem 2 (`_theorem2_one`), so a
 sweep loads only the layers it runs.
@@ -71,15 +71,14 @@ from .errors import (
     UnsupportedCError,
     ValidationError,
 )
-from .graphs import (  # noqa: F401
+from .graphs import (
     DegreeSequence,
     Graph,
-    MajorizationVerdict,
     format_graph6,
     is_majorized,
     validate_connected_c_cyclic,
 )
-from .limits import ENUM_N_MAX, Caps, Deadline, load_caps  # noqa: F401
+from .limits import Deadline
 from .sombor import (REL_TOL, JdmKey, Objective, classify_alpha, edge_pair_counts,
                      objective_for_alpha, values_by_key)
 from .sombor import values as _values_for_alphas

@@ -569,9 +569,9 @@ def test_verify_prop1_time_budget_exit2(capsys):
 @pytest.mark.parametrize("alpha", ["1e-12", "1.0000000001", "1e-300", "-1e-300", "1e-9",
                                    "1e-7", "-1e-7", "0.99999999", "1.00000003"])
 def test_verify_prop1_unresolvable_alpha_exit2(capsys, alpha):
-    # some strict cell's delta lies within its tol, so it fails the verdict
-    # the regime predicts on strictness: floats cannot resolve that cell,
-    # which is no counterexample, so the sweep does not exit 1
+    # some strict cell's delta lies within its tol: floats cannot decide
+    # that cell's sign, which is no counterexample, so the sweep does not
+    # exit 1
     code, out, err = run(capsys, "verify", "--theorem", "prop1", f"--alpha={alpha}")
     assert code == 2 and out == ""
     assert "grid cannot resolve" in err

@@ -1,5 +1,6 @@
 """SO_alpha evaluation and escalating/de-escalating certification."""
 
+import json
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from somborlab import (
     generate_c_cyclic_sequences,
     sombor_general,
 )
-from somborlab import indices
+from somborlab import cli, indices
 from somborlab.errors import (
     AlphaNotFiniteError,
     AlphaZeroError,
@@ -33,6 +34,7 @@ from somborlab.errors import (
 from somborlab.indices import (
     DEFAULT_GRID_MAX,
     DEFAULT_PROP1_ALPHAS,
+    MAX_COUNTEREXAMPLES,
     REL_TOL,
     Counterexample,
     EscalationReport,
@@ -282,33 +284,32 @@ def _reference_functions():
 
 
 def _assert_grid_matches_reference(functions, bound):
-    """check_escalating equals the per-call definition at every limit, bit for bit;
-    an h_alpha (alpha != 1) raises where the definition fails the verdict its
-    regime predicts, which it fails on strictness alone."""
+    """check_escalating equals the per-call definition, bit for bit; an h_alpha
+    (alpha != 1) raises where the definition has a strict cell within its tol,
+    and fails the verdict its regime predicts nowhere else."""
     grid = GridSpec(bound)
     for f in functions:
         full = _reference_escalating(f, bound, 10 ** 9)
         expected = (classify_alpha(f.alpha).value
                     if f.kind == "sombor" and f.alpha != 1 else None)
-        unresolvable = expected is not None and full.verdict != expected
-        if unresolvable:
+        if expected:
             # a sign failure of the predicted verdict would be a counterexample
             # to Proposition 1; every counterexample is kept at this limit
-            assert full.verdict == "neither"
             wrong = (lambda d: d < 0) if expected == "escalating" else (lambda d: d > 0)
             assert not [c for c in full.counterexamples
                         if c.reason == "sign" and wrong(c.delta)]
+        unresolvable = expected is not None and any(
+            c.reason == "strictness" for c in full.counterexamples)
         if f.kind == "sombor" and f.alpha in UNRESOLVABLE_ALPHAS:
             assert unresolvable
-        for limit in (0, 1, 10, 1000):
-            if unresolvable:
-                with pytest.raises(GridResolutionError, match="grid cannot resolve"):
-                    check_escalating(f, grid, limit)
-                continue
-            got = check_escalating(f, grid, limit)
-            want = full._replace(counterexamples=full.counterexamples[:limit])
-            assert got == want
-            assert _report_bits(got) == _report_bits(want)
+        if unresolvable:
+            with pytest.raises(GridResolutionError, match="grid cannot resolve"):
+                check_escalating(f, grid)
+            continue
+        got = check_escalating(f, grid)
+        want = full._replace(counterexamples=full.counterexamples[:MAX_COUNTEREXAMPLES])
+        assert got == want
+        assert _report_bits(got) == _report_bits(want)
 
 
 def test_grid_tables_match_per_call_definition():
@@ -318,6 +319,7 @@ def test_grid_tables_match_per_call_definition():
     # alpha but 1; every function there is in the slow test below
     picked = [f for f in functions if f.name in ("h_-3", "h_0.5", "h_2", "h_60", "near-ub")]
     _assert_grid_matches_reference(picked, DEFAULT_GRID_MAX)
+    stopped = set()
     for bound in (3, 6, 9):
         _assert_grid_matches_reference(functions + unresolvable, bound)
         grid = GridSpec(bound)
@@ -331,17 +333,16 @@ def test_grid_tables_match_per_call_definition():
             conditions[a] = got.failed_condition
         assert conditions == {-1: "first-partial", 0.5: "escalating", 1.5: None}
         # the shift inequality on every function, including those that fail it
-        # and reach the early stop at max_counterexamples
-        stopped = set()
+        # and stop early, at MAX_COUNTEREXAMPLES failures
+        all_cells = len(list(_grid_cells(bound, 2)))
         for f in functions:
-            for limit in (0, 1, 10, 1000):
-                bad, cells = _three_term_failures(_table(f, bound + 1), bound, limit)
-                want_bad, want_cells = _reference_three_term(f, bound, limit)
-                assert (bad, cells) == (want_bad, want_cells)
-                assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
-                if limit == 1 and bad:
-                    stopped.add(f.name)
-        assert {"mixed", "near-tol", "near-ub", "near-ub-negative"} <= stopped
+            bad, cells = _three_term_failures(_table(f, bound + 1), bound)
+            want_bad, want_cells = _reference_three_term(f, bound, MAX_COUNTEREXAMPLES)
+            assert (bad, cells) == (want_bad, want_cells)
+            assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
+            if cells < all_cells:
+                stopped.add(f.name)
+    assert {"mixed", "near-tol", "near-ub", "near-ub-negative"} <= stopped
 
 
 @pytest.mark.slow
@@ -351,12 +352,10 @@ def test_grid_default_bound_matches_per_call_definition():
     # the shift inequality of the good escalating alphas at the default bound
     for a in (1.1, 1.5, 2, 3, 5):
         h = BivariateFunction.sombor(a)
-        t = _table(h, DEFAULT_GRID_MAX + 1)
-        for limit in (0, 1, 10):
-            bad, cells = _three_term_failures(t, DEFAULT_GRID_MAX, limit)
-            want_bad, want_cells = _reference_three_term(h, DEFAULT_GRID_MAX, limit)
-            assert (bad, cells) == (want_bad, want_cells)
-            assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
+        bad, cells = _three_term_failures(_table(h, DEFAULT_GRID_MAX + 1), DEFAULT_GRID_MAX)
+        want_bad, want_cells = _reference_three_term(h, DEFAULT_GRID_MAX, MAX_COUNTEREXAMPLES)
+        assert (bad, cells) == (want_bad, want_cells)
+        assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
 
 
 #: largest magnitude drawn: 4 times it stays finite, as check_escalating requires
@@ -458,12 +457,16 @@ def _record_unit_signs(monkeypatch):
 def test_grid_certificate_matches_per_call_definition_near_threshold(monkeypatch):
     signs = _record_unit_signs(monkeypatch)
 
-    # the example: units of exactly -4 REL_TOL clear 4 REL_TOL times their
-    # corners' |t|, but unit cells whose delta rounds to within their tol fail
-    # on strictness; the certificate must refuse the table
+    # the first example: units of exactly -4 REL_TOL clear 4 REL_TOL times
+    # their corners' |t|, but unit cells whose delta rounds to within their
+    # tol fail on strictness; the certificate must refuse the table. The
+    # other two clear C = 4 REL_TOL + 2^-46 by far, of either sign, so the
+    # assertion below does not rest on what the draws happen to be
     @settings(max_examples=150, deadline=None, database=None)
     @given(_near_threshold_tables())
     @example((3, _threshold_table(3, 1.0, -4 * REL_TOL)))
+    @example((3, _threshold_table(3, 1.0, 8 * REL_TOL)))
+    @example((3, _threshold_table(3, 1.0, -8 * REL_TOL)))
     def check(case):
         bound, t = case
         f = BivariateFunction("custom", fn=lambda x, y: t[x, y], name="table")
@@ -527,7 +530,7 @@ def test_grid_fallback_and_final_pass_run(monkeypatch):
     # (20, 3) as well, whose computed R differences lie 5.2u and 15.7u times
     # a[x1] + a[y1] below the best |delta|, within the slack of 16u times it
     calls = _count_block_evaluations(monkeypatch)
-    check_escalating(BivariateFunction.custom(_near_ub, name="near-ub"), GridSpec(20), 1000)
+    check_escalating(BivariateFunction.custom(_near_ub, name="near-ub"), GridSpec(20))
     assert len(calls) == 210
     calls.clear()
     check_escalating(BivariateFunction.sombor(50), GridSpec(20))
@@ -545,6 +548,30 @@ def test_grid_resolution_error():
     # a custom f is never rejected for it
     flat = BivariateFunction.custom(lambda x, y: 1.0, name="flat")
     assert check_escalating(flat, GridSpec(5)).verdict == "neither"
+
+
+def test_grid_sign_failure_of_h_alpha_is_a_counterexample(monkeypatch, capsys):
+    # h_2's B = 6 table with t[3][3] scaled by 1.5 is not h_2, but is checked
+    # as one: delta = -50 at (3, 1, 4, 3) is far past its tol, so floats
+    # decide it, and the failed "escalating" verdict is reported, not refused
+    table = indices._table
+
+    def tampered(f, bound):
+        t = table(f, bound)
+        if f.name == "h_2" and bound == 6:
+            t[3][3] *= 1.5
+        return t
+
+    monkeypatch.setattr(indices, "_table", tampered)
+    report = check_escalating(BivariateFunction.sombor(2), GridSpec(6))
+    assert report.verdict == "neither"
+    assert report.counterexamples[0] == Counterexample(3, 1, 4, 3, -50.0, "sign")
+    assert len(report.counterexamples) == MAX_COUNTEREXAMPLES
+    # the CLI weighs the verdict against the regime: a counterexample, exit 1
+    code = cli.main(["verify", "--theorem", "prop1", "--grid", "6", "--alpha", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out)["pass"] is False
 
 
 def test_grid_checks_deadline_once_per_row():
@@ -615,22 +642,20 @@ def test_good_escalating():
     assert not neg.holds and neg.failed_condition == "first-partial"
 
 
-@pytest.mark.parametrize("limit", [0, 1, 10, 1000])
-def test_good_escalating_partial_pass_limits(limit):
-    # the partial pass scans rows in grid order and reports the first `limit`
-    # failures: at alpha 2 every limit checks all 36 points (441 escalating
-    # cells, 36 partial points, 315 three-term cells), and at alpha -1 every
-    # one of the 36 points fails the first partial
+def test_good_escalating_partial_pass_limits():
+    # the partial pass scans rows in grid order and stops at the tenth
+    # failure: at alpha 2 it checks all 36 points (441 escalating cells,
+    # 36 partial points, 315 three-term cells), and at alpha -1 every one of
+    # the 36 points fails the first partial, so it stops after 10
     grid = GridSpec(6)
     for a in (2, -1):
-        got = check_good_escalating(a, grid, limit)
-        assert got == _reference_good_escalating(a, 6, limit)
-    assert check_good_escalating(2, grid, limit).cells_checked == 792
-    neg = check_good_escalating(-1, grid, limit)
-    assert len(neg.counterexamples) == min(limit, 36)
+        assert check_good_escalating(a, grid) == _reference_good_escalating(a, 6)
+    assert check_good_escalating(2, grid).cells_checked == 792
+    neg = check_good_escalating(-1, grid)
+    assert len(neg.counterexamples) == MAX_COUNTEREXAMPLES == 10
     assert [(c.x1, c.x2) for c in neg.counterexamples] == \
-        [(x, y) for x in range(1, 7) for y in range(1, 7)][:limit]
-    assert neg.cells_checked == 441 + max(min(limit, 36), 1)
+        [(x, y) for x in range(1, 7) for y in range(1, 7)][:10]
+    assert neg.cells_checked == 451
 
 
 def test_good_escalating_rejects_underflow_before_partials():

@@ -42,7 +42,8 @@ from somborlab.errors import (
     UnsupportedCyclomaticError,
     ValidationError,
 )
-from somborlab.oracle import DEFAULT_T1_ALPHAS, ENUM_N_MAX, Deadline, _gamma, load_caps
+from somborlab.limits import ENUM_N_MAX, load_caps
+from somborlab.oracle import DEFAULT_T1_ALPHAS, Deadline, _gamma
 
 
 def test_enumerate_gamma_unique_realizations():
