@@ -21,13 +21,6 @@ from .graphs import (degree_sequence_of, format_degree_sequence, format_graph6,
 from .limits import load_caps
 
 
-def _alpha_key(alpha: float) -> str:
-    """`alpha` in `:g` form ("0.5", "2", "-1"), or its repr where that form
-    would read back as another float, so that distinct alphas get distinct keys."""
-    short = f"{alpha:g}"
-    return short if float(short) == alpha else repr(alpha)
-
-
 def _read_graph(path: str, input_format: str):
     try:
         if path == "-":
@@ -55,7 +48,7 @@ def _read_graph(path: str, input_format: str):
 def cmd_construct(args) -> int:
     """Build `extremal_graph(pi)`; `--objective` must be the one its alpha pairs with."""
     from .construct import extremal_graph
-    from .sombor import objective_for_alpha, sombor_general
+    from .sombor import alpha_key, objective_for_alpha, sombor_general
     pi = parse_degree_sequence(args.pi)
     alphas = _alpha_list(args.alpha)
     if args.objective:
@@ -66,7 +59,7 @@ def cmd_construct(args) -> int:
                 f"objective {args.objective} does not pair with alpha = {alphas[0]:g}")
     result = extremal_graph(pi)
     g = result.graph
-    so = {_alpha_key(a): sombor_general(g, a) for a in alphas}
+    so = {alpha_key(a): sombor_general(g, a) for a in alphas}
     record = {
         "command": "construct",
         "pi": list(pi.degrees),
@@ -85,12 +78,12 @@ def cmd_construct(args) -> int:
     if args.format == "dot":
         out = to_dot(g)
         for a in alphas:
-            out += f"// SO_{_alpha_key(a)} = {so[_alpha_key(a)]!r}\n"
+            out += f"// SO_{alpha_key(a)} = {so[alpha_key(a)]!r}\n"
         print(out, end="")
     elif args.format == "graph6":
         print(format_graph6(g))
         for a in alphas:
-            print(f"SO_{_alpha_key(a)} = {so[_alpha_key(a)]!r}")
+            print(f"SO_{alpha_key(a)} = {so[alpha_key(a)]!r}")
     else:
         def table():
             yield f"class      {result.klass}" + (f" (case {result.case})" if result.case else "")
@@ -99,18 +92,18 @@ def cmd_construct(args) -> int:
             yield f"ordering   {' '.join(map(str, result.ordering))}"
             yield f"layers     {' '.join(map(str, result.layers))}"
             for a in alphas:
-                yield f"SO_{_alpha_key(a):<8} {so[_alpha_key(a)]!r}"
+                yield f"SO_{alpha_key(a):<8} {so[alpha_key(a)]!r}"
         _emit(record, args.format, table)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    from .sombor import sombor_general
+    from .sombor import alpha_key, sombor_general
     g = _read_graph(args.graph, args.input_format)
     if not is_connected(g):
         raise ValidationError("input graph is not connected")
     alphas = _alpha_list(args.alpha)
-    so = {_alpha_key(a): sombor_general(g, a) for a in alphas}
+    so = {alpha_key(a): sombor_general(g, a) for a in alphas}
     record = {
         "command": "eval",
         "n": g.n,
@@ -123,7 +116,7 @@ def cmd_eval(args) -> int:
     def table():
         yield f"n={g.n} m={g.m} degrees={format_degree_sequence(degree_sequence_of(g))}"
         for a in alphas:
-            yield f"SO_{_alpha_key(a):<8} {so[_alpha_key(a)]!r}"
+            yield f"SO_{alpha_key(a):<8} {so[alpha_key(a)]!r}"
 
     _emit(record, args.format, table)
     return EXIT_OK
@@ -131,7 +124,7 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from .oracle import Objective, gamma_record
-    from .sombor import values_by_key
+    from .sombor import alpha_key, values_by_key
     caps = load_caps()
     pi = parse_degree_sequence(args.pi)
     _check_cap(pi.n, caps)
@@ -139,13 +132,13 @@ def cmd_enumerate(args) -> int:
     gamma = gamma_record(pi)
     values = values_by_key(gamma.keys, alphas)
     by_bits = {bits: {"graph6": format_graph6(gamma.graph(bits)),
-                      "so": {_alpha_key(a): values[key][a] for a in alphas}}
+                      "so": {alpha_key(a): values[key][a] for a in alphas}}
                for bits, key in gamma.labeled()}
     for a in alphas:
         for objective in (Objective.MIN, Objective.MAX):
             winners = set(gamma.extremum(values, a, objective)[1])
             for bits, entry in by_bits.items():
-                entry.setdefault(f"is_{objective.value}", {})[_alpha_key(a)] = bits in winners
+                entry.setdefault(f"is_{objective.value}", {})[alpha_key(a)] = bits in winners
     classes = list(by_bits.values())
     record = {
         "command": "enumerate",
@@ -161,11 +154,11 @@ def cmd_enumerate(args) -> int:
             for entry in classes:
                 cols = [entry["graph6"]]
                 for a in alphas:
-                    cols.append(repr(entry["so"][_alpha_key(a)]))
+                    cols.append(repr(entry["so"][alpha_key(a)]))
                     marks = ""
-                    if entry["is_min"][_alpha_key(a)]:
+                    if entry["is_min"][alpha_key(a)]:
                         marks += "min"
-                    if entry["is_max"][_alpha_key(a)]:
+                    if entry["is_max"][alpha_key(a)]:
                         marks += "+max" if marks else "max"
                     cols.append(marks or "-")
                 yield "\t".join(cols)

@@ -303,12 +303,14 @@ def _choices(v: int, degrees, res: list[int], adj: list[int]) -> list[int]:
     the maximum drops by one if every vertex holding it was chosen. Pair
     pruning (see `_realizations`) then drops the choices that make v's
     neighbourhood first differ from v-1's at a vertex v-1 does not see.
+
+    v's residual r never exceeds the open vertices after v: at v = 0,
+    r <= n - 1, and each parent's check keeps every open residual below the
+    number of other open vertices, all of which lie after v.
     """
     r = res[v]
     open_ = [j for j in range(v + 1, len(res)) if res[j]]
     count = len(open_)
-    if r > count:
-        return []
     every = ones = top = top_mask = 0
     for j in open_:
         d = res[j]

@@ -106,8 +106,6 @@ def _search(g: Graph, require_triangle: bool) -> BfsWitness | None:
         flat = [v for lay in layers for v in lay]
         if any(degs[flat[i]] < degs[flat[i + 1]] for i in range(g.n - 1)):
             continue
-        if require_triangle and len(layers[1]) < 2:
-            continue
         order: list[int] = [root]
 
         def place_layer(level: int) -> bool:

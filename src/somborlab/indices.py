@@ -17,8 +17,8 @@ desk scale. alpha = 1 is degenerate: x^2 + y^2 is additively separable, so
 delta vanishes identically and neither strict verdict applies.
 
 `check_good_escalating` certifies the stronger conditions behind the
-majorization monotonicity result: positive and convex first-argument partials
-(closed forms below) plus a three-term shift inequality on the grid.
+majorization monotonicity result: rising, convex first-argument differences
+plus a three-term shift inequality, all read off one table of f.
 
 `check_escalating` evaluates f once per grid point. A NaN or infinite value,
 an h_alpha value that underflows to 0.0 or a subnormal, and a strict cell of
@@ -50,7 +50,7 @@ from .errors import (
     GridResolutionError,
     ValidationError,
 )
-from .sombor import REL_TOL, _check_alpha
+from .sombor import REL_TOL, _check_alpha, alpha_key
 
 #: counterexamples a report keeps, the first in grid order
 MAX_COUNTEREXAMPLES = 10
@@ -98,7 +98,8 @@ class BivariateFunction(_Value):
     @classmethod
     def sombor(cls, alpha: float) -> "BivariateFunction":
         _check_alpha(alpha)
-        return cls(kind="sombor", alpha=float(alpha), name=f"h_{alpha:g}")
+        alpha = float(alpha)
+        return cls(kind="sombor", alpha=alpha, name=f"h_{alpha_key(alpha)}")
 
     @classmethod
     def custom(cls, fn, name: str = "custom") -> "BivariateFunction":
@@ -323,8 +324,12 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     verdict first, then those of the de-escalating verdict.
     """
     grid = grid or GridSpec()
-    bound = grid.max_value
-    t = _table(f, bound)
+    return _escalation(f, _table(f, grid.max_value), deadline)
+
+
+def _escalation(f: BivariateFunction, t: list[list[float]], deadline) -> EscalationReport:
+    """`check_escalating` on f's table t of `_table`, read to its last row."""
+    bound = len(t) - 1
     a_max = [max(map(abs, row[1:]), default=0.0) for row in t]
     top = max(a_max)
     if not math.isfinite(4 * top):
@@ -391,47 +396,40 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
 
 
 class GoodEscalatingReport(NamedTuple):
-    alpha: float
+    function: str
     grid_max: int
     holds: bool
-    # "escalating" | "first-partial" | "second-partial" | "three-term" | None
+    # "escalating" | "first-difference" | "second-difference" | "three-term" | None
     failed_condition: str | None
     counterexamples: tuple[Counterexample, ...]
     cells_checked: int
 
 
-def first_partial(x: float, y: float, alpha: float) -> float:
-    """d/dx of (x^2+y^2)^alpha."""
-    return 2 * x * alpha * (x * x + y * y) ** (alpha - 1)
+def _difference_failures(t: list[list[float]],
+                         bound: int) -> tuple[list[Counterexample], int]:
+    """First- and second-difference failures in grid order, x outermost.
 
-
-def second_partial(x: float, y: float, alpha: float) -> float:
-    """d^2/dx^2 of (x^2+y^2)^alpha."""
-    s = x * x + y * y
-    return 2 * alpha * s ** (alpha - 2) * (s + 2 * x * x * (alpha - 1))
-
-
-def _partial_failures(alpha: float, bound: int) -> tuple[list[Counterexample], int]:
-    """First- and second-partial failures in grid order, x outermost.
-
-    A point fails when the first partial is <= 0, or else when the second is
-    below -REL_TOL. Like `_three_term_failures`, the scan stops once it holds
-    `MAX_COUNTEREXAMPLES` failures and returns them with the number of points
-    examined.
+    `t` is the (bound+1)-table of f. Point (x, y) fails when
+    d1 = t[x+1][y] - t[x][y] <= REL_TOL * (|t[x+1][y]| + |t[x][y]|), or else,
+    for x >= 2, when d2 = t[x+1][y] - 2 t[x][y] + t[x-1][y] is below
+    -REL_TOL * (|t[x+1][y]| + 2 |t[x][y]| + |t[x-1][y]|). Like
+    `_three_term_failures`, the scan stops once it holds `MAX_COUNTEREXAMPLES`
+    failures and returns them with the number of points examined.
     """
     bad: list[Counterexample] = []
     cells = 0
     for x in range(1, bound + 1):
+        lo, mid, hi = t[x - 1], t[x], t[x + 1]
         for y in range(1, bound + 1):
             cells += 1
-            d1 = first_partial(x, y, alpha)
-            if d1 <= 0:
-                bad.append(Counterexample(x, 0, y, 0, d1, "first-partial"))
+            d1 = hi[y] - mid[y]
+            if d1 <= REL_TOL * (abs(hi[y]) + abs(mid[y])):
+                bad.append(Counterexample(x, 0, y, 0, d1, "first-difference"))
+            elif x > 1 and (d2 := hi[y] - 2 * mid[y] + lo[y]) < -REL_TOL * (
+                    abs(hi[y]) + 2 * abs(mid[y]) + abs(lo[y])):
+                bad.append(Counterexample(x, 0, y, 0, d2, "second-difference"))
             else:
-                d2 = second_partial(x, y, alpha)
-                if d2 >= -REL_TOL:
-                    continue
-                bad.append(Counterexample(x, 0, y, 0, d2, "second-partial"))
+                continue
             if len(bad) >= MAX_COUNTEREXAMPLES:
                 return bad, cells
     return bad, cells
@@ -465,40 +463,41 @@ def _three_term_failures(t: list[list[float]],
     return bad, cells
 
 
-def check_good_escalating(alpha: float,
+def check_good_escalating(f: BivariateFunction,
                           grid: GridSpec | None = None) -> GoodEscalatingReport:
-    """Certify that h_alpha is a good escalating function on the grid.
+    """Certify that f is a good escalating function on the grid.
 
-    Requires, in order: positive and escalating (per `check_escalating`, whose
-    table rejects an h value below the normal float range), first partial > 0
-    and second partial >= 0 at every grid point, and the three-term shift
-    inequality
+    Requires, in order: escalating (per `check_escalating`), a positive first
+    difference and a nonnegative second difference in the first argument at
+    every grid point (`_difference_failures`, within REL_TOL), and the
+    three-term shift inequality
 
-        h(x1+1,x2) + h(x1+1,y2) + h(x1+1,y1-1) > h(x1,x2) + h(y1,y2) + h(x1,y1)
+        f(x1+1,x2) + f(x1+1,y2) + f(x1+1,y1-1) > f(x1,x2) + f(y1,y2) + f(x1,y1)
 
-    for all x1 >= y1 >= 2, x2 >= y2 >= 1 within the bound.
+    for all x1 >= y1 >= 2, x2 >= y2 >= 1 within the bound. On integer degrees
+    the differences are the discrete first and second partials; an exact table
+    (int values from a custom f) decides them exactly.
 
-    h is evaluated twice per grid point: once by `check_escalating`, and once
-    for the three-term check's table over 1..B+1, since it looks up x1+1.
+    f is evaluated once per point of the table over 1..B+1, whose checks
+    (non-finite values, h_alpha underflow) therefore cover row and column
+    B+1; the escalating verdict is read off its first B rows and columns.
     Counterexamples are the first `MAX_COUNTEREXAMPLES` found in grid order
-    (x1, y1, x2, y2 ascending, x1 outermost) of the first condition that fails.
+    (x1, y1, x2, y2 ascending, x1 outermost; a difference failure at point
+    (x, y) is the cell (x, 0, y, 0)) of the first condition that fails.
     """
-    h = BivariateFunction.sombor(alpha)     # rejects zero and non-finite alpha
     grid = grid or GridSpec()
     bound = grid.max_value
-    cells = 0
-
-    esc = check_escalating(h, grid)
-    cells += esc.cells_checked
+    t = _table(f, bound + 1)
+    esc = _escalation(f, [row[:bound + 1] for row in t[:bound + 1]], None)
+    cells = esc.cells_checked
     if esc.verdict != "escalating":
-        return GoodEscalatingReport(alpha, bound, False, "escalating",
+        return GoodEscalatingReport(f.name, bound, False, "escalating",
                                     esc.counterexamples, cells)
-
-    bad, checked = _partial_failures(alpha, bound)
+    bad, checked = _difference_failures(t, bound)
     cells += checked
     if not bad:
-        bad, checked = _three_term_failures(_table(h, bound + 1), bound)
+        bad, checked = _three_term_failures(t, bound)
         cells += checked
     if bad:
-        return GoodEscalatingReport(alpha, bound, False, bad[0].reason, tuple(bad), cells)
-    return GoodEscalatingReport(alpha, bound, True, None, (), cells)
+        return GoodEscalatingReport(f.name, bound, False, bad[0].reason, tuple(bad), cells)
+    return GoodEscalatingReport(f.name, bound, True, None, (), cells)

@@ -56,6 +56,13 @@ def _check_alpha(alpha: float) -> None:
         raise AlphaNotFiniteError(f"alpha must be finite, got {alpha!r}")
 
 
+def alpha_key(alpha: float) -> str:
+    """`alpha` in `:g` form ("0.5", "2", "-1"), or its repr where that form
+    would read back as another float, so that distinct alphas get distinct keys."""
+    short = f"{alpha:g}"
+    return short if float(short) == alpha else repr(alpha)
+
+
 def classify_alpha(alpha: float) -> AlphaRegime:
     """Analytic regime of h_alpha; alpha = 0 and non-finite alpha are rejected."""
     _check_alpha(alpha)
@@ -138,14 +145,14 @@ def values(key: JdmKey, alphas) -> dict[float, float]:
         v = top ** low
         if v < sys.float_info.min:
             raise FunctionUnderflowError(
-                f"h_{low:g} = {v!r} at x^2 + y^2 = {top} is below the normal float "
+                f"h_{alpha_key(low)} = {v!r} at x^2 + y^2 = {top} is below the normal float "
                 f"range; use a smaller |alpha|"
             )
     out = {}
     for a in alphas:
         total = math.fsum(cnt * (x * x + y * y) ** a for (x, y), cnt in key)
         if not math.isfinite(total):
-            raise OverflowError(f"SO_{a:g} = {total!r} is past the float range")
+            raise OverflowError(f"SO_{alpha_key(a)} = {total!r} is past the float range")
         out[a] = total
     return out
 

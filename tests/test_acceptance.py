@@ -135,8 +135,8 @@ def test_criterion_5_proposition1_grid():
 def test_criterion_6_good_escalating():
     t0 = time.perf_counter()
     for alpha in (1.1, 1.5, 2, 3, 5):
-        assert check_good_escalating(alpha, GRID).holds, alpha
-    rep = check_good_escalating(0.5, GRID)
+        assert check_good_escalating(BivariateFunction.sombor(alpha), GRID).holds, alpha
+    rep = check_good_escalating(BivariateFunction.sombor(0.5), GRID)
     assert not rep.holds
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -41,8 +41,6 @@ from somborlab.indices import (
     GoodEscalatingReport,
     _table,
     _three_term_failures,
-    first_partial,
-    second_partial,
 )
 from somborlab.oracle import Deadline
 
@@ -225,39 +223,78 @@ def _reference_three_term(f, bound, max_counterexamples):
     return bad, cells
 
 
-def _reference_good_escalating(alpha, bound, max_counterexamples=10):
+def first_partial(x, y, alpha):
+    """d/dx of (x^2+y^2)^alpha."""
+    return 2 * x * alpha * (x * x + y * y) ** (alpha - 1)
+
+
+def second_partial(x, y, alpha):
+    """d^2/dx^2 of (x^2+y^2)^alpha."""
+    s = x * x + y * y
+    return 2 * alpha * s ** (alpha - 2) * (s + 2 * x * x * (alpha - 1))
+
+
+def _reference_good_escalating(alpha, bound):
+    """The closed-form reference: h_alpha's `check_escalating` report, then
+    the partials at every grid point, then the per-call three-term shift;
+    each pass stops at its MAX_COUNTEREXAMPLES-th failure."""
     h = BivariateFunction.sombor(alpha)
-    esc = _reference_escalating(h, bound)
+    esc = check_escalating(h, GridSpec(bound))
     cells = esc.cells_checked
     if esc.verdict != "escalating":
-        return GoodEscalatingReport(alpha, bound, False, "escalating",
-                                    esc.counterexamples[:max_counterexamples], cells)
+        return GoodEscalatingReport(h.name, bound, False, "escalating",
+                                    esc.counterexamples, cells)
     # every failing grid point with its 1-based position in grid order
     points = [(x, y) for x in range(1, bound + 1) for y in range(1, bound + 1)]
     failures = []
     for i, (x, y) in enumerate(points, 1):
-        if h(x, y) < 0:
-            failures.append((i, Counterexample(x, 0, y, 0, h(x, y), "negative-value")))
-        elif first_partial(x, y, alpha) <= 0:
+        if first_partial(x, y, alpha) <= 0:
             failures.append((i, Counterexample(x, 0, y, 0, first_partial(x, y, alpha),
                                                "first-partial")))
         elif second_partial(x, y, alpha) < -REL_TOL:
             failures.append((i, Counterexample(x, 0, y, 0, second_partial(x, y, alpha),
                                                "second-partial")))
     if failures:
-        # the scan stops at failure max(limit, 1) and reports the first limit
-        stop = max(max_counterexamples, 1)
-        cells += failures[stop - 1][0] if len(failures) >= stop else len(points)
-        return GoodEscalatingReport(alpha, bound, False, failures[0][1].reason,
-                                    tuple(c for _, c in failures[:max_counterexamples]),
-                                    cells)
+        failures = failures[:MAX_COUNTEREXAMPLES]
+        cells += failures[-1][0] if len(failures) == MAX_COUNTEREXAMPLES else len(points)
+        return GoodEscalatingReport(h.name, bound, False, failures[0][1].reason,
+                                    tuple(c for _, c in failures), cells)
     cells += len(points)
-    bad, three_term_cells = _reference_three_term(h, bound, max_counterexamples)
+    bad, three_term_cells = _reference_three_term(h, bound, MAX_COUNTEREXAMPLES)
     cells += three_term_cells
     if bad:
-        return GoodEscalatingReport(alpha, bound, False, "three-term",
-                                    tuple(bad[:max_counterexamples]), cells)
-    return GoodEscalatingReport(alpha, bound, True, None, (), cells)
+        return GoodEscalatingReport(h.name, bound, False, "three-term", tuple(bad), cells)
+    return GoodEscalatingReport(h.name, bound, True, None, (), cells)
+
+
+def _failing_points(report):
+    """A good escalating report without its deltas, "-partial" read as "-difference"."""
+    def reason(r):
+        return r and r.replace("-partial", "-difference")
+    return (report.function, report.grid_max, report.holds, reason(report.failed_condition),
+            [(*c[:4], reason(c.reason)) for c in report.counterexamples], report.cells_checked)
+
+
+def _assert_good_escalating_matches_reference(alpha, bound):
+    """check_good_escalating(h_alpha) fails where the closed-form reference
+    does, with as many cells checked, or raises the same GridResolutionError.
+    Its escalating and three-term deltas are the reference's bit for bit, its
+    difference deltas the per-call differences of h."""
+    h = BivariateFunction.sombor(alpha)
+    try:
+        want = _reference_good_escalating(alpha, bound)
+    except GridResolutionError as exc:
+        with pytest.raises(GridResolutionError) as got:
+            check_good_escalating(h, GridSpec(bound))
+        assert str(got.value) == str(exc)
+        return
+    got = check_good_escalating(h, GridSpec(bound))
+    assert _failing_points(got) == _failing_points(want)
+    per_call = {"first-difference": lambda x, y: h(x + 1, y) - h(x, y),
+                "second-difference": lambda x, y: h(x + 1, y) - 2 * h(x, y) + h(x - 1, y)}
+    want_deltas = [per_call[c.reason](c.x1, c.x2) if c.reason in per_call else w.delta
+                   for c, w in zip(got.counterexamples, want.counterexamples)]
+    assert [_bits(c.delta) for c in got.counterexamples] == list(map(_bits, want_deltas))
 
 
 def _bits(v):
@@ -325,13 +362,10 @@ def test_grid_tables_match_per_call_definition():
         grid = GridSpec(bound)
         conditions = {}
         for a in (-1, 0.5, 1.5):
-            got = check_good_escalating(a, grid)
-            want = _reference_good_escalating(a, bound)
-            assert got == want
-            assert [_bits(c.delta) for c in got.counterexamples] == \
-                [_bits(c.delta) for c in want.counterexamples]
-            conditions[a] = got.failed_condition
-        assert conditions == {-1: "first-partial", 0.5: "escalating", 1.5: None}
+            _assert_good_escalating_matches_reference(a, bound)
+            conditions[a] = check_good_escalating(BivariateFunction.sombor(a),
+                                                  grid).failed_condition
+        assert conditions == {-1: "first-difference", 0.5: "escalating", 1.5: None}
         # the shift inequality on every function, including those that fail it
         # and stop early, at MAX_COUNTEREXAMPLES failures
         all_cells = len(list(_grid_cells(bound, 2)))
@@ -634,41 +668,90 @@ def test_underflow_rejected_for_h_alpha_only():
 
 def test_good_escalating():
     grid = GridSpec(8)
-    assert check_good_escalating(2, grid).holds
-    assert check_good_escalating(1.5, grid).holds
-    bad = check_good_escalating(0.5, grid)
+    assert check_good_escalating(BivariateFunction.sombor(2), grid).holds
+    assert check_good_escalating(BivariateFunction.sombor(1.5), grid).holds
+    bad = check_good_escalating(BivariateFunction.sombor(0.5), grid)
     assert not bad.holds and bad.failed_condition == "escalating"
-    neg = check_good_escalating(-1, grid)
-    assert not neg.holds and neg.failed_condition == "first-partial"
+    neg = check_good_escalating(BivariateFunction.sombor(-1), grid)
+    assert not neg.holds and neg.failed_condition == "first-difference"
+    assert neg.function == "h_-1"
 
 
 def test_good_escalating_partial_pass_limits():
-    # the partial pass scans rows in grid order and stops at the tenth
+    # the difference pass scans rows in grid order and stops at the tenth
     # failure: at alpha 2 it checks all 36 points (441 escalating cells,
-    # 36 partial points, 315 three-term cells), and at alpha -1 every one of
-    # the 36 points fails the first partial, so it stops after 10
+    # 36 difference points, 315 three-term cells), and at alpha -1 every one
+    # of the 36 points fails the first difference, so it stops after 10
     grid = GridSpec(6)
     for a in (2, -1):
-        assert check_good_escalating(a, grid) == _reference_good_escalating(a, 6)
-    assert check_good_escalating(2, grid).cells_checked == 792
-    neg = check_good_escalating(-1, grid)
+        _assert_good_escalating_matches_reference(a, 6)
+    assert check_good_escalating(BivariateFunction.sombor(2), grid).cells_checked == 792
+    neg = check_good_escalating(BivariateFunction.sombor(-1), grid)
     assert len(neg.counterexamples) == MAX_COUNTEREXAMPLES == 10
     assert [(c.x1, c.x2) for c in neg.counterexamples] == \
         [(x, y) for x in range(1, 7) for y in range(1, 7)][:10]
     assert neg.cells_checked == 451
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.floats(-5, 10).filter(bool), st.sampled_from((3, 6, 8)))
+@example(-3.0, 20)          # every point fails the first difference
+@example(0.5, 20)           # de-escalating
+@example(1.0, 8)            # degenerate: every delta is 0
+@example(1.1, 20)           # good escalating, every three-term cell checked
+@example(1.00000003, 20)    # refused by the grid
+@example(1e-12, 3)          # refused by the grid
+def test_good_escalating_differences_match_closed_forms(alpha, bound):
+    # on integer degrees the differences decide what the closed-form
+    # partials of h_alpha did, at the same points
+    _assert_good_escalating_matches_reference(alpha, bound)
+
+
+def test_good_escalating_integer_functions():
+    # exact int tables at B = 14: the differences and the shift are decided
+    # without rounding
+    grid = GridSpec(14)
+    for name, fn in (("xy", lambda x, y: x * y), ("(x+y)^2", lambda x, y: (x + y) ** 2),
+                     ("(x+y)^3", lambda x, y: (x + y) ** 3),
+                     ("xy(x+y)", lambda x, y: x * y * (x + y)),
+                     ("(x^2+y^2)^2", lambda x, y: (x * x + y * y) ** 2),
+                     ("2^(x+y)", lambda x, y: 2 ** (x + y))):
+        report = check_good_escalating(BivariateFunction.custom(fn, name=name), grid)
+        assert report.holds and report.function == name, name
+    # escalating, increasing and convex, but not the three-term shift
+    for fn, delta in ((lambda x, y: x * x * y * y, -1), (lambda x, y: (x * y) ** 3, -59)):
+        report = check_good_escalating(BivariateFunction.custom(fn), grid)
+        assert report.failed_condition == "three-term"
+        assert report.counterexamples[0] == (3, 2, 1, 1, delta, "three-term")
+        assert type(report.counterexamples[0].delta) is int
+    # escalating and convex, but flat in x where y = 1: a first difference of 0 fails
+    flat = BivariateFunction.custom(lambda x, y: (x - 1) * (y - 1))
+    report = check_good_escalating(flat, grid)
+    assert report.failed_condition == "first-difference"
+    assert report.counterexamples[:2] == ((1, 0, 1, 0, 0, "first-difference"),
+                                          (2, 0, 1, 0, 0, "first-difference"))
+    # escalating and increasing, but concave in x: the second difference is -2
+    concave = BivariateFunction.custom(lambda x, y: x * y + 40 * (x + y) - x * x - y * y)
+    report = check_good_escalating(concave, grid)
+    assert report.failed_condition == "second-difference"
+    assert report.counterexamples[0] == (2, 0, 1, 0, -2, "second-difference")
+    report = check_good_escalating(BivariateFunction.custom(max, name="max"), grid)
+    assert report.failed_condition == "escalating"
+    assert report.counterexamples[0] == (2, 1, 2, 1, -1, "sign")
+
+
 def test_good_escalating_rejects_underflow_before_partials():
-    # check_escalating's table rejects any h_alpha value below the normal
-    # range, 0 and below included, before the partial-derivative pass:
+    # the table over 1..B+1 rejects any h_alpha value below the normal
+    # range, 0 and below included, before any condition is checked:
     # h_-200(1, 6) = 37**-200 is subnormal
     with pytest.raises(FunctionUnderflowError, match=r"h_-200\(1, 6\)"):
-        check_good_escalating(-200, GridSpec(20))
+        check_good_escalating(BivariateFunction.sombor(-200), GridSpec(20))
 
 
-def test_good_escalating_evaluates_h_twice_per_grid_point(monkeypatch):
-    # check_escalating's B x B table, then the three-term table over 1..B+1;
-    # each evaluates h_alpha's expression itself, bit for bit as h(x, y) does
+def test_good_escalating_evaluates_f_once_per_grid_point(monkeypatch):
+    # one table over 1..B+1, the escalating verdict read off its first B rows
+    # and columns; it evaluates h_alpha's expression itself, bit for bit as
+    # h(x, y) does
     bounds = []
     table = indices._table
 
@@ -677,8 +760,8 @@ def test_good_escalating_evaluates_h_twice_per_grid_point(monkeypatch):
         return table(f, bound)
 
     monkeypatch.setattr(indices, "_table", counted)
-    assert check_good_escalating(1.5, GridSpec(6)).holds
-    assert bounds == [6, 7]
+    assert check_good_escalating(BivariateFunction.sombor(1.5), GridSpec(6)).holds
+    assert bounds == [7]
     for a in (-3.0, 0.5, 1.5, 60.0):
         h = BivariateFunction.sombor(a)
         t = table(h, 7)
@@ -734,6 +817,17 @@ def test_grid_spec_bounds():
         grid.max_value = 2
     assert grid == GridSpec(3) and hash(grid) == hash(GridSpec(3)) and grid != GridSpec()
     assert repr(GridSpec()) == "GridSpec(max_value=20)"
+
+
+def test_sombor_names_keep_distinct_alphas():
+    # the :g form keeps 6 digits; a name is the alpha's repr where that form
+    # would read back as another float
+    names = [BivariateFunction.sombor(a).name for a in (1.0000001, 0.99999999, 1.0)]
+    assert names == ["h_1.0000001", "h_0.99999999", "h_1"]
+    assert [BivariateFunction.sombor(a).name for a in (2, 0.5, -200)] == \
+        ["h_2", "h_0.5", "h_-200"]
+    report = check_escalating(BivariateFunction.sombor(1.0000001), GridSpec(3))
+    assert report.function == "h_1.0000001" and report.verdict == "escalating"
 
 
 def test_bivariate_function_equality_ignores_fn():
