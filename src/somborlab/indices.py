@@ -25,14 +25,15 @@ an h_alpha value that underflows to 0.0 or a subnormal, and a strict cell of
 h_alpha, alpha != 1, whose |delta| is within its tolerance are validation
 errors, not verdicts; values so large that 4 max|f| overflows raise
 `OverflowError`. Every report is bit for bit the one that evaluating each
-cell's definition in order would give; tests compare against it. In exact
-arithmetic a cell's delta is the sum of the unit mixed differences inside its
-rectangle, so a float table whose units all clear C = 4 REL_TOL + 2^-46 times
-their corners' |t|, with one sign, gets its verdict in O(B^2) and its
-max_abs_delta from the few blocks a rounding bound cannot rule out, and an
+cell's definition in order would give; tests compare against it. A table is
+*exact* when its values are all ints or Fractions, or all integer-valued ints
+or floats below 2^51: its sums are exact, and its checks take tolerance 0. In
+exact arithmetic a cell's delta is the sum of the unit mixed differences in
+its rectangle, so a table whose units all clear C times their corners' |t|
+(C = 4 REL_TOL + 2^-46, 0 if exact), with one sign, gets its verdict in O(B^2)
+and its max_abs_delta from the few blocks a rounding bound cannot rule out; an
 exact table whose units are all 0 has a closed-form report. Any other table is
-evaluated cell by cell in O(B^4). Proofs and constants are at
-`check_escalating`.
+evaluated cell by cell in O(B^4). Proofs are at `check_escalating`.
 """
 
 from __future__ import annotations
@@ -67,13 +68,21 @@ _CU = 16 * 2.0 ** -53
 _TINY = 2.0 ** -1074
 
 
+def _exact(rows) -> bool:
+    """Whether the values of `rows` form an exact table (module docstring)."""
+    vs = [x for row in rows for x in row]
+    ratio = getattr(sys.modules.get("fractions"), "Fraction", int)  # none if not loaded
+    return all(isinstance(x, (int, ratio)) for x in vs) or all(
+        type(x) in (int, float) and abs(x) < 2.0 ** 51 and float(x).is_integer() for x in vs)
+
+
 class BivariateFunction(_Value):
     """Symmetric positive-domain function: the built-in h_alpha or a callable.
 
     Custom callables have their symmetry spot-checked on a small integer grid
-    at construction (callables are opaque; this is a sanity check, not a proof).
-    A NaN or infinite value there raises `FunctionNotFiniteError`. `fn` takes
-    no part in equality or hashing.
+    at construction, with == where the values are exact (callables are opaque;
+    this is a sanity check, not a proof). A NaN or infinite value there raises
+    `FunctionNotFiniteError`. `fn` takes no part in equality or hashing.
     """
 
     kind: str
@@ -109,7 +118,7 @@ class BivariateFunction(_Value):
                 for (p, q), v in (((x, y), a), ((y, x), b)):
                     if not math.isfinite(v):
                         raise FunctionNotFiniteError(f"{name}({p}, {q}) = {v!r} is not finite")
-                if not math.isclose(a, b, rel_tol=REL_TOL):
+                if not (a == b if _exact([(a, b)]) else math.isclose(a, b, rel_tol=REL_TOL)):
                     raise ValidationError(
                         f"{name} is not symmetric: f({x},{y})={a!r} != f({y},{x})={b!r}"
                     )
@@ -158,25 +167,25 @@ class EscalationReport(NamedTuple):
     max_abs_delta: float
 
 
-def _table(f: BivariateFunction, bound: int) -> list[list[float]]:
-    """t[x][y] = f(x, y) for 1 <= x, y <= bound; index 0 is padding, never read.
+def _table(f: BivariateFunction, rows: int, cols: int | None = None) -> list[list[float]]:
+    """t[x][y] = f(x, y) for 1 <= x <= rows, 1 <= y <= cols (default: rows).
 
-    Every entry must be finite. h_alpha entries must also be normal floats:
-    h_alpha > 0, so 0.0 or a subnormal there is underflow, and the grid
-    inequalities cannot be resolved from it. A custom f may be 0 or subnormal.
-    h_alpha rows are evaluated by the expression of `BivariateFunction.__call__`.
+    Index 0 is padding, never read. Every entry must be finite, and an h_alpha
+    entry normal: h_alpha > 0, so 0.0 or a subnormal there is underflow, and
+    the grid inequalities cannot be resolved from it (a custom f may be 0 or
+    subnormal). h_alpha rows use the expression of `BivariateFunction.__call__`.
     """
-    span = range(1, bound + 1)
+    xs, ys = range(1, rows + 1), range(1, (cols or rows) + 1)
     sombor = f.kind == "sombor"
     if sombor:
         alpha = f.alpha
-        rows = [[(x * x + y * y) ** alpha for y in span] for x in span]
+        t = [[(x * x + y * y) ** alpha for y in ys] for x in xs]
     else:
-        rows = [[f(x, y) for y in span] for x in span]
-    for x, row in zip(span, rows):
+        t = [[f(x, y) for y in ys] for x in xs]
+    for x, row in zip(xs, t):
         if all(map(math.isfinite, row)) and not (sombor and min(row) < sys.float_info.min):
             continue
-        for y, v in zip(span, row):
+        for y, v in zip(ys, row):
             if not math.isfinite(v):
                 raise FunctionNotFiniteError(f"{f.name}({x}, {y}) = {v!r} is not finite")
             if sombor and v < sys.float_info.min:
@@ -184,7 +193,7 @@ def _table(f: BivariateFunction, bound: int) -> list[list[float]]:
                     f"{f.name}({x}, {y}) = {v!r} is below the normal float range; "
                     f"use a smaller |alpha| or grid bound"
                 )
-    return [[]] + [[0.0] + row for row in rows]
+    return [[]] + [[0.0] + row for row in t]
 
 
 def _block_cells(bound: int) -> list[tuple[int, int]]:
@@ -200,12 +209,12 @@ def _deltas(rx: list[float], ry: list[float],
 
 
 def _unit_sign(v: list[list[float]], a_max: list[float], exact: bool) -> int | None:
-    """The sign every unit mixed difference of float rows v clears, or None.
+    """The sign every unit mixed difference of rows v clears, or None.
 
-    1 (-1) when every computed unit is above (below) C times each |t| at its
-    four corners, 0 when the table is exact and every unit is 0. A row of
-    units that clears C times its two rows' largest |t| (`a_max`, one entry
-    per row of v) clears each corner's.
+    1 (-1) when every computed unit is above (below) C (0 if exact) times each
+    |t| at its four corners, 0 when the table is exact and every unit is 0. A
+    row of units that clears C times its two rows' largest |t| (`a_max`, one
+    entry per row of v) clears each corner's.
     """
     units = [[a - b - c + d for a, b, c, d in zip(hi[1:], hi, lo[1:], lo)]
              for lo, hi in zip(v, v[1:])]
@@ -213,7 +222,7 @@ def _unit_sign(v: list[list[float]], a_max: list[float], exact: bool) -> int | N
     if not first:
         return 0 if exact and not any(map(any, units)) else None
     sign, above, extreme = (1, gt, min) if first > 0 else (-1, lt, max)
-    c = sign * _C
+    c = 0 if exact else sign * _C
     for row, lo, hi, a_lo, a_hi in zip(units, v, v[1:], a_max, a_max[1:]):
         if above(extreme(row), c * max(a_lo, a_hi)):
             continue
@@ -225,10 +234,10 @@ def _unit_sign(v: list[list[float]], a_max: list[float], exact: bool) -> int | N
 
 
 def _max_abs_delta(t: list[list[float]], a_max: list[float],
-                   block: list[tuple[int, int]], deadline) -> float:
+                   block: list[tuple[int, int]], deadline, exact: bool) -> float:
     """max |delta| over the grid of a table whose units all have one sign:
-    block (x1, y1) is evaluated only if |R[x1] - R[y1]| plus the slack
-    reaches the best |delta| so far."""
+    block (x1, y1) is evaluated only if |R[x1] - R[y1]| plus the slack (0 for
+    an exact table) reaches the best |delta| so far."""
     bound = len(t) - 1
     r = [0.0] + [row[bound] - row[1] for row in t[1:]]
     best = abs(_deltas(t[bound], t[1], [(bound, 1)])[0])
@@ -236,7 +245,7 @@ def _max_abs_delta(t: list[list[float]], a_max: list[float],
         if deadline is not None:
             deadline.check()
         rx, ax = r[x1], a_max[x1]
-        ups = [abs(rx - ry) + (_CU * (ax + ay) + _TINY)
+        ups = [abs(rx - ry) + (0 if exact else _CU * (ax + ay) + _TINY)
                for ry, ay in zip(r[1:x1 + 1], a_max[1:x1 + 1])]
         if max(ups) < best:
             continue
@@ -267,17 +276,17 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     verdict when delta < -tol, and, when neither holds on a strict cell
     (x1 > y1 and x2 > y2), both verdicts with reason "strictness". Here
     delta = t1 + t2 - t3 - t4 and tol = REL_TOL * (|t1| + |t2| + |t3| + |t4|),
-    each evaluated in that order. The report equals, field for field and bit
-    for bit, that of evaluating this definition cell by cell; tests compare
-    against that per-call definition.
+    each evaluated in that order, or tol = 0 for an exact table (below). The
+    report equals, field for field and bit for bit, that of evaluating this
+    definition cell by cell; tests compare against that per-call definition.
 
     f is evaluated once per grid point (a NaN or infinite value raises
     `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
     `FunctionUnderflowError`; a table whose 4 max|t| overflows raises
     `OverflowError`, since a sum of four of its values need not be finite).
-    A float table is certified from its units
+    The table is certified from its units
     Delta(i, j) = t[i+1][j+1] - t[i+1][j] - t[i][j+1] + t[i][j], 1 <= i, j < B,
-    computed in that order; in exact arithmetic on the table's floats a
+    computed in that order; in exact arithmetic on the table's values a
     cell's delta is their sum over y1 <= i < x1, y2 <= j < x2. With u = 2^-53,
     gamma_3 = 3u / (1 - 3u) and m a unit's largest |t| at its four corners:
 
@@ -303,21 +312,20 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
       the bound's own), within the slack 16u (a[x1] + a[y1]) + 2^-1074. From
       the computed |delta| of cell (B, 1, B, 1), only a block whose bound
       reaches the best value so far is evaluated whole.
-    - Exact zero: when all values are integer-valued floats below 2^51, every
-      sum is exact; if every Delta is 0, so is every delta, and the report is
-      closed-form: "neither", every strict cell failing on strictness, 0.0.
-      An h_alpha with alpha != 1 whose values all round to one integer, e.g.
-      at alpha = 1e-300, is refused instead.
+    - Exact tables (all ints or Fractions, or all integer-valued ints or
+      floats below 2^51) have exact sums: C = 0, tol = 0 and slack 0 decide as
+      above; if every Delta is 0, so is every delta, and the report is
+      closed-form: "neither", every strict cell failing on strictness, 0.0,
+      unless f is an h_alpha with alpha != 1, which is refused.
 
-    Any other table, a table holding a non-float (an int or Fraction from a
-    custom f, with no rounding bound) included, is evaluated cell by cell.
-    `cells_checked` counts cells certified, not deltas computed. An h_alpha
-    with alpha != 1 raises `GridResolutionError` at the first strict cell
-    whose |delta| <= tol, the one cell floats cannot decide: its exact delta
-    is not 0, but its sign is lost to rounding. A delta past tol keeps its
-    sign, so a cell failing a verdict on sign is a counterexample, which the
-    caller weighs against the regime. `deadline`, any object with a
-    `check()` method, is checked once per x1 row.
+    Any other table is evaluated cell by cell. `cells_checked` counts cells
+    certified, not deltas computed. An h_alpha with alpha != 1 raises
+    `GridResolutionError` at the first strict cell whose |delta| <= tol, the
+    one cell floats cannot decide: its exact delta is not 0, but its sign is
+    lost to rounding. A delta past tol keeps its sign, so a cell failing a
+    verdict on sign is a counterexample, which the caller weighs against the
+    regime. `deadline`, any object with a `check()` method, is checked once
+    per x1 row.
 
     Counterexamples are the first `MAX_COUNTEREXAMPLES` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost): failures of the escalating
@@ -337,14 +345,12 @@ def _escalation(f: BivariateFunction, t: list[list[float]], deadline) -> Escalat
     block = _block_cells(bound)
     cells = len(block) ** 2
     v = [row[1:] for row in t[1:]]                          # rows without padding
-    sign = None
-    if f.kind == "sombor" or all(type(x) is float for row in v for x in row):
-        exact = top < 2.0 ** 51 and all(x.is_integer() for row in v for x in row)
-        sign = _unit_sign(v, a_max[1:], exact)
+    exact = _exact(v)
+    sign = _unit_sign(v, a_max[1:], exact)
     if sign:
         verdict = "escalating" if sign > 0 else "de-escalating"
         return EscalationReport(f.name, bound, verdict, (), cells,
-                                _max_abs_delta(t, a_max, block, deadline))
+                                _max_abs_delta(t, a_max, block, deadline, exact))
     # an h_alpha with alpha != 1 has delta != 0 at every strict cell
     refuse = f.kind == "sombor" and f.alpha != 1
     if sign == 0 and not refuse:       # every delta is exactly 0
@@ -354,6 +360,7 @@ def _escalation(f: BivariateFunction, t: list[list[float]], deadline) -> Escalat
     else:
         esc_bad, de_bad = [], []
         hi = lo = 0.0
+        rel = 0 if exact else REL_TOL
         a = [[abs(v) for v in row] for row in t]
         for x1 in range(1, bound + 1):
             if deadline is not None:
@@ -365,7 +372,7 @@ def _escalation(f: BivariateFunction, t: list[list[float]], deadline) -> Escalat
                 hi = max(hi, max(ds))
                 lo = min(lo, min(ds))
                 for (x2, y2), delta in zip(block, ds):
-                    tol = REL_TOL * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
+                    tol = rel * (ax[x2] + ay[y2] + ay[x2] + ax[y2])
                     if delta > tol:
                         esc_reason, de_reason = None, "sign"
                     elif delta < -tol:
@@ -405,14 +412,14 @@ class GoodEscalatingReport(NamedTuple):
     cells_checked: int
 
 
-def _difference_failures(t: list[list[float]],
-                         bound: int) -> tuple[list[Counterexample], int]:
+def _difference_failures(t: list[list[float]], bound: int,
+                         rel: float) -> tuple[list[Counterexample], int]:
     """First- and second-difference failures in grid order, x outermost.
 
-    `t` is the (bound+1)-table of f. Point (x, y) fails when
-    d1 = t[x+1][y] - t[x][y] <= REL_TOL * (|t[x+1][y]| + |t[x][y]|), or else,
+    `t` is the table of f over rows 1..bound+1. Point (x, y) fails when
+    d1 = t[x+1][y] - t[x][y] <= rel * (|t[x+1][y]| + |t[x][y]|), or else,
     for x >= 2, when d2 = t[x+1][y] - 2 t[x][y] + t[x-1][y] is below
-    -REL_TOL * (|t[x+1][y]| + 2 |t[x][y]| + |t[x-1][y]|). Like
+    -rel * (|t[x+1][y]| + 2 |t[x][y]| + |t[x-1][y]|). Like
     `_three_term_failures`, the scan stops once it holds `MAX_COUNTEREXAMPLES`
     failures and returns them with the number of points examined.
     """
@@ -423,9 +430,9 @@ def _difference_failures(t: list[list[float]],
         for y in range(1, bound + 1):
             cells += 1
             d1 = hi[y] - mid[y]
-            if d1 <= REL_TOL * (abs(hi[y]) + abs(mid[y])):
+            if d1 <= rel * (abs(hi[y]) + abs(mid[y])):
                 bad.append(Counterexample(x, 0, y, 0, d1, "first-difference"))
-            elif x > 1 and (d2 := hi[y] - 2 * mid[y] + lo[y]) < -REL_TOL * (
+            elif x > 1 and (d2 := hi[y] - 2 * mid[y] + lo[y]) < -rel * (
                     abs(hi[y]) + 2 * abs(mid[y]) + abs(lo[y])):
                 bad.append(Counterexample(x, 0, y, 0, d2, "second-difference"))
             else:
@@ -435,13 +442,13 @@ def _difference_failures(t: list[list[float]],
     return bad, cells
 
 
-def _three_term_failures(t: list[list[float]],
-                         bound: int) -> tuple[list[Counterexample], int]:
+def _three_term_failures(t: list[list[float]], bound: int,
+                         rel: float) -> tuple[list[Counterexample], int]:
     """Three-term shift failures in grid order, stopping at `MAX_COUNTEREXAMPLES`.
 
-    `t` is the (bound+1)-table of h. Returns the failures and the number of
-    cells examined up to and including the last one checked. A cell fails when
-    lhs - rhs <= tol = REL_TOL * (|lhs| + |rhs|).
+    `t` is the table of f over rows 1..bound+1. Returns the failures and the
+    number of cells examined up to and including the last one checked. A cell
+    fails when lhs - rhs <= tol = rel * (|lhs| + |rhs|).
     """
     block = _block_cells(bound)
     bad: list[Counterexample] = []
@@ -456,7 +463,7 @@ def _three_term_failures(t: list[list[float]],
                 lhs = row_next[x2] + row_next[y2] + lhs_c
                 rhs = row_x1[x2] + row_y1[y2] + rhs_c
                 gap = lhs - rhs
-                if gap <= REL_TOL * (abs(lhs) + abs(rhs)):
+                if gap <= rel * (abs(lhs) + abs(rhs)):
                     bad.append(Counterexample(x1, y1, x2, y2, gap, "three-term"))
                     if len(bad) >= MAX_COUNTEREXAMPLES:
                         return bad, cells
@@ -469,34 +476,37 @@ def check_good_escalating(f: BivariateFunction,
 
     Requires, in order: escalating (per `check_escalating`), a positive first
     difference and a nonnegative second difference in the first argument at
-    every grid point (`_difference_failures`, within REL_TOL), and the
-    three-term shift inequality
+    every grid point (`_difference_failures`), and the three-term shift
 
         f(x1+1,x2) + f(x1+1,y2) + f(x1+1,y1-1) > f(x1,x2) + f(y1,y2) + f(x1,y1)
 
-    for all x1 >= y1 >= 2, x2 >= y2 >= 1 within the bound. On integer degrees
-    the differences are the discrete first and second partials; an exact table
-    (int values from a custom f) decides them exactly.
+    for all x1 >= y1 >= 2, x2 >= y2 >= 1 within the bound, within REL_TOL for a
+    float table. On integer degrees the differences are the discrete first and
+    second partials, and an exact table (module docstring) decides them exactly.
 
-    f is evaluated once per point of the table over 1..B+1, whose checks
-    (non-finite values, h_alpha underflow) therefore cover row and column
-    B+1; the escalating verdict is read off its first B rows and columns.
+    f is evaluated once per point of rows 1..B+1 and columns 1..B, all that
+    the conditions read (`OverflowError` when 6 max|f| overflows, as a shift
+    sums six values); the escalating verdict is read off its first B rows.
     Counterexamples are the first `MAX_COUNTEREXAMPLES` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost; a difference failure at point
     (x, y) is the cell (x, 0, y, 0)) of the first condition that fails.
     """
     grid = grid or GridSpec()
     bound = grid.max_value
-    t = _table(f, bound + 1)
-    esc = _escalation(f, [row[:bound + 1] for row in t[:bound + 1]], None)
+    t = _table(f, bound + 1, bound)
+    esc = _escalation(f, t[:bound + 1], None)
     cells = esc.cells_checked
     if esc.verdict != "escalating":
         return GoodEscalatingReport(f.name, bound, False, "escalating",
                                     esc.counterexamples, cells)
-    bad, checked = _difference_failures(t, bound)
+    top = max(max(map(abs, row[1:])) for row in t[1:])
+    if not math.isfinite(6 * top):
+        raise OverflowError(f"6 max|{f.name}| = {6 * top!r} is past the float range")
+    rel = 0 if _exact(row[1:] for row in t[1:]) else REL_TOL
+    bad, checked = _difference_failures(t, bound, rel)
     cells += checked
     if not bad:
-        bad, checked = _three_term_failures(t, bound)
+        bad, checked = _three_term_failures(t, bound, rel)
         cells += checked
     if bad:
         return GoodEscalatingReport(f.name, bound, False, bad[0].reason, tuple(bad), cells)

@@ -121,13 +121,19 @@ def edge_pair_counts(g: Graph) -> JdmKey:
 def connectivity_function(g: Graph, f: BivariateFunction) -> float:
     """M_f(g), summed over the multiset of edge degree pairs in sorted order.
 
-    The sorted aggregation makes the float result a function of the degree-pair
-    multiset alone, so isomorphic graphs get bit-identical values.
+    Terms that are all ints or Fractions are summed exactly; any other terms
+    with `math.fsum`. The sorted aggregation makes a float result a function
+    of the degree-pair multiset alone, so isomorphic graphs get bit-identical
+    values.
     """
+    from fractions import Fraction
+
     from .graphs import is_connected
     if not is_connected(g):
         raise DisconnectedError("connectivity functions are defined on connected graphs")
-    return math.fsum(cnt * f(a, b) for (a, b), cnt in edge_pair_counts(g))
+    terms = [cnt * f(a, b) for (a, b), cnt in edge_pair_counts(g)]
+    exact = all(isinstance(v, (int, Fraction)) for v in terms)
+    return sum(terms) if exact else math.fsum(terms)
 
 
 def values(key: JdmKey, alphas) -> dict[float, float]:

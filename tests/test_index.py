@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,13 +82,26 @@ def test_connectivity_function_examples():
     assert connectivity_function(P3, mul) == 4.0
     h = BivariateFunction.sombor(0.5)
     assert connectivity_function(STAR4, h) == sombor_general(STAR4, 0.5)
+    # int and Fraction terms are summed exactly: an fsum rounds 3 * 10^20 + 9
+    big = BivariateFunction.custom(lambda x, y: 10 ** 20 + x * y, name="big")
+    assert connectivity_function(STAR4, big) == 3 * 10 ** 20 + 9
+    third = BivariateFunction.custom(lambda x, y: Fraction(x * y, 3), name="third")
+    assert connectivity_function(P3, third) == Fraction(4, 3)
+    # float terms keep their correctly rounded fsum
+    tenth = BivariateFunction.custom(lambda x, y: 0.1 * (x + y), name="tenth")
+    assert connectivity_function(K3, tenth) == math.fsum([0.1 * 4] * 3) == 1.2000000000000002
 
 
 def test_custom_function_symmetry_is_spot_checked():
-    # asymmetric at any scale: values below REL_TOL are compared relatively too
-    for fn in (lambda x, y: x - y, lambda x, y: 1e-12 * x):
+    # asymmetric at any scale: values below REL_TOL are compared relatively
+    # too, and exact values exactly: 1 in 3 * 10^12 is within REL_TOL
+    for fn in (lambda x, y: x - y, lambda x, y: 1e-12 * x,
+               lambda x, y: 10 ** 12 * (x + y) + x * y + (1 if x > y else 0),
+               lambda x, y: Fraction(10 ** 12) + (x > y)):
         with pytest.raises(ValidationError, match="not symmetric"):
             BivariateFunction.custom(fn, name="asym")
+    # a float value keeps the relative comparison
+    BivariateFunction.custom(lambda x, y: 1.0 + 1e-12 * (x > y))
 
 
 def test_classify_alpha():
@@ -181,15 +195,26 @@ def _grid_cells(bound, y1_min):
                     yield x1, y1, x2, y2
 
 
+def _rel_tol(f, rows, cols):
+    """The tolerance factor of f's table over rows x cols: 0 for an exact
+    table (all ints or Fractions, or all integer-valued ints or floats below
+    2^51), REL_TOL for any other."""
+    values = [f(x, y) for x in range(1, rows + 1) for y in range(1, cols + 1)]
+    exact = all(isinstance(v, (int, Fraction)) for v in values) or all(
+        type(v) in (int, float) and abs(v) < 2 ** 51 and v == int(v) for v in values)
+    return 0 if exact else REL_TOL
+
+
 def _reference_escalating(f, bound, max_counterexamples=10):
     """The module docstring's definition, calling f four times at every cell."""
     esc_bad, de_bad = [], []
     cells, max_abs = 0, 0.0
+    rel = _rel_tol(f, bound, bound)
     for x1, y1, x2, y2 in _grid_cells(bound, 1):
         cells += 1
         t1, t2, t3, t4 = f(x1, x2), f(y1, y2), f(y1, x2), f(x1, y2)
         delta = t1 + t2 - t3 - t4
-        tol = REL_TOL * (abs(t1) + abs(t2) + abs(t3) + abs(t4))
+        tol = rel * (abs(t1) + abs(t2) + abs(t3) + abs(t4))
         max_abs = max(max_abs, abs(delta))
         strict = x1 > y1 and x2 > y2
         if delta < -tol:
@@ -212,11 +237,12 @@ def _reference_escalating(f, bound, max_counterexamples=10):
 
 def _reference_three_term(f, bound, max_counterexamples):
     bad, cells = [], 0
+    rel = _rel_tol(f, bound + 1, bound)
     for x1, y1, x2, y2 in _grid_cells(bound, 2):
         cells += 1
         lhs = f(x1 + 1, x2) + f(x1 + 1, y2) + f(x1 + 1, y1 - 1)
         rhs = f(x1, x2) + f(y1, y2) + f(x1, y1)
-        if lhs - rhs <= REL_TOL * (abs(lhs) + abs(rhs)):
+        if lhs - rhs <= rel * (abs(lhs) + abs(rhs)):
             bad.append(Counterexample(x1, y1, x2, y2, lhs - rhs, "three-term"))
             if len(bad) >= max_counterexamples:
                 break
@@ -370,7 +396,8 @@ def test_grid_tables_match_per_call_definition():
         # and stop early, at MAX_COUNTEREXAMPLES failures
         all_cells = len(list(_grid_cells(bound, 2)))
         for f in functions:
-            bad, cells = _three_term_failures(_table(f, bound + 1), bound)
+            bad, cells = _three_term_failures(_table(f, bound + 1, bound), bound,
+                                              _rel_tol(f, bound + 1, bound))
             want_bad, want_cells = _reference_three_term(f, bound, MAX_COUNTEREXAMPLES)
             assert (bad, cells) == (want_bad, want_cells)
             assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
@@ -386,7 +413,9 @@ def test_grid_default_bound_matches_per_call_definition():
     # the shift inequality of the good escalating alphas at the default bound
     for a in (1.1, 1.5, 2, 3, 5):
         h = BivariateFunction.sombor(a)
-        bad, cells = _three_term_failures(_table(h, DEFAULT_GRID_MAX + 1), DEFAULT_GRID_MAX)
+        bad, cells = _three_term_failures(_table(h, DEFAULT_GRID_MAX + 1, DEFAULT_GRID_MAX),
+                                          DEFAULT_GRID_MAX,
+                                          _rel_tol(h, DEFAULT_GRID_MAX + 1, DEFAULT_GRID_MAX))
         want_bad, want_cells = _reference_three_term(h, DEFAULT_GRID_MAX, MAX_COUNTEREXAMPLES)
         assert (bad, cells) == (want_bad, want_cells)
         assert [_bits(c.delta) for c in bad] == [_bits(c.delta) for c in want_bad]
@@ -547,8 +576,12 @@ def _count_block_evaluations(monkeypatch):
 def test_grid_exact_blocks_are_few(monkeypatch):
     # machine-independent work gate: every default alpha but 1 takes the unit
     # certificate, and its max pass evaluates one block whole, (B, 1); at
-    # alpha = 1 every unit is exactly 0 and the report is closed-form
+    # alpha = 1 every unit is exactly 0 and the report is closed-form. Exact
+    # int and Fraction tables take the certificate too, with C = 0: the units
+    # of 10^15 + xy are 1, far below 4 REL_TOL times their corners' |t|
     calls = _count_block_evaluations(monkeypatch)
+    exact = {"xy": lambda x, y: x * y, "xy/7": lambda x, y: Fraction(x * y, 7),
+             "10^15+xy": lambda x, y: 10 ** 15 + x * y}
     for bound in (DEFAULT_GRID_MAX, 40):
         counts = {}
         for a in DEFAULT_PROP1_ALPHAS:
@@ -556,6 +589,65 @@ def test_grid_exact_blocks_are_few(monkeypatch):
             check_escalating(BivariateFunction.sombor(a), GridSpec(bound))
             counts[a] = len(calls)
         assert counts == {a: int(a != 1) for a in DEFAULT_PROP1_ALPHAS}, bound
+        for name, fn in exact.items():
+            calls.clear()
+            report = check_escalating(BivariateFunction.custom(fn, name=name), GridSpec(bound))
+            assert report.verdict == "escalating" and len(calls) == 1, (name, bound)
+            assert report.max_abs_delta == fn(bound, bound) - fn(bound, 1) * 2 + fn(1, 1)
+
+
+def _orthant_function(weights, u):
+    """sum of w_ab ([x >= a][y >= b] + [x >= b][y >= a]) + u[x] + u[y], in ints:
+    its unit Delta(i, j) is w_(i+1)(j+1) + w_(j+1)(i+1)."""
+    def f(x, y):
+        return sum(w * ((x >= a and y >= b) + (x >= b and y >= a))
+                   for (a, b), w in weights.items()) + u[x] + u[y]
+    return f
+
+
+@st.composite
+def _orthant_cases(draw):
+    """(bound, weights, u): integer w_ab >= 0 for 1 <= a, b <= bound <= 8, zeros
+    likely, and integer u up to 10^15 on 1..8, where the symmetry spot check reads."""
+    bound = draw(st.integers(3, 8))
+    w = st.one_of(st.just(0), st.integers(0, 3))
+    weights = {(a, b): draw(w) for a in range(1, bound + 1) for b in range(1, bound + 1)}
+    u = [0] + [draw(st.integers(-10 ** 15, 10 ** 15)) for _ in range(8)]
+    return bound, weights, u
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_orthant_cases())
+# every unit 1 under values near 10^15: within REL_TOL of their |t|
+@example((4, {(a, b): int(a == b) for a in range(1, 5) for b in range(1, 5)},
+          [0] + [10 ** 15] * 8))
+def test_grid_exact_verdicts_on_orthant_functions(case):
+    # ROADMAP item 1's integer escalating family: the verdict is "escalating"
+    # exactly when every unit Delta(a - 1, b - 1) = w_ab + w_ba is positive,
+    # and "neither" otherwise, with no tolerance between
+    bound, weights, u = case
+    f = BivariateFunction.custom(_orthant_function(weights, u), name="orthant")
+    positive = all(weights[a, b] + weights[b, a] > 0
+                   for a in range(2, bound + 1) for b in range(2, bound + 1))
+    report = check_escalating(f, GridSpec(bound))
+    assert report.verdict == ("escalating" if positive else "neither")
+    _assert_grid_matches_reference([f], bound)
+
+
+def test_exact_tables_take_no_tolerance():
+    # deltas of 1 and 2 under values near 10^12, well within REL_TOL of them
+    f = BivariateFunction.custom(lambda x, y: 10 ** 12 * (x + y) + x * y)
+    report = check_escalating(f, GridSpec(4))
+    assert (report.verdict, report.counterexamples, report.max_abs_delta) == \
+        ("escalating", (), 9)
+    g = BivariateFunction.custom(lambda x, y: 10 ** 12 + x * y * (x + y))
+    assert check_good_escalating(g, GridSpec(8)).holds
+    # the same values as floats below 2^51 are exact too
+    h = BivariateFunction.custom(lambda x, y: 1e12 * (x + y) + x * y)
+    assert check_escalating(h, GridSpec(4)) == report
+    # at 2^51 and above a float table keeps its tolerance
+    k = BivariateFunction.custom(lambda x, y: 2.0 ** 51 * (x + y) + x * y)
+    assert check_escalating(k, GridSpec(4)).verdict == "neither"
 
 
 def test_grid_fallback_and_final_pass_run(monkeypatch):
@@ -740,6 +832,20 @@ def test_good_escalating_integer_functions():
     assert report.counterexamples[0] == (2, 1, 2, 1, -1, "sign")
 
 
+def test_good_escalating_table_stops_at_column_b():
+    # column B + 1 is never read, so it is not evaluated: at B = 20,
+    # h_104.66(21, 21) overflows and h_-105(21, 21) is subnormal
+    assert check_good_escalating(BivariateFunction.sombor(104.66), GridSpec(20)).holds
+    report = check_good_escalating(BivariateFunction.sombor(-105), GridSpec(20))
+    assert report.failed_condition == "first-difference"
+    assert report.counterexamples[0][:4] == (1, 0, 1, 0)
+    # a shift sums six values: where six times h(21, 20) overflows, its tol
+    # would be infinite and every shift cell would fail, so the table is refused
+    for a in (105.15, 105.3):
+        with pytest.raises(OverflowError, match="6 max"):
+            check_good_escalating(BivariateFunction.sombor(a), GridSpec(20))
+
+
 def test_good_escalating_rejects_underflow_before_partials():
     # the table over 1..B+1 rejects any h_alpha value below the normal
     # range, 0 and below included, before any condition is checked:
@@ -749,19 +855,19 @@ def test_good_escalating_rejects_underflow_before_partials():
 
 
 def test_good_escalating_evaluates_f_once_per_grid_point(monkeypatch):
-    # one table over 1..B+1, the escalating verdict read off its first B rows
-    # and columns; it evaluates h_alpha's expression itself, bit for bit as
-    # h(x, y) does
+    # one table over rows 1..B+1 and columns 1..B, the escalating verdict read
+    # off its first B rows; it evaluates h_alpha's expression itself, bit for
+    # bit as h(x, y) does
     bounds = []
     table = indices._table
 
-    def counted(f, bound):
-        bounds.append(bound)
-        return table(f, bound)
+    def counted(f, rows, cols=None):
+        bounds.append((rows, cols))
+        return table(f, rows, cols)
 
     monkeypatch.setattr(indices, "_table", counted)
     assert check_good_escalating(BivariateFunction.sombor(1.5), GridSpec(6)).holds
-    assert bounds == [7]
+    assert bounds == [(7, 6)]
     for a in (-3.0, 0.5, 1.5, 60.0):
         h = BivariateFunction.sombor(a)
         t = table(h, 7)
