@@ -106,10 +106,6 @@ class UnsupportedCyclomaticError(ValidationError):
     pass
 
 
-class UnsupportedCError(ValidationError):
-    pass
-
-
 # -- graph-level ---------------------------------------------------------------
 
 class GraphStructureError(ValidationError):

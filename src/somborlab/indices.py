@@ -23,7 +23,7 @@ plus a three-term shift inequality, all read off one table of f.
 `check_escalating` evaluates f once per grid point. A NaN or infinite value,
 an h_alpha value that underflows to 0.0 or a subnormal, and a strict cell of
 h_alpha, alpha != 1, whose |delta| is within its tolerance are validation
-errors, not verdicts; values so large that 4 max|f| overflows raise
+errors, not verdicts; a float table whose 4 max|f| overflows raises
 `OverflowError`. Every report is bit for bit the one that evaluating each
 cell's definition in order would give; tests compare against it. A table is
 *exact* when its values are all ints or Fractions, or all integer-valued ints
@@ -115,10 +115,11 @@ class BivariateFunction(_Value):
         for x in (1, 2, 3, 5, 8):
             for y in (1, 2, 4, 7):
                 a, b = fn(x, y), fn(y, x)
+                exact = _exact([(a, b)])
                 for (p, q), v in (((x, y), a), ((y, x), b)):
-                    if not math.isfinite(v):
+                    if not (exact or math.isfinite(v)):
                         raise FunctionNotFiniteError(f"{name}({p}, {q}) = {v!r} is not finite")
-                if not (a == b if _exact([(a, b)]) else math.isclose(a, b, rel_tol=REL_TOL)):
+                if not (a == b if exact else math.isclose(a, b, rel_tol=REL_TOL)):
                     raise ValidationError(
                         f"{name} is not symmetric: f({x},{y})={a!r} != f({y},{x})={b!r}"
                     )
@@ -182,7 +183,8 @@ def _table(f: BivariateFunction, rows: int, cols: int | None = None) -> list[lis
         t = [[(x * x + y * y) ** alpha for y in ys] for x in xs]
     else:
         t = [[f(x, y) for y in ys] for x in xs]
-    for x, row in zip(xs, t):
+    exact = not sombor and _exact(t)        # finite, past the float range too
+    for x, row in zip(xs, () if exact else t):
         if all(map(math.isfinite, row)) and not (sombor and min(row) < sys.float_info.min):
             continue
         for y, v in zip(ys, row):
@@ -282,7 +284,7 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
 
     f is evaluated once per grid point (a NaN or infinite value raises
     `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
-    `FunctionUnderflowError`; a table whose 4 max|t| overflows raises
+    `FunctionUnderflowError`; a float table whose 4 max|t| overflows raises
     `OverflowError`, since a sum of four of its values need not be finite).
     The table is certified from its units
     Delta(i, j) = t[i+1][j+1] - t[i+1][j] - t[i][j+1] + t[i][j], 1 <= i, j < B,
@@ -339,13 +341,13 @@ def _escalation(f: BivariateFunction, t: list[list[float]], deadline) -> Escalat
     """`check_escalating` on f's table t of `_table`, read to its last row."""
     bound = len(t) - 1
     a_max = [max(map(abs, row[1:]), default=0.0) for row in t]
+    v = [row[1:] for row in t[1:]]                          # rows without padding
+    exact = _exact(v)
     top = max(a_max)
-    if not math.isfinite(4 * top):
+    if not exact and not math.isfinite(4 * top):
         raise OverflowError(f"4 max|{f.name}| = {4 * top!r} is past the float range")
     block = _block_cells(bound)
     cells = len(block) ** 2
-    v = [row[1:] for row in t[1:]]                          # rows without padding
-    exact = _exact(v)
     sign = _unit_sign(v, a_max[1:], exact)
     if sign:
         verdict = "escalating" if sign > 0 else "de-escalating"
@@ -485,8 +487,8 @@ def check_good_escalating(f: BivariateFunction,
     second partials, and an exact table (module docstring) decides them exactly.
 
     f is evaluated once per point of rows 1..B+1 and columns 1..B, all that
-    the conditions read (`OverflowError` when 6 max|f| overflows, as a shift
-    sums six values); the escalating verdict is read off its first B rows.
+    the conditions read; a float table whose 6 max|f| overflows raises
+    `OverflowError`, as a shift sums six values. Escalation reads rows 1..B.
     Counterexamples are the first `MAX_COUNTEREXAMPLES` found in grid order
     (x1, y1, x2, y2 ascending, x1 outermost; a difference failure at point
     (x, y) is the cell (x, 0, y, 0)) of the first condition that fails.
@@ -499,10 +501,10 @@ def check_good_escalating(f: BivariateFunction,
     if esc.verdict != "escalating":
         return GoodEscalatingReport(f.name, bound, False, "escalating",
                                     esc.counterexamples, cells)
-    top = max(max(map(abs, row[1:])) for row in t[1:])
-    if not math.isfinite(6 * top):
-        raise OverflowError(f"6 max|{f.name}| = {6 * top!r} is past the float range")
     rel = 0 if _exact(row[1:] for row in t[1:]) else REL_TOL
+    top = max(max(map(abs, row[1:])) for row in t[1:])
+    if rel and not math.isfinite(6 * top):        # an exact table needs no float
+        raise OverflowError(f"6 max|{f.name}| = {6 * top!r} is past the float range")
     bad, checked = _difference_failures(t, bound, rel)
     cells += checked
     if not bad:

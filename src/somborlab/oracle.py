@@ -68,7 +68,6 @@ from .errors import (
     MinDegreeNotOneError,
     TooLargeError,
     UnrealizableError,
-    UnsupportedCError,
     ValidationError,
 )
 from .graphs import (
@@ -257,10 +256,11 @@ def oracle_extrema(pi: DegreeSequence, alpha: float) -> ExtremaReport:
 def generate_c_cyclic_sequences(n: int, c: int, require_pendant: bool) -> list[DegreeSequence]:
     """All connected-realizable c-cyclic sequences of length n, descending lex order.
 
-    No desk-scale cap applies here; the CLI checks n against `Caps.enum`.
+    Any c >= 0 is allowed, and a c above C(n, 2) - n + 1 gives []. No
+    desk-scale cap applies here; the CLI checks n against `Caps.enum`.
     """
-    if c < 0 or c > 3:
-        raise UnsupportedCError(f"c = {c} outside supported range 0..3")
+    if c < 0:
+        raise ValidationError(f"c = {c} is negative: need c >= 0")
     if n < 2:
         raise ValidationError(f"n = {n} is too small: need n >= 2")
     target = 2 * (n + c - 1)

@@ -490,6 +490,8 @@ def test_verify_theorem1_small(capsys):
     ("1", "9", "0,1,2,3"),
     ("2", "9", "0,1,2"),
     ("3", "9", "0,1,2"),
+    # every c a graph on 8 vertices can have past 3: 728 checks
+    ("1", "8", ",".join(map(str, range(4, 22)))),
 ])
 def test_verify_theorems_under_default_cap(capsys, monkeypatch, theorem, n_max, cs):
     monkeypatch.delenv("SOMBOR_CAPS", raising=False)
@@ -498,6 +500,16 @@ def test_verify_theorems_under_default_cap(capsys, monkeypatch, theorem, n_max, 
     assert code == 0
     rec = json.loads(out)
     assert rec["pass"] is True and rec["n_max"] == int(n_max) and not rec["violations"]
+
+
+@pytest.mark.slow
+def test_verify_theorem1_every_c_at_n9(capsys):
+    # every c a graph on 9 vertices can have past 3: 2,428 checks at n = 9
+    code, out, _ = run(capsys, "verify", "--theorem", "1", "--n-max", "9",
+                       "--c", ",".join(map(str, range(4, 29))))
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["pass"] is True and rec["checked"] == 728 + 2428
 
 
 def test_verify_cap_lifted_by_sombor_caps(capsys, monkeypatch):
@@ -530,11 +542,35 @@ def test_verify_above_cap_exit2_before_any_sweep(capsys, monkeypatch, theorem):
     ("--theorem", "1", "--n-max", "2"),
     ("--theorem", "1", "--c", "3", "--n-max", "4"),
     ("--theorem", "3", "--n-max", "3"),
+    ("--theorem", "3", "--c", "30"),        # no graph on 8 vertices has c = 30
 ])
 def test_verify_sweep_that_checks_nothing_exit2(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "to check" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--theorem", "1", "--c", "-1"), "c = -1 is negative: need c >= 0"),
+    (("--theorem", "2", "--c", "-1"), "c = -1 is negative: need c >= 0"),
+    (("--theorem", "3", "--c", "0,-1"), "c = -1 is negative: need c >= 0"),
+    # the constructor's limit is Theorem 2's only one
+    (("--theorem", "2", "--c", "4"), "no canonical construction for c = 4"),
+])
+def test_verify_c_outside_a_theorem_exit2(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_verify_theorem3_high_c_violation_exit1(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--c", "7", "--alpha", "5")
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["pass"] is False
+    assert [(v["pi"], v["pi_prime"], v["max_so_pi"], v["max_so_pi_prime"])
+            for v in rec["violations"]] == [
+        ([5, 4, 4, 4, 4, 3, 2, 2], [5, 4, 4, 4, 4, 3, 3, 1], 710962174.0, 698153206.0)]
 
 
 def test_verify_time_budget_exit2(capsys):

@@ -650,6 +650,18 @@ def test_exact_tables_take_no_tolerance():
     assert check_escalating(k, GridSpec(4)).verdict == "neither"
 
 
+@pytest.mark.parametrize("offset", [10 ** 15, 10 ** 400, Fraction(10 ** 400)],
+                         ids=["int-1e15", "int-1e400", "fraction-1e400"])
+def test_exact_tables_past_the_float_range(offset):
+    # no exact comparison needs a float, so an exact table is checked past the
+    # float range; a float table keeps its overflow test
+    f = BivariateFunction.custom(lambda x, y: offset + x * y)
+    report = check_escalating(f, GridSpec(4))
+    assert (report.verdict, report.counterexamples, report.max_abs_delta) == \
+        ("escalating", (), 9)
+    assert check_good_escalating(f, GridSpec(4)).holds
+
+
 def test_grid_fallback_and_final_pass_run(monkeypatch):
     # near-ub fails the certificate, so the per-cell loop evaluates all 210
     # blocks of B = 20; h_50's max pass evaluates (20, 1), and (20, 2) and
@@ -743,6 +755,14 @@ def test_grid_overflow_is_rejected():
         check_escalating(BivariateFunction.sombor(106), GridSpec(20))
     report = check_escalating(BivariateFunction.sombor(105), GridSpec(20))
     assert report.verdict == "escalating" and math.isfinite(report.max_abs_delta)
+    # a custom float table too, though an exact one past the range is checked
+    # (4 * 16 * 1e307 and 6 * 20 * 2e306 overflow; 4 * 16 * 2e306 does not)
+    big = BivariateFunction.custom(lambda x, y: 1e307 * min(x, 4) * min(y, 4), name="big")
+    with pytest.raises(OverflowError, match=r"4 max\|big\|"):
+        check_escalating(big, GridSpec(4))
+    big = BivariateFunction.custom(lambda x, y: 2e306 * min(x, 5) * min(y, 5), name="big")
+    with pytest.raises(OverflowError, match=r"6 max\|big\|"):
+        check_good_escalating(big, GridSpec(4))
 
 
 def test_underflow_rejected_for_h_alpha_only():

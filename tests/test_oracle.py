@@ -10,6 +10,7 @@ from somborlab import (
     Objective,
     degree_sequence_of,
     enumerate_gamma,
+    format_degree_sequence,
     format_graph6,
     extremal_graph,
     generate_c_cyclic_sequences,
@@ -38,7 +39,6 @@ from somborlab.errors import (
     NotGraphicalError,
     TimeBudgetExceededError,
     TooLargeError,
-    UnsupportedCError,
     UnsupportedCyclomaticError,
     ValidationError,
 )
@@ -193,13 +193,37 @@ def test_generate_sequences_examples():
     assert generate_c_cyclic_sequences(3, 1, require_pendant=True) == []
     five = {pi.degrees for pi in generate_c_cyclic_sequences(5, 2, require_pendant=True)}
     assert (3, 3, 3, 2, 1) in five
-    with pytest.raises(UnsupportedCError):
-        generate_c_cyclic_sequences(6, 4, require_pendant=False)
+    # every c >= 0 is allowed: K_4 is the one 3-cyclic sequence on 4 vertices,
+    # and no simple graph on 4 vertices is 4-cyclic
+    assert [pi.degrees for pi in generate_c_cyclic_sequences(4, 3, False)] == [(3, 3, 3, 3)]
+    assert generate_c_cyclic_sequences(4, 4, require_pendant=False) == []
+    with pytest.raises(ValidationError, match="need c >= 0"):
+        generate_c_cyclic_sequences(6, -1, require_pendant=False)
     # trees on 11 vertices: one sequence per partition of 9
     assert len(generate_c_cyclic_sequences(11, 0, require_pendant=False)) == 30
     # descending lexicographic order
     degs = [pi.degrees for pi in generate_c_cyclic_sequences(7, 1, require_pendant=False)]
     assert degs == sorted(degs, reverse=True)
+
+
+def test_generated_sequences_match_graph_atlas():
+    # independent of the generator's recursion and realizability test: the
+    # degree sequences of the connected graphs in networkx's atlas of every
+    # graph on at most 7 vertices, for every c up to one past the largest
+    import networkx as nx
+    atlas: dict[tuple[int, int], set] = {}
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if n >= 2 and nx.is_connected(g):
+            degrees = tuple(sorted((d for _, d in g.degree()), reverse=True))
+            atlas.setdefault((n, g.number_of_edges() - n + 1), set()).add(degrees)
+    total = 0
+    for n in range(2, 8):
+        for c in range(n * (n - 1) // 2 - n + 3):
+            got = [pi.degrees for pi in generate_c_cyclic_sequences(n, c, False)]
+            assert got == sorted(atlas.pop((n, c), ()), reverse=True), (n, c)
+            total += len(got)
+    assert not atlas and total == 332
 
 
 def test_generated_sequences_are_realizable():
@@ -393,6 +417,50 @@ def test_theorem3_small_all_cases():
         rep = verify_theorem3(6, c, (1.5, 2.0))
         for report in (rep, rep.pendant()):
             assert report.holds, report.to_record()["violations"]
+
+
+# Theorem 3 as `verify_theorem3` restates it (pi majorized by pi' gives a
+# strictly larger maximum at every alpha > 1, at any c) fails past c = 3.
+# The abstract does not state the paper's hypotheses for Theorem 3, so these
+# break the restatement, not the paper. Each is (n, c, alpha, pi, pi',
+# max SO_alpha over Gamma(pi), max over Gamma(pi')); all values are integers.
+_T3_HIGH_C = [
+    (8, 7, 5, "5,4^4,3,2^2", "5,4^4,3^2,1", 710962174, 698153206),
+    (8, 11, 2, "7,5^5,2^2", "7,5^5,3,1", 58062, 58056),
+    (9, 11, 3, "8,5^5,2^2,1", "8,5^5,3,1^2", 5678846, 5666720),   # both pendant
+]
+
+
+@pytest.mark.parametrize("n, c, alpha, lower, upper, lower_max, upper_max", _T3_HIGH_C)
+def test_theorem3_restatement_fails_at_high_c(n, c, alpha, lower, upper,
+                                               lower_max, upper_max):
+    # the maxima in int arithmetic over every class, against the oracle's floats
+    lo, hi = parse_degree_sequence(lower), parse_degree_sequence(upper)
+    assert (lo.n, lo.c, hi.n, hi.c) == (n, c, n, c)
+    assert is_majorized(lo, hi).holds
+    exact = [max(sum((g.degrees[u] ** 2 + g.degrees[v] ** 2) ** alpha for u, v in g.edges)
+                 for g in enumerate_gamma(pi)) for pi in (lo, hi)]
+    assert exact == [lower_max, upper_max]
+    assert [oracle._maxima(pi.degrees, (float(alpha),))[0] for pi in (lo, hi)] == exact
+
+
+@pytest.mark.parametrize("n, c, alpha, violations", [
+    (8, 7, 5, [_T3_HIGH_C[0][3:]]),
+    (8, 11, 2, [_T3_HIGH_C[1][3:]]),
+    pytest.param(9, 11, 3, [
+        _T3_HIGH_C[2][3:],
+        ("6,5^5,3,2^2", "6,5^5,3^2,1", 2480936, 2436470),
+        ("5^6,4,2^2", "5^6,4,3,1", 1904354, 1887692),
+    ], marks=pytest.mark.slow),
+])
+def test_theorem3_sweep_reports_the_high_c_violations(n, c, alpha, violations):
+    rep = verify_theorem3(n, c, (float(alpha),))
+    for report in (rep, rep.pendant()):
+        got = [(format_degree_sequence(p.lower), format_degree_sequence(p.upper),
+                p.lower_max, p.upper_max) for p in report.pairs if not p.ok]
+        assert got == [v for v in violations if not report.require_pendant or all(
+            parse_degree_sequence(pi).degrees[-1] == 1 for pi in v[:2])]
+        assert report.holds == (got == [])
 
 
 def test_theorem3_pairs_equal_all_ordered_pairs():
