@@ -84,18 +84,14 @@ class GridResolutionError(ValidationError):
 
 class ExtremumResolutionError(ValidationError):
     """A value lies within REL_TOL of an extremum it does not equal: of
-    SO_alpha over Gamma(pi), or of Theorem 3's pair of maxima. Floats cannot
-    decide which class attains the extremum, or whether one maximum is
+    SO_alpha over Gamma(pi), or of Theorem 3's pair of extrema. Floats cannot
+    decide which class attains the extremum, or whether one extremum is
     strictly larger, so a verdict would turn on rounding, not on a
     counterexample."""
 
 
 class AlphaDegenerateError(ValidationError):
     """alpha = 1: every graph in Gamma(pi) has the same index value."""
-
-
-class AlphaNotAboveOneError(ValidationError):
-    pass
 
 
 class UnsupportedObjectiveError(ValidationError):

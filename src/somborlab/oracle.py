@@ -7,8 +7,8 @@ as finite checks:
 
   theorem 1   some extremal class is a special extremal BFS-graph
   theorem 2   the canonical construction attains the oracle extremum
-  theorem 3   majorization pi < pi' implies strictly larger oracle maximum
-              for alpha > 1
+  theorem 3   majorization pi < pi' implies a strictly larger oracle maximum
+              for alpha > 1, and a strictly larger minimum for 0 < alpha < 1
 
 The primary enumeration backtracks over neighbour assignments with residual,
 twin and pair pruning (see _kernels). SO_alpha sums over edges, so a graph's
@@ -26,7 +26,7 @@ label only when a report names it:
   oracle_extrema, theorem 1 and theorem 2
               label the keys attaining each extremum, for their witnesses;
               theorem 1 keeps each class's BFS verdict on the record
-  theorem 3   reports no class: its maxima come from the keys alone, and it
+  theorem 3   reports no class: its extrema come from the keys alone, and it
               keeps no record; its pendant report restricts the full one
 
 An independent strategy, which filters all edge subsets, lives in
@@ -39,7 +39,7 @@ get bit-identical sums. `GammaRecord.extremum` applies it to the distinct
 keys' values, which are the same distinct floats as the classes' values.
 The relative tolerance 1e-9 (`_close`) only refuses what floats cannot
 resolve: a distinct value within it of an extremum, or of Theorem 3's other
-maximum, raises `ExtremumResolutionError` rather than decide a verdict by
+extremum, raises `ExtremumResolutionError` rather than decide a verdict by
 rounding.
 Graphs are always compared by canonical code, never by float.
 
@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernels
 from .errors import (
-    AlphaNotAboveOneError,
     EmptySweepError,
     ExtremumResolutionError,
     MinDegreeNotOneError,
@@ -388,8 +387,9 @@ class PairCheck(NamedTuple):
     lower: DegreeSequence
     upper: DegreeSequence
     alpha: float
-    lower_max: float
-    upper_max: float
+    objective: str
+    lower_value: float
+    upper_value: float
     ok: bool
 
     def to_record(self) -> dict:
@@ -397,8 +397,8 @@ class PairCheck(NamedTuple):
             "pi": list(self.lower.degrees),
             "pi_prime": list(self.upper.degrees),
             "alpha": self.alpha,
-            "max_so_pi": self.lower_max,
-            "max_so_pi_prime": self.upper_max,
+            f"{self.objective}_so_pi": self.lower_value,
+            f"{self.objective}_so_pi_prime": self.upper_value,
             "ok": self.ok,
         }
 
@@ -435,40 +435,42 @@ class Theorem3Report(NamedTuple):
         }
 
 
-def _maxima(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float, ...]:
-    """Max SO_alpha over Gamma(pi) per alpha, read off the JDM keys of the
-    walk's leaves (`_kernels.leaves_by_jdm`).
+def _extrema(degrees: tuple[int, ...], alphas: tuple[float, ...]) -> tuple[float, ...]:
+    """The extremum of SO_alpha over Gamma(pi) that `objective_for_alpha` names,
+    per alpha, read off the JDM keys of the walk's leaves (`_kernels.leaves_by_jdm`).
 
     No class is reported, so none is built or labeled, and the leaves are
     dropped after the call rather than kept on pi's record: a Theorem 3
-    sweep asks for each pi's maxima once.
+    sweep asks for each pi's extrema once.
     """
     table = values_by_key(_kernels.leaves_by_jdm(degrees), alphas)
-    return tuple(max(v[a] for v in table.values()) for a in alphas)
+    picks = [min if objective_for_alpha(a) is Objective.MIN else max for a in alphas]
+    return tuple(pick(v[a] for v in table.values()) for pick, a in zip(picks, alphas))
 
 
 def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
                     deadline: Deadline | None = None) -> Theorem3Report:
-    """Strictly larger oracle maximum along every majorization pair.
+    """Strictly larger oracle extremum along every majorization pair: the one
+    `objective_for_alpha` pairs with alpha, the maximum for alpha > 1 and the
+    minimum for 0 < alpha < 1.
 
     The report covers every sequence, and `Theorem3Report.pendant` restricts
     it to the pendant ones. `alphas` is a non-empty sequence, or the sweep
-    would pass vacuously; each alpha must be finite and above 1, where
-    h_alpha is escalating. Two maxima `_close` to each other cannot be
-    ordered by floats, so such a pair raises `ExtremumResolutionError`
-    rather than count as a violation.
+    would pass vacuously. Alpha < 0 is refused: neither extremum rises there.
+    Two extrema `_close` to each other cannot be ordered by floats, so such
+    a pair raises `ExtremumResolutionError` rather than count as a violation.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
     if not alphas:
         raise EmptySweepError("theorem 3 needs at least one alpha")
-    for a in alphas:
-        classify_alpha(a)
-        if a <= 1:
-            raise AlphaNotAboveOneError(f"theorem 3 needs alpha > 1, got {a}")
+    objectives = tuple(map(objective_for_alpha, alphas))
+    if min(alphas) < 0:
+        raise ValidationError(f"theorem 3 needs alpha > 0, got {min(alphas)}: for alpha < 0, "
+                              f"where h_alpha decreases, neither extremum rises")
     _check_kernel_bound(n)
     seqs = generate_c_cyclic_sequences(n, c, require_pendant=False)
-    maxima = _pmap(lambda s: _maxima(s.degrees, alphas), seqs, deadline=deadline)
+    extrema = _pmap(lambda s: _extrema(s.degrees, alphas), seqs, deadline=deadline)
     pairs: list[PairCheck] = []
     for i, lo in enumerate(seqs):
         # lo majorized by hi (so lo != hi) forces lo_k < hi_k at their first
@@ -476,15 +478,17 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
         for j, hi in enumerate(seqs[:i]):
             if not is_majorized(lo, hi).holds:
                 continue
-            for k, a in enumerate(alphas):
-                mlo, mhi = maxima[i][k], maxima[j][k]
-                if _close(mlo, mhi):
+            for k, (a, objective) in enumerate(zip(alphas, objectives)):
+                vlo, vhi = extrema[i][k], extrema[j][k]
+                if _close(vlo, vhi):
+                    side, advice = (("maxima", "a smaller alpha") if objective is Objective.MAX
+                                    else ("minima", "an alpha farther from 0"))
                     raise ExtremumResolutionError(
-                        f"theorem 3 cannot order the maxima at alpha = {a!r} for pi = "
+                        f"theorem 3 cannot order the {side} at alpha = {a!r} for pi = "
                         f"{','.join(map(str, lo.degrees))} and pi' = "
-                        f"{','.join(map(str, hi.degrees))}: {mlo!r} and {mhi!r} lie "
-                        f"within the relative tolerance {REL_TOL:g}; use a smaller alpha")
-                pairs.append(PairCheck(lo, hi, a, mlo, mhi, mhi > mlo))
+                        f"{','.join(map(str, hi.degrees))}: {vlo!r} and {vhi!r} lie "
+                        f"within the relative tolerance {REL_TOL:g}; use {advice}")
+                pairs.append(PairCheck(lo, hi, a, objective.value, vlo, vhi, vhi > vlo))
     return Theorem3Report(n, c, alphas, False, tuple(pairs),
                           all(p.ok for p in pairs), time.monotonic() - t0)
 

@@ -348,6 +348,28 @@ def test_theorem3_unresolved_maxima_exit2(capsys):
     assert "pi = 4,4,2,2,1,1,1,1 " in err
 
 
+@pytest.mark.parametrize("theorem", ["1", "2", "3"])
+def test_verify_alpha_one_exit2_at_every_theorem(capsys, theorem):
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--alpha", "1")
+    assert (code, out) == (2, "")
+    assert "alpha = 1: all graphs in Gamma(pi) tie" in err
+
+
+def test_verify_theorem3_follows_the_alpha_rule(capsys):
+    # the minimum for 0 < alpha < 1, as in Theorems 1 and 2
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--alpha", "0.25,0.5,0.75")
+    rec = json.loads(out)
+    assert code == 0 and rec["pass"] is True
+    assert sum(r["pairs_checked"] for r in rec["reports"]) == 3636
+    code, out, err = run(capsys, "verify", "--theorem", "3", "--alpha", "-1")
+    assert (code, out) == (2, "")
+    assert "for alpha < 0" in err
+    # every SO_1e-300 value is m * 1.0, so every pair ties in floats
+    code, out, err = run(capsys, "verify", "--theorem", "3", "--alpha", "1e-300")
+    assert (code, out) == (2, "")
+    assert "cannot order the minima at alpha = 1e-300" in err
+
+
 def test_verify_prop1_default_report_pinned(capsys):
     # sha256 of the default report (12 alphas, B = 20) re-dumped as in
     # perfbench/reference.json; prop1 reports carry no timing keys

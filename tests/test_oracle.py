@@ -29,7 +29,6 @@ from somborlab import (
 from somborlab import _kernels, construct, oracle, sombor
 from somborlab.errors import (
     AlphaDegenerateError,
-    AlphaNotAboveOneError,
     AlphaNotFiniteError,
     CapsSyntaxError,
     EmptySweepError,
@@ -400,16 +399,25 @@ def test_theorem2_violation_names_both_graphs(monkeypatch):
 
 
 def test_theorem3_hand_case():
-    rep = verify_theorem3(4, 0, (2.0,))
-    assert rep.holds
-    pair = [p for p in rep.pairs
-            if p.lower.degrees == (2, 2, 1, 1) and p.upper.degrees == (3, 1, 1, 1)]
-    assert len(pair) == 1
-    assert pair[0].lower_max == 114.0 and pair[0].upper_max == 300.0
-    with pytest.raises(AlphaNotAboveOneError):
-        verify_theorem3(4, 0, (0.5,))
+    # P4 against the star K_{1,3}, each alone in its Gamma(pi): the maxima at
+    # alpha = 2 and the minima at alpha = 0.5
+    for alpha, objective, lower, upper in (
+            (2.0, "max", 114.0, 300.0),
+            (0.5, "min", math.fsum([2 * 5 ** 0.5, 8 ** 0.5]), 3 * 10 ** 0.5)):
+        rep = verify_theorem3(4, 0, (alpha,))
+        assert rep.holds
+        pair = [p for p in rep.pairs
+                if p.lower.degrees == (2, 2, 1, 1) and p.upper.degrees == (3, 1, 1, 1)]
+        assert len(pair) == 1
+        assert (pair[0].objective, pair[0].lower_value, pair[0].upper_value) == (
+            objective, lower, upper)
+        record = pair[0].to_record()
+        assert (record[f"{objective}_so_pi"], record[f"{objective}_so_pi_prime"]) == (
+            lower, upper)
     with pytest.raises(EmptySweepError):       # nothing to check is not a pass
         verify_theorem3(6, 0, ())
+    with pytest.raises(ValidationError, match="for alpha < 0"):   # neither extremum rises
+        verify_theorem3(6, 0, (2.0, -1.0))
 
 
 def test_theorem3_small_all_cases():
@@ -417,6 +425,18 @@ def test_theorem3_small_all_cases():
         rep = verify_theorem3(6, c, (1.5, 2.0))
         for report in (rep, rep.pendant()):
             assert report.holds, report.to_record()["violations"]
+
+
+def test_theorem3_minimum_side_holds():
+    # for 0 < alpha < 1 the minimum rises along every majorization pair with
+    # n <= 8 at every c, and with n = 9 up to c = 3 (it first fails at n = 9,
+    # c = 9: _T3_MIN_SIDE)
+    alphas = (0.25, 0.5, 0.75)
+    every_c = [(n, c) for n in range(2, 9) for c in range(n * (n - 1) // 2 - n + 2)]
+    for n, c in every_c + [(9, c) for c in range(4)]:
+        rep = verify_theorem3(n, c, alphas)
+        for report in (rep, rep.pendant()):
+            assert report.holds, (n, c, report.to_record()["violations"])
 
 
 # Theorem 3 as `verify_theorem3` restates it (pi majorized by pi' gives a
@@ -441,7 +461,32 @@ def test_theorem3_restatement_fails_at_high_c(n, c, alpha, lower, upper,
     exact = [max(sum((g.degrees[u] ** 2 + g.degrees[v] ** 2) ** alpha for u, v in g.edges)
                  for g in enumerate_gamma(pi)) for pi in (lo, hi)]
     assert exact == [lower_max, upper_max]
-    assert [oracle._maxima(pi.degrees, (float(alpha),))[0] for pi in (lo, hi)] == exact
+    assert [oracle._extrema(pi.degrees, (float(alpha),))[0] for pi in (lo, hi)] == exact
+
+
+# The minimum side (0 < alpha < 1) of the same restatement first fails at
+# n = 9, c = 9, alpha = 0.25. Each is (n, c, pi, pi', min SO_0.25 over
+# Gamma(pi), min over Gamma(pi')); every sequence is pendant.
+_T3_MIN_SIDE = [
+    (9, 9, "6,5^3,3^4,1", "6,5^3,4,3^2,2,1", 42.458016186309806, 42.4565862808787),
+    (9, 10, "6^2,5^2,4,3^3,1", "6^2,5^2,4^2,3,2,1", 46.210006062761465, 46.18820257583284),
+    (9, 10, "6,5^4,3^3,1", "6,5^4,4,3,2,1", 45.81064955475435, 45.80921964932324),
+]
+
+
+@pytest.mark.parametrize("n, c, lower, upper, lower_min, upper_min", _T3_MIN_SIDE)
+def test_theorem3_restatement_fails_on_the_minimum_side(n, c, lower, upper,
+                                                         lower_min, upper_min):
+    # the minima over every class, against the oracle's minima over JDM keys;
+    # their relative gap is far past REL_TOL, so floats decide the pair
+    lo, hi = parse_degree_sequence(lower), parse_degree_sequence(upper)
+    assert (lo.n, lo.c, hi.n, hi.c) == (n, c, n, c)
+    assert is_majorized(lo, hi).holds and lo.degrees[-1] == hi.degrees[-1] == 1
+    independent = [min(sombor_general(g, 0.25) for g in enumerate_gamma(pi))
+                   for pi in (lo, hi)]
+    assert independent == [lower_min, upper_min]
+    assert [oracle._extrema(pi.degrees, (0.25,))[0] for pi in (lo, hi)] == independent
+    assert (lower_min - upper_min) / lower_min >= 3.1e-5
 
 
 @pytest.mark.parametrize("n, c, alpha, violations", [
@@ -452,12 +497,14 @@ def test_theorem3_restatement_fails_at_high_c(n, c, alpha, lower, upper,
         ("6,5^5,3,2^2", "6,5^5,3^2,1", 2480936, 2436470),
         ("5^6,4,2^2", "5^6,4,3,1", 1904354, 1887692),
     ], marks=pytest.mark.slow),
+    pytest.param(9, 9, 0.25, [_T3_MIN_SIDE[0][2:]], marks=pytest.mark.slow),
+    pytest.param(9, 10, 0.25, [v[2:] for v in _T3_MIN_SIDE[1:]], marks=pytest.mark.slow),
 ])
 def test_theorem3_sweep_reports_the_high_c_violations(n, c, alpha, violations):
     rep = verify_theorem3(n, c, (float(alpha),))
     for report in (rep, rep.pendant()):
         got = [(format_degree_sequence(p.lower), format_degree_sequence(p.upper),
-                p.lower_max, p.upper_max) for p in report.pairs if not p.ok]
+                p.lower_value, p.upper_value) for p in report.pairs if not p.ok]
         assert got == [v for v in violations if not report.require_pendant or all(
             parse_degree_sequence(pi).degrees[-1] == 1 for pi in v[:2])]
         assert report.holds == (got == [])
@@ -487,7 +534,7 @@ def test_maxima_equal_max_over_classes():
             for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
                 graphs = enumerate_gamma(pi)
                 expected = [max(sombor_general(g, a) for g in graphs) for a in alphas]
-                got = oracle._maxima(pi.degrees, alphas)
+                got = oracle._extrema(pi.degrees, alphas)
                 assert [x.hex() for x in got] == [x.hex() for x in expected], pi
 
 
@@ -552,6 +599,8 @@ def test_degenerate_alpha_pairs_with_no_extremum():
         verify_theorem2(5, 0, (1.0,))
     with pytest.raises(AlphaDegenerateError):
         verify_special_bfs_existence(parse_degree_sequence("3,2,2,1,1,1"), 1.0)
+    with pytest.raises(AlphaDegenerateError):
+        verify_theorem3(6, 0, (2.0, 1.0))
     with pytest.raises(MinDegreeNotOneError):
         verify_special_bfs_existence(parse_degree_sequence("2,2,2"), 2.0)
 
@@ -588,12 +637,12 @@ def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
         verify_theorem3(8, 1, (100.0,))
     assert issubclass(ExtremumResolutionError, ValidationError)
     # a maximum below its partner's by more than the tolerance stays a violation
-    monkeypatch.setattr(oracle, "_maxima",
+    monkeypatch.setattr(oracle, "_extrema",
                         lambda degrees, alphas: (1.0 / sum(d * d for d in degrees),))
     rep = verify_theorem3(6, 0, (2.0,))
     assert rep.pairs and not rep.holds
     assert not any(p.ok for p in rep.pairs)
-    monkeypatch.setattr(oracle, "_maxima", lambda degrees, alphas: (1.0,))
+    monkeypatch.setattr(oracle, "_extrema", lambda degrees, alphas: (1.0,))
     with pytest.raises(ExtremumResolutionError):
         verify_theorem3(6, 0, (2.0,))
 
