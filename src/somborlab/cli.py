@@ -233,9 +233,8 @@ def cmd_verify(args) -> int:
 
     def table():
         yield f"verify theorem={args.theorem} pass={ok}"
-        for key in ("violations",):
-            for v in record.get(key, []):
-                yield f"VIOLATION {json.dumps(v, sort_keys=True)}"
+        for v in record.get("violations", []):
+            yield f"VIOLATION {json.dumps(v, sort_keys=True)}"
 
     _emit(record, args.format, table)
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -172,10 +172,17 @@ class GammaRecord:
                  objective: Objective) -> tuple[float, list[int]]:
         """`extremum` over the keys' values at alpha in `table` (`values_by_key`),
         and the canonical bits of the classes that attain it, ascending; only
-        the winning keys are labeled. An unresolvable extremum names pi and
-        alpha."""
+        the winning keys are labeled. Keys also tie unresolvably where h_alpha
+        gives two of their distinct x^2 + y^2 one float (alpha near 0). An
+        unresolvable extremum names pi and alpha."""
         try:
             value, winners = extremum([table[key][alpha] for key in self.keys], objective)
+            if len(winners) > 1:
+                s = {x * x + y * y for i in winners for (x, y), _ in self.keys[i]}
+                if len({v ** alpha for v in s}) < len(s):
+                    raise ExtremumResolutionError(
+                        f"{len(winners)} JDMs tie at {value!r}, but h_alpha gives two "
+                        f"distinct x^2 + y^2 one value")
         except ExtremumResolutionError as exc:
             raise ExtremumResolutionError(
                 f"cannot resolve the {objective.value} of SO_alpha over Gamma(pi) at "

@@ -171,6 +171,31 @@ def test_enumerate_exact_ties_mark_min_and_max(capsys):
         assert entry["is_min"] == entry["is_max"] == {"1": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "2", "--alpha", "1e-17"),
+    ("verify", "--theorem", "2", "--alpha=-1e-17"),
+    ("verify", "--theorem", "1", "--alpha", "1e-17"),
+    ("verify", "--theorem", "1", "--alpha", "1e-320"),
+    ("enumerate", "--pi", "3,2,2,2,1", "--alpha", "1e-17"),
+])
+def test_ties_h_alpha_cannot_tell_apart_exit2(capsys, argv):
+    # every (x^2 + y^2)^alpha rounds to 1.0, so every class ties at m: both
+    # verifiers used to pass vacuously and enumerate marked each class min and max
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "cannot resolve" in err
+    assert "h_alpha gives two distinct x^2 + y^2 one value" in err
+
+
+def test_verify_reads_negative_alpha(capsys):
+    # argparse reads "--alpha -1e-17" as a flag; the "=" form reaches the verifier
+    code, out, _ = run(capsys, "verify", "--theorem", "2", "--n-max", "5", "--alpha", "-0.5")
+    assert code == 0 and json.loads(out)["alphas"] == [-0.5]
+    code, out, err = run(capsys, "verify", "--theorem", "2", "--alpha=-1e-17")
+    assert (code, out) == (2, "")
+    assert "at alpha = -1e-17 for pi = 3,2,2,1,1,1:" in err
+
+
 @pytest.mark.parametrize("fmt,digest", [
     ("json", "063684a9a49de0909425192b3d228cfd6502d93c48f7fe64a45eccacfd68a6c3"),
     ("table", "4c32028d33d1612883b9093fc15db339a27bfb93b99c830f62bc16c57a8f826c"),

@@ -148,17 +148,22 @@ def test_extremal_graph_dispatch_and_pairing():
 
 
 @pytest.mark.parametrize("text", ["3,2,2,1,1,1", "3,3,2,1,1", "4,3,2,2,1"])
-def test_extremal_graph_decides_realizability_once(text):
-    # extremal_graph validates pi once: Erdos-Gallai runs once, unasked again
-    from somborlab import graphs
-    graphs._connected_c.cache_clear()
+def test_extremal_graph_decides_realizability_once(text, monkeypatch):
+    # extremal_graph validates pi once, and a rejected pi raises on every call
+    validate = construct.validate_connected_c_cyclic
+    calls = []
+
+    def counted(pi):
+        calls.append(pi)
+        return validate(pi)
+
+    monkeypatch.setattr(construct, "validate_connected_c_cyclic", counted)
     extremal_graph(parse_degree_sequence(text))
-    info = graphs._connected_c.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
-    with pytest.raises(NotGraphicalError):
-        graphs.validate_connected_c_cyclic(DegreeSequence((3, 3, 1, 1)))
-    with pytest.raises(NotGraphicalError):      # a rejection is not cached
-        graphs.validate_connected_c_cyclic(DegreeSequence((3, 3, 1, 1)))
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(NotGraphicalError):
+            extremal_graph(DegreeSequence((3, 3, 1, 1)))
+    assert len(calls) == 3
 
 
 def test_extremal_graph_pinned():

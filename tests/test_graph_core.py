@@ -109,6 +109,42 @@ def test_validate_connected_c_cyclic():
         validate_connected_c_cyclic(DegreeSequence((1, 1, 1, 1)))
 
 
+def _textbook_connected_c(degs):
+    # the checks in their textbook form: each Erdos-Gallai tail summed anew
+    n, total = len(degs), sum(degs)
+    if total % 2:
+        raise OddSumError(f"degree sum {total} is odd")
+    if degs[0] > n - 1:
+        raise DegreeTooLargeError(f"d1 = {degs[0]} exceeds n-1 = {n - 1}")
+    if total < 2 * (n - 1):
+        raise TooSparseError(f"degree sum {total} below 2(n-1) = {2 * (n - 1)}")
+    for k in range(1, n + 1):
+        lhs = sum(degs[:k])
+        rhs = k * (k - 1) + sum(min(d, k) for d in degs[k:])
+        if lhs > rhs:
+            raise NotGraphicalError(f"Erdos-Gallai fails at k={k}: {lhs} > {rhs}")
+    return total // 2 - n + 1
+
+
+def _outcome(check, degs):
+    try:
+        return check(degs)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_connected_c_cyclic_matches_textbook_scan():
+    # every non-increasing sequence with n <= 9 and parts 1..n+1: the same c,
+    # or the same error and message, at the same first failing k
+    count = 0
+    for n in range(2, 10):
+        for degs in itertools.combinations_with_replacement(range(n + 1, 0, -1), n):
+            got = _outcome(lambda d: validate_connected_c_cyclic(DegreeSequence(d)), degs)
+            assert got == _outcome(_textbook_connected_c, degs), degs
+            count += 1
+    assert count == 66194
+
+
 def test_brute_force_confirms_3311_not_graphical():
     # independent oracle for the NotGraphical example: no 4-vertex simple graph
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
