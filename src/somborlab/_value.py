@@ -1,8 +1,20 @@
-"""The immutable value-object base shared by the graph and grid types.
+"""The immutable value-object base and integer check of the graph and grid types.
 
 It lives on its own so that the grid certification in `indices` can use it
 without loading `graphs`.
 """
+
+from operator import index
+
+from .errors import ValidationError
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int (`operator.index`): a float or a string is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 class _Value:

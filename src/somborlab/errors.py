@@ -83,10 +83,11 @@ class GridResolutionError(ValidationError):
 
 
 class ExtremumResolutionError(ValidationError):
-    """A value lies within REL_TOL of an extremum it does not equal: of
-    SO_alpha over Gamma(pi), or of Theorem 3's pair of extrema. Floats cannot
-    decide which class attains the extremum, or whether one extremum is
-    strictly larger, so a verdict would turn on rounding, not on a
+    """Floats cannot separate two values: a second JDM of Gamma(pi) whose
+    SO_alpha equals the extremum or lies within REL_TOL of it, or Theorem 3's
+    two extrema within REL_TOL of each other. Distinct JDMs may round to one
+    float, so a verdict on which class attains the extremum, or on whether
+    one extremum is strictly larger, would turn on rounding, not on a
     counterexample."""
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
-from ._value import _Value
+from ._value import _Value, _as_int
 from .errors import (
     DegreeTooLargeError,
     GraphStructureError,
@@ -50,6 +50,7 @@ class Graph(_Value):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges) -> None:
+        n = _as_int(n, "n")
         if n < 2:
             raise GraphStructureError(f"need n >= 2 vertices, got {n}")
         seen = set()
@@ -127,7 +128,7 @@ class DegreeSequence(_Value):
     resorted: bool
 
     def __init__(self, degrees, resorted: bool = False) -> None:
-        degs = tuple(int(d) for d in degrees)
+        degs = tuple(_as_int(d, "a degree") for d in degrees)
         if len(degs) < 2:
             raise ValidationError(f"need at least 2 degrees, got {len(degs)}")
         if any(d < 1 for d in degs):

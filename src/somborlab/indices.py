@@ -44,7 +44,7 @@ from itertools import islice
 from operator import gt, lt
 from typing import NamedTuple
 
-from ._value import _Value
+from ._value import _Value, _as_int
 from .errors import (
     FunctionNotFiniteError,
     FunctionUnderflowError,
@@ -139,6 +139,7 @@ class GridSpec(_Value):
     max_value: int
 
     def __init__(self, max_value: int = DEFAULT_GRID_MAX) -> None:
+        max_value = _as_int(max_value, "grid bound")
         if max_value < 3:
             raise ValidationError(f"grid bound must be >= 3, got {max_value}")
         object.__setattr__(self, "max_value", max_value)

@@ -24,7 +24,7 @@ label only when a report names it:
   enumerate_gamma and the `enumerate` command
               label every key, and list the classes by canonical code
   oracle_extrema, theorem 1 and theorem 2
-              label the keys attaining each extremum, for their witnesses;
+              label the key attaining each extremum, for its witnesses;
               theorem 1 keeps each class's BFS verdict on the record
   theorem 3   reports no class: its extrema come from the keys alone, and it
               keeps no record; its pendant report restricts the full one
@@ -33,14 +33,14 @@ An independent strategy, which filters all edge subsets, lives in
 `crosscheck` and is compared with `enumerate_gamma` class set by class set
 there; no sweep loads it.
 
-Values are binary64, and one rule, `extremum`, decides which classes attain
-an extremum: those whose value equals it exactly, since classes with one JDM
-get bit-identical sums. `GammaRecord.extremum` applies it to the distinct
-keys' values, which are the same distinct floats as the classes' values.
-The relative tolerance 1e-9 (`_close`) only refuses what floats cannot
-resolve: a distinct value within it of an extremum, or of Theorem 3's other
-extremum, raises `ExtremumResolutionError` rather than decide a verdict by
-rounding.
+Values are binary64, and one rule, `GammaRecord.extremum`, decides which
+classes attain an extremum: those of the one JDM key that attains it. A
+second key whose value equals that extremum or lies within the relative
+tolerance 1e-9 (`_close`) of it raises `ExtremumResolutionError`, since
+floats cannot tell distinct JDMs apart there, and no membership is decided
+by rounding. The one exception is alpha = 1, where every key has the value
+sum(d^3) exactly and every class wins. Theorem 3 refuses two extrema
+`_close` to each other the same way.
 Graphs are always compared by canonical code, never by float.
 
 The only bound here is the kernel's `MAX_VERTICES`. The desk-scale cap
@@ -170,25 +170,25 @@ class GammaRecord:
 
     def extremum(self, table: dict[JdmKey, dict[float, float]], alpha: float,
                  objective: Objective) -> tuple[float, list[int]]:
-        """`extremum` over the keys' values at alpha in `table` (`values_by_key`),
-        and the canonical bits of the classes that attain it, ascending; only
-        the winning keys are labeled. Keys also tie unresolvably where h_alpha
-        gives two of their distinct x^2 + y^2 one float (alpha near 0). An
-        unresolvable extremum names pi and alpha."""
-        try:
-            value, winners = extremum([table[key][alpha] for key in self.keys], objective)
-            if len(winners) > 1:
-                s = {x * x + y * y for i in winners for (x, y), _ in self.keys[i]}
-                if len({v ** alpha for v in s}) < len(s):
-                    raise ExtremumResolutionError(
-                        f"{len(winners)} JDMs tie at {value!r}, but h_alpha gives two "
-                        f"distinct x^2 + y^2 one value")
-        except ExtremumResolutionError as exc:
+        """The value `objective` picks from the keys' values at alpha in `table`
+        (`values_by_key`), and the canonical bits of the classes of the one key
+        that attains it, ascending; only that key is labeled.
+
+        Another key whose value equals the extremum or lies within `_close`
+        of it raises `ExtremumResolutionError`, naming pi and alpha: floats
+        cannot tell whether a second JDM attains it too. At alpha = 1 every
+        key has the value sum(d^3) exactly, and every class wins.
+        """
+        values = [table[key][alpha] for key in self.keys]
+        value = min(values) if objective is Objective.MIN else max(values)
+        winners = [key for key, v in zip(self.keys, values) if _close(v, value)]
+        if len(winners) > 1 and alpha != 1:
             raise ExtremumResolutionError(
                 f"cannot resolve the {objective.value} of SO_alpha over Gamma(pi) at "
                 f"alpha = {alpha!r} for pi = {','.join(map(str, self.degrees))}: "
-                f"{exc}") from None
-        return value, sorted(bits for i in winners for bits in self._classes(self.keys[i]))
+                f"{len(winners)} JDMs lie within the relative tolerance {REL_TOL:g} "
+                f"of {value!r}")
+        return value, sorted(bits for key in winners for bits in self._classes(key))
 
     def special_bfs(self, bits: int) -> BfsWitness | None:
         """`is_special_extremal_bfs` of the class `bits`, run once per class."""
@@ -218,23 +218,6 @@ def _gamma(degrees: tuple[int, ...]) -> GammaRecord:
 def _close(a: float, b: float) -> bool:
     """Whether floats cannot order a and b: |a - b| <= REL_TOL * max(|a|, |b|)."""
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
-
-
-def extremum(values, objective: Objective) -> tuple[float, tuple[int, ...]]:
-    """The value `objective` picks from `values`, and the indices of the values
-    that equal it exactly.
-
-    A distinct value within `_close` of the extremum raises
-    `ExtremumResolutionError`: floats cannot tell whether it attains the
-    extremum too, so no membership is decided by rounding.
-    """
-    best = min(values) if objective is Objective.MIN else max(values)
-    for v in values:
-        if v != best and _close(v, best):
-            raise ExtremumResolutionError(
-                f"{v!r} lies within the relative tolerance {REL_TOL:g} of the "
-                f"{objective.value} {best!r}")
-    return best, tuple(i for i, v in enumerate(values) if v == best)
 
 
 class ExtremaReport(NamedTuple):
@@ -305,7 +288,7 @@ class SequenceCheck(NamedTuple):
     ok: bool
     constructed: Graph
     # the class attaining oracle_value with the smallest canonical code; only
-    # the keys attaining it are labeled to find it
+    # the key attaining it is labeled to find it
     oracle_witness: Graph
 
     def to_record(self) -> dict:
@@ -371,9 +354,10 @@ def verify_theorem2(n: int, c: int, alphas=DEFAULT_T2_ALPHAS, *,
 
     `alphas` must be non-empty, or the sweep would pass vacuously, and each
     alpha must pair with an extremum (`objective_for_alpha`). The built graph
-    is in Gamma(pi), and equal JDMs give bit-identical values, so its value
-    either equals the extremum exactly or is a distinct value; one `_close`
-    to the extremum is refused by `extremum` before any verdict.
+    is in Gamma(pi), so its JDM is one of the record's keys, and its value is
+    bit-identical to that key's. It passes exactly when its key is the one
+    that attains the extremum: `GammaRecord.extremum` refuses a second key
+    equal or `_close` to the extremum before any verdict.
     """
     t0 = time.monotonic()
     alphas = tuple(alphas)
@@ -532,7 +516,7 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
     """Some oracle-extremal class passes is_special_extremal_bfs (theorem 1).
 
     The extremum is the one `objective_for_alpha` pairs with alpha, and only
-    that one is resolved; its pool is the classes that attain it exactly.
+    that one is resolved; its pool is the classes of the one JDM attaining it.
     """
     objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:

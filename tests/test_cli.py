@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from somborlab import cli, oracle
+from somborlab import cli, oracle, sombor
 from somborlab.cli import main
 from somborlab.errors import TimeBudgetExceededError, ValidationError
+from somborlab.formats import parse_degree_sequence
 
 H1_EDGES = "\n".join(
     f"{u} {v}"
@@ -184,7 +186,38 @@ def test_ties_h_alpha_cannot_tell_apart_exit2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "cannot resolve" in err
-    assert "h_alpha gives two distinct x^2 + y^2 one value" in err
+    assert "JDMs lie within the relative tolerance 1e-09 of 5.0" in err
+
+
+@pytest.mark.parametrize("argv,pi,alpha", [
+    (("enumerate", "--pi", "5,3,2,2,1^4", "--alpha", "50"), "5,3,2,2,1,1,1,1", 50),
+    (("verify", "--theorem", "1", "--alpha=-100", "--c", "0", "--n-max", "8"),
+     "4,3,2,1,1,1,1,1", -100),
+    (("verify", "--theorem", "2", "--alpha=-100", "--c", "0", "--n-max", "8"),
+     "4,3,2,1,1,1,1,1", -100),
+])
+def test_distinct_jdms_rounding_to_one_max_exit2(capsys, argv, pi, alpha):
+    # two JDMs' sums round to one float, so both classes used to count as the
+    # max; their exact values differ, and only one attains the maximum
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert (f"cannot resolve the max of SO_alpha over Gamma(pi) at alpha = {float(alpha)!r} "
+            f"for pi = {pi}: 2 JDMs lie within the relative tolerance 1e-09 of") in err
+    record = oracle.gamma_record(parse_degree_sequence(pi))
+    floats = {key: v[alpha] for key, v in sombor.values_by_key(record.keys, (alpha,)).items()}
+    tied = [key for key, v in floats.items() if v == max(floats.values())]
+    exact = {key: sum(count * Fraction(x * x + y * y) ** alpha for (x, y), count in key)
+             for key in record.keys}
+    assert len(tied) == 2 and exact[tied[0]] != exact[tied[1]]
+    assert [key for key in record.keys if exact[key] == max(exact.values())] in \
+        ([tied[0]], [tied[1]])
+
+
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_verify_alpha_50_trees_resolve(capsys, theorem):
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--alpha", "50",
+                       "--c", "0", "--n-max", "9")
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_verify_reads_negative_alpha(capsys):

@@ -8,6 +8,7 @@ import pytest
 from somborlab import (
     DegreeSequence,
     Graph,
+    GridSpec,
     degree_sequence_of,
     format_degree_sequence,
     format_edge_list,
@@ -88,6 +89,17 @@ def test_degree_sequence_strictness():
     assert DegreeSequence.of([1, 2]).degrees == (2, 1)
     with pytest.raises(ValidationError):
         DegreeSequence((2,))
+
+
+@pytest.mark.parametrize("build,what", [
+    (lambda: DegreeSequence((2.7, 1.2, 1.9)), "a degree"),    # used to become 2,1^2
+    (lambda: DegreeSequence(["3", "1", "1", "1"]), "a degree"),
+    (lambda: Graph(3.5, [(0, 1), (1, 2)]), "n"),
+    (lambda: GridSpec(20.5), "grid bound"),
+])
+def test_value_objects_reject_non_integers(build, what):
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer, got "):
+        build()
 
 
 def test_is_connected():

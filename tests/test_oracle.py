@@ -101,13 +101,36 @@ def test_oracle_extrema_tree_max_is_greedy():
     assert rep.max_value == 2 * 13 ** 2 + 10 ** 2 + 2 * 5 ** 2
 
 
-def test_extremum_rule_is_exact_equality():
-    assert oracle.extremum([1.0, 2.0, 1.0], Objective.MIN) == (1.0, (0, 2))
-    assert oracle.extremum([1.0, 2.0, 1.0], Objective.MAX) == (2.0, (1,))
+def test_extremum_rule_one_jdm_attains_it():
+    # synthetic tables over a real record's keys: 3^2,2^2,1^2 has three JDMs,
+    # and one of them holds two classes
+    record = oracle.gamma_record(DegreeSequence((3, 3, 2, 2, 1, 1)))
+    assert len(record.keys) == 3 and record.size == 4
+    classes = {key: [b for b, k in record.labeled() if k == key] for key in record.keys}
+    multi = next(key for key in record.keys if len(classes[key]) == 2)
+    one, other = (key for key in record.keys if key != multi)
+
+    def extremum(values, objective, alpha=2.0):
+        return record.extremum({key: {alpha: v} for key, v in values.items()},
+                               alpha, objective)
+
+    assert extremum({multi: 1.0, one: 2.0, other: 3.0}, Objective.MIN) == (1.0, classes[multi])
+    assert extremum({multi: 1.0, one: 2.0, other: 3.0}, Objective.MAX) == (3.0, classes[other])
+    # a second JDM equal or close to the extremum is refused
+    for tie in (1.0, 1.0 + 1e-12):
+        with pytest.raises(ExtremumResolutionError, match=r"cannot resolve the min .* "
+                           r"for pi = 3,3,2,2,1,1: 2 JDMs lie within the relative tolerance"):
+            extremum({multi: 1.0, one: tie, other: 3.0}, Objective.MIN)
     # a near-tie away from the extremum decides nothing
-    assert oracle.extremum([1.0, 2.0, 2.0 + 1e-12], Objective.MIN) == (1.0, (0,))
-    with pytest.raises(ExtremumResolutionError, match="within the relative tolerance"):
-        oracle.extremum([1.0, 2.0, 2.0 + 1e-12], Objective.MAX)
+    near = {multi: 2.0, one: 1.0, other: 2.0 + 1e-12}
+    assert extremum(near, Objective.MIN) == (1.0, classes[one])
+    with pytest.raises(ExtremumResolutionError, match="cannot resolve the max"):
+        extremum(near, Objective.MAX)
+    # at alpha = 1 every key has the value sum(d^3), and every class wins
+    table = sombor.values_by_key(record.keys, (1.0,))
+    everything = sorted(b for b, _ in record.labeled())
+    for objective in Objective:
+        assert record.extremum(table, 1.0, objective) == (72.0, everything)   # 2 * (27 + 8 + 1)
     assert oracle._close(1.0, 1.0 + 1e-10) and not oracle._close(1.0, 1.0 + 1e-8)
     assert issubclass(ExtremumResolutionError, ValidationError)
 
@@ -264,7 +287,7 @@ def test_theorem2_small(monkeypatch):
 
 def test_default_sweeps_work_counters(monkeypatch):
     # machine-independent gates, each from a cleared cache. Theorem 1 labels
-    # only the keys attaining its extremum and recognizes each class once:
+    # only the key attaining its extremum and recognizes each class once:
     # the alpha 0.5 minimizer is often the alpha 2 maximizer, so its 170
     # checks need only 88 recognizer runs.
     # Theorem 2 labels the keys holding two or more leaves and its winners.
@@ -292,10 +315,10 @@ def test_default_sweeps_work_counters(monkeypatch):
 
 def _reference_winners(graphs, alpha):
     """The extremum objective_for_alpha picks over the class list, each value
-    read off its graph, and the classes that attain it, in canonical order."""
-    value, winners = oracle.extremum([sombor_general(g, alpha) for g in graphs],
-                                     objective_for_alpha(alpha))
-    return value, [graphs[i] for i in winners]
+    read off its graph, and the classes that attain it exactly, in canonical order."""
+    values = [sombor_general(g, alpha) for g in graphs]
+    value = min(values) if objective_for_alpha(alpha) is Objective.MIN else max(values)
+    return value, [g for g, v in zip(graphs, values) if v == value]
 
 
 def test_record_matches_class_list_reference():
