@@ -20,7 +20,6 @@ _EXPORTS = {
     "bfs": ("BfsWitness", "bfs_distances", "is_bfs_graph", "is_special_extremal_bfs",
             "witness_violation"),
     "construct": ("ConstructionResult", "extremal_graph"),
-    "crosscheck": ("verify_enumeration_cross_check",),
     "formats": ("format_edge_list", "parse_degree_sequence", "parse_edge_list",
                 "parse_graph6", "reduced_graph", "to_dot"),
     "graphs": ("DegreeSequence", "Graph", "MajorizationVerdict", "degree_sequence_of",

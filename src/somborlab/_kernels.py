@@ -26,10 +26,9 @@ and at once only where the group holds two or more leaves, since only labels
 tell how many classes those are. The walk is one loop over an explicit
 stack, and it hands the consumer the leaves of the vertex-by-vertex
 backtracking one at a time, in backtracking order; their count over every
-sequence with c <= 3 is pinned in the tests. The independent subset filter
-that the walk is checked against lives in `crosscheck`, which no sweep
-loads; it takes nothing from here but `MAX_VERTICES`, `connected_masks` and
-`canon_bits`.
+sequence with c <= 3 is pinned in the tests. The independent references
+that the walk is checked against, the graph atlas and a vertex-extension
+generator, live in the tests and take nothing from here but `canon_bits`.
 
 Canonical labeling is the classic refinement/individualization scheme: compute
 the equitable ordered partition, branch on every vertex of the first

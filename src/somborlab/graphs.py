@@ -55,7 +55,12 @@ class Graph(_Value):
             raise GraphStructureError(f"need n >= 2 vertices, got {n}")
         seen = set()
         norm = []
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphStructureError(f"edge {edge!r} is not a pair") from None
+            u, v = _as_int(u, "a vertex"), _as_int(v, "a vertex")
             if u == v:
                 raise GraphStructureError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

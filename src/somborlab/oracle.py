@@ -29,9 +29,9 @@ label only when a report names it:
   theorem 3   reports no class: its extrema come from the keys alone, and it
               keeps no record; its pendant report restricts the full one
 
-An independent strategy, which filters all edge subsets, lives in
-`crosscheck` and is compared with `enumerate_gamma` class set by class set
-there; no sweep loads it.
+No independent enumeration lives in the package: the tests compare
+`enumerate_gamma`'s class sets with networkx's graph atlas and with a
+vertex-extension generator, which share only `canon_bits` with it.
 
 Values are binary64, and one rule, `GammaRecord.extremum`, decides which
 classes attain an extremum: those of the one JDM key that attains it. A

@@ -10,6 +10,8 @@ import math
 import time
 from collections import Counter
 
+import pytest
+
 from somborlab import (
     BivariateFunction,
     DegreeSequence,
@@ -24,7 +26,6 @@ from somborlab import (
     parse_degree_sequence,
     parse_graph6,
     sombor_general,
-    verify_enumeration_cross_check,
     verify_special_bfs_existence,
     verify_theorem2,
     verify_theorem3,
@@ -151,6 +152,46 @@ def _corpus_n9():
                 yield from enumerate_gamma(pi)
 
 
+def gamma_classes(n_max, c_max):
+    """{degrees: canon_bits of Gamma(pi)} for every pi with n <= n_max, c <= c_max."""
+    out = {}
+    for c in range(c_max + 1):
+        for n in range(2, n_max + 1):
+            for pi in generate_c_cyclic_sequences(n, c, require_pendant=False):
+                graphs = enumerate_gamma(pi)
+                out[pi.degrees] = {_kernels.canon_bits(g.adjacency_masks) for g in graphs}
+                assert len(out[pi.degrees]) == len(graphs), pi
+    return out
+
+
+def extension_classes(n_max, c_max):
+    """The same map, built by vertex extension: each connected class on n - 1
+    vertices gains a new vertex joined to each k of its vertices, for every
+    k >= 1 that keeps c <= c_max, deduplicated by `canon_bits`.
+
+    Every class is reached: a leaf of a spanning tree is not a cut vertex,
+    and deleting it, of degree k, leaves a connected class with c - k + 1
+    (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+    1998). Nothing but `canon_bits` is shared with the package.
+    """
+    out = {}
+    level = [([0], 0)]                          # (masks, c) of the one class on 1 vertex
+    for n in range(2, n_max + 1):
+        grown = {}
+        for adj, c in level:
+            for k in range(1, min(n - 1, c_max - c + 1) + 1):
+                for nbrs in itertools.combinations(range(n - 1), k):
+                    new = adj + [sum(1 << u for u in nbrs)]
+                    for u in nbrs:
+                        new[u] |= 1 << (n - 1)
+                    grown.setdefault(_kernels.canon_bits(new), (new, c + k - 1))
+        for bits, (adj, _) in grown.items():
+            out.setdefault(tuple(sorted(map(int.bit_count, adj), reverse=True)),
+                           set()).add(bits)
+        level = list(grown.values())
+    return out
+
+
 # Connected graphs by cyclomatic number c (rows) and order n = 2..9 (columns):
 # OEIS A000055 (trees), A001429, A001435, A001436.
 CLASSES = {
@@ -176,17 +217,22 @@ def test_criterion_7_structural_identities():
                 for n in range(2, 10) if row[n - 2]}
     assert dict(by_cell) == expected
     assert count == 4297
-    # the subset filter visits C(28, 10) ~ 1.3e7 subsets at n = 8, c = 3
-    for c in (0, 1, 2, 3):
-        for n in range(2, 8):
-            if n + c - 1 > n * (n - 1) // 2:
-                continue
-            rep = verify_enumeration_cross_check(n, c)
-            assert rep.holds, rep.to_record()
+    # every class of every pi once, and no sequence that the generator misses
+    assert gamma_classes(9, 3) == extension_classes(9, 3)
     _report(7, f"SO_1 identity + graph6 round trip on {count} graphs "
-               f"(n <= 9, c <= 3); both enumeration strategies agree for "
-               f"n <= 7, c <= 3 "
+               f"(n <= 9, c <= 3); Gamma(pi) matches vertex extension "
+               f"class set by class set "
                f"({time.time() - t0:.1f}s)")
+
+
+@pytest.mark.slow
+def test_gamma_matches_vertex_extension_n8_n10():
+    # every c at n = 8 (11,117 classes, with Theorem 3's counterexamples at
+    # c = 7 and 11), and c <= 3 at n = 10 (11,989 classes)
+    for n_max, c_max, classes in ((8, 21, 11117), (10, 3, 11989)):
+        got = gamma_classes(n_max, c_max)
+        assert got == extension_classes(n_max, c_max)
+        assert sum(len(v) for k, v in got.items() if len(k) == n_max) == classes
 
 
 def test_criterion_8_constructor_self_certification():

@@ -55,6 +55,16 @@ def test_graph_normalizes_and_validates():
         Graph(1, [])
 
 
+def test_graph_checks_its_edge_endpoints():
+    for edges in ([(0.5, 1), (1, 2)], [("0", "1")]):
+        with pytest.raises(ValidationError, match="a vertex must be an integer"):
+            Graph(3, edges)
+    g = Graph(3, [(True, 2), (0, 1)])
+    assert g.edges == ((0, 1), (1, 2)) and type(g.edges[1][0]) is int
+    with pytest.raises(GraphStructureError, match="not a pair"):
+        Graph(3, [(1, 2, 3)])
+
+
 def test_value_types_are_immutable():
     g = Graph(3, [(0, 1), (1, 2)])
     g.adjacency                          # cached properties still fill in

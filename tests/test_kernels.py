@@ -1,5 +1,5 @@
-"""Kernel contract: exact canonical labeling, pinned class lists, twin pruning,
-joint degree matrices, and the subset-filter cross-check enumerator."""
+"""Kernel contract: exact canonical labeling, pinned class lists, twin pruning
+and joint degree matrices."""
 
 import hashlib
 import itertools
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from somborlab import Graph, _kernels, crosscheck, oracle, sombor
+from somborlab import Graph, _kernels, oracle, sombor
 from somborlab.oracle import enumerate_gamma, generate_c_cyclic_sequences
 
 
@@ -417,27 +417,3 @@ def test_class_table_n12():
                      for pi in _sequences((12,), (c,)))
               for c in expected}
     assert counts == expected
-
-
-def _classes_by_sequence_unfiltered(n, m):
-    out = {}
-    for subset in itertools.combinations(itertools.combinations(range(n), 2), m):
-        adj = [0] * n
-        for u, v in subset:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        degs = [a.bit_count() for a in adj]
-        if 0 in degs or not _kernels.connected_masks(adj):
-            continue
-        key = tuple(sorted(degs, reverse=True))
-        out.setdefault(key, set()).add(_kernels.canon_bits(adj))
-    return {k: frozenset(v) for k, v in out.items()}
-
-
-def test_subset_filter_degree_order_keeps_every_class():
-    # classes_by_sequence canonicalizes only subsets whose degrees are
-    # non-increasing by label; brute force over every subset, c <= 3
-    for n in range(2, 7):
-        for m in range(n - 1, min(n + 2, n * (n - 1) // 2) + 1):
-            assert crosscheck.classes_by_sequence(n, m) == _classes_by_sequence_unfiltered(n, m)
-

@@ -21,7 +21,6 @@ from somborlab import (
     parse_degree_sequence,
     parse_graph6,
     sombor_general,
-    verify_enumeration_cross_check,
     verify_special_bfs_existence,
     verify_theorem2,
     verify_theorem3,
@@ -229,23 +228,29 @@ def test_generate_sequences_examples():
 
 
 def test_generated_sequences_match_graph_atlas():
-    # independent of the generator's recursion and realizability test: the
-    # degree sequences of the connected graphs in networkx's atlas of every
-    # graph on at most 7 vertices, for every c up to one past the largest
+    # independent of the generator's recursion and realizability test and of
+    # the enumeration walk: the classes of networkx's atlas of every graph on
+    # at most 7 vertices (OEIS A001349), bucketed by degree sequence, for
+    # every c up to one past the largest
     import networkx as nx
-    atlas: dict[tuple[int, int], set] = {}
+    atlas: dict[tuple[int, ...], set] = {}
     for g in nx.graph_atlas_g():
-        n = g.number_of_nodes()
-        if n >= 2 and nx.is_connected(g):
+        if g.number_of_nodes() >= 2 and nx.is_connected(g):
+            adj = [sum(1 << u for u in g[v]) for v in range(g.number_of_nodes())]
             degrees = tuple(sorted((d for _, d in g.degree()), reverse=True))
-            atlas.setdefault((n, g.number_of_edges() - n + 1), set()).add(degrees)
-    total = 0
+            atlas.setdefault(degrees, set()).add(_kernels.canon_bits(adj))
+    sequences = classes = 0
     for n in range(2, 8):
         for c in range(n * (n - 1) // 2 - n + 3):
-            got = [pi.degrees for pi in generate_c_cyclic_sequences(n, c, False)]
-            assert got == sorted(atlas.pop((n, c), ()), reverse=True), (n, c)
-            total += len(got)
-    assert not atlas and total == 332
+            seqs = generate_c_cyclic_sequences(n, c, False)
+            assert seqs == sorted(seqs, key=lambda pi: pi.degrees, reverse=True)
+            for pi in seqs:
+                graphs = enumerate_gamma(pi)
+                keys = {_kernels.canon_bits(g.adjacency_masks) for g in graphs}
+                assert len(keys) == len(graphs) and keys == atlas.pop(pi.degrees), pi
+                sequences += 1
+                classes += len(keys)
+    assert not atlas and (sequences, classes) == (332, 995)
 
 
 def test_generated_sequences_are_realizable():
@@ -588,8 +593,7 @@ def test_sweeps_check_the_kernel_bound_before_generating(monkeypatch):
 
 
 def test_too_small_n_is_a_validation_error():
-    for call in (lambda: verify_theorem2(1, 0), lambda: verify_theorem3(1, 0),
-                 lambda: verify_enumeration_cross_check(1, 0)):
+    for call in (lambda: verify_theorem2(1, 0), lambda: verify_theorem3(1, 0)):
         with pytest.raises(ValidationError, match="too small") as info:
             call()
         assert not isinstance(info.value, TooLargeError)
@@ -668,17 +672,6 @@ def test_theorem3_unresolved_maxima_are_not_violations(monkeypatch):
     monkeypatch.setattr(oracle, "_extrema", lambda degrees, alphas: (1.0,))
     with pytest.raises(ExtremumResolutionError):
         verify_theorem3(6, 0, (2.0,))
-
-
-def test_cross_check_small():
-    for c in (0, 1, 2):
-        rep = verify_enumeration_cross_check(6, c)
-        assert rep.holds and rep.sequences_checked > 0
-
-
-def test_cross_check_above_kernel_bound_is_too_large():
-    with pytest.raises(TooLargeError):
-        verify_enumeration_cross_check(17, 0)
 
 
 def test_deadline_fires():

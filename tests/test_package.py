@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -71,35 +72,47 @@ def _cli(*argv: str) -> str:
     return _SHIM.format(argv=list(argv))
 
 
-@pytest.mark.parametrize("code, loaded", [
-    ("import somborlab", ["somborlab"]),
-    ("from somborlab import Deadline", ["somborlab", "somborlab.errors", "somborlab.limits"]),
-    (_cli("--version"), _BASE),
+#: entry point -> (the code that reaches it, the `somborlab` modules it loads)
+_ENTRY_POINTS = {
+    "import": ("import somborlab", ["somborlab"]),
+    "export": ("from somborlab import Deadline",
+               ["somborlab", "somborlab.errors", "somborlab.limits"]),
+    "version": (_cli("--version"), _BASE),
     # certifying the grid needs the alpha rule and the grid alone: no graph
     # model, oracle, kernel, BFS recognizer or constructor
-    (_cli("verify", "--theorem", "prop1", "--grid", "3"),
-     _BASE + ["somborlab._value", "somborlab.indices", "somborlab.sombor"]),
+    "prop1": (_cli("verify", "--theorem", "prop1", "--grid", "3"),
+              _BASE + ["somborlab._value", "somborlab.indices", "somborlab.sombor"]),
     # each sweep loads the one layer above the oracle that it calls, if any
-    (_cli("verify", "--theorem", "1", "--n-max", "4"), _SWEEP + ["somborlab.bfs"]),
-    (_cli("verify", "--theorem", "2", "--n-max", "4"), _SWEEP + ["somborlab.construct"]),
-    (_cli("verify", "--theorem", "3", "--n-max", "4"), _SWEEP),
-    (_cli("majorize", "3,2,1", "4,1,1"), _COMMANDS + ["somborlab._value", "somborlab.graphs"]),
-    (_cli("construct", "--pi", "3,2,2,1,1,1", "--alpha", "0.5", "--objective", "min"),
-     _COMMANDS + ["somborlab._kernels", "somborlab._value", "somborlab.construct",
-                  "somborlab.graphs", "somborlab.sombor"]),
-    (_cli("eval", "--graph", "-", "--input-format", "graph6"),
-     _COMMANDS + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
-                  "somborlab.sombor"]),
-    (_cli("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "0.5"),
-     _SWEEP + ["somborlab._commands", "somborlab.formats"]),
-    # the text formats need only the graph model; the cross-check needs the oracle
-    ("from somborlab import parse_graph6",
-     ["somborlab", "somborlab._value", "somborlab.errors", "somborlab.formats",
-      "somborlab.graphs"]),
-    ("from somborlab import verify_enumeration_cross_check",
-     [m for m in _SWEEP if m != "somborlab.cli"] + ["somborlab.crosscheck"]),
-], ids=["import", "export", "version", "prop1", "theorem1", "theorem2", "theorem3",
-        "majorize", "construct-objective", "eval", "enumerate", "formats", "crosscheck"])
+    "theorem1": (_cli("verify", "--theorem", "1", "--n-max", "4"), _SWEEP + ["somborlab.bfs"]),
+    "theorem2": (_cli("verify", "--theorem", "2", "--n-max", "4"),
+                 _SWEEP + ["somborlab.construct"]),
+    "theorem3": (_cli("verify", "--theorem", "3", "--n-max", "4"), _SWEEP),
+    "majorize": (_cli("majorize", "3,2,1", "4,1,1"),
+                 _COMMANDS + ["somborlab._value", "somborlab.graphs"]),
+    "construct-objective": (
+        _cli("construct", "--pi", "3,2,2,1,1,1", "--alpha", "0.5", "--objective", "min"),
+        _COMMANDS + ["somborlab._kernels", "somborlab._value", "somborlab.construct",
+                     "somborlab.graphs", "somborlab.sombor"]),
+    "eval": (_cli("eval", "--graph", "-", "--input-format", "graph6"),
+             _COMMANDS + ["somborlab._kernels", "somborlab._value", "somborlab.graphs",
+                          "somborlab.sombor"]),
+    "enumerate": (_cli("enumerate", "--pi", "3,2,2,1,1,1", "--alpha", "0.5"),
+                  _SWEEP + ["somborlab._commands", "somborlab.formats"]),
+    # the text formats need only the graph model
+    "formats": ("from somborlab import parse_graph6",
+                ["somborlab", "somborlab._value", "somborlab.errors", "somborlab.formats",
+                 "somborlab.graphs"]),
+}
+
+
+def test_entry_points_load_every_module():
+    # a module that no entry point loads is one that no command runs
+    modules = {f"somborlab.{m.name}" for m in pkgutil.iter_modules(somborlab.__path__)}
+    loaded = {m for _, names in _ENTRY_POINTS.values() for m in names}
+    assert loaded == modules | {"somborlab"}
+
+
+@pytest.mark.parametrize("code, loaded", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS)
 def test_entry_point_loads_only_its_layers(code, loaded):
     probe = ("\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'somborlab'),"
              " sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
