@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 from .cli import EXIT_OK, _alpha_list, _check_cap, _emit
-from .errors import UnsupportedObjectiveError, ValidationError
+from .errors import ValidationError
 from .formats import parse_degree_sequence, parse_edge_list, parse_graph6, to_dot
 from .graphs import (degree_sequence_of, format_degree_sequence, format_graph6,
                      is_connected, is_majorized)
@@ -55,7 +55,7 @@ def cmd_construct(args) -> int:
         if len(alphas) != 1:
             raise ValidationError("--objective needs exactly one --alpha value")
         if objective_for_alpha(alphas[0]).value != args.objective:
-            raise UnsupportedObjectiveError(
+            raise ValidationError(
                 f"objective {args.objective} does not pair with alpha = {alphas[0]:g}")
     result = extremal_graph(pi)
     g = result.graph

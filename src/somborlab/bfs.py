@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .errors import DisconnectedError, MinDegreeNotOneError, ValidationError
+from .errors import ValidationError
 from .graphs import Graph, is_connected
 
 
@@ -164,7 +164,7 @@ def _search(g: Graph, require_triangle: bool) -> BfsWitness | None:
 def is_bfs_graph(g: Graph) -> BfsWitness | None:
     """Witness ordering satisfying Definition 1 conditions, or None."""
     if not is_connected(g):
-        raise DisconnectedError("BFS-graph recognition needs a connected graph")
+        raise ValidationError("BFS-graph recognition needs a connected graph")
     return _search(g, require_triangle=False)
 
 
@@ -172,9 +172,9 @@ def is_special_extremal_bfs(g: Graph) -> BfsWitness | None:
     """Witness for the special extremal variant: triangle on top when g's
     cyclomatic number m - n + 1 is at least 1."""
     if not is_connected(g):
-        raise DisconnectedError("BFS-graph recognition needs a connected graph")
+        raise ValidationError("BFS-graph recognition needs a connected graph")
     if g.n < 3:
         raise ValidationError("special extremal BFS-graphs need n >= 3")
     if min(g.degrees) != 1:
-        raise MinDegreeNotOneError("special extremal BFS-graphs need a pendant vertex")
+        raise ValidationError("special extremal BFS-graphs need a pendant vertex")
     return _search(g, require_triangle=g.m - g.n + 1 >= 1)

@@ -32,8 +32,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import (EmptySweepError, SomborlabError, TimeBudgetExceededError,
-                     TooLargeError, ValidationError)
+from .errors import SomborlabError, TimeBudgetExceededError, ValidationError
 from .limits import Caps, Deadline, load_caps
 
 EXIT_OK = 0
@@ -47,8 +46,8 @@ def _check_cap(n: int, caps: Caps) -> None:
     from ._kernels import MAX_VERTICES
     cap = min(caps.enum, MAX_VERTICES)
     if n > cap:
-        raise TooLargeError(f"enumeration capped at n <= {cap}, got n = {n}; SOMBOR_CAPS="
-                            f"enum=N sets the cap, up to {MAX_VERTICES}")
+        raise ValidationError(f"enumeration capped at n <= {cap}, got n = {n}; SOMBOR_CAPS="
+                              f"enum=N sets the cap, up to {MAX_VERTICES}")
 
 
 def _distinct(values: tuple, what: str, text: str) -> tuple:
@@ -131,7 +130,7 @@ def _verify_prop1(args, deadline) -> tuple[dict, bool]:
 def _require_checks(theorem: str, n_max: int, cs, count: int, what: str) -> None:
     """A sweep that checked nothing would pass vacuously, so it is a usage error."""
     if count == 0:
-        raise EmptySweepError(f"theorem {theorem} with --n-max {n_max} and --c "
+        raise ValidationError(f"theorem {theorem} with --n-max {n_max} and --c "
                               f"{','.join(map(str, cs))} has no {what} to check")
 
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (InfeasibleCaseError, MinDegreeNotOneError,
-                     UnsupportedCyclomaticError)
+from .errors import ValidationError
 from .graphs import DegreeSequence, Graph, validate_connected_c_cyclic
 
 
@@ -58,12 +57,10 @@ def extremal_graph(pi: DegreeSequence) -> ConstructionResult:
     """
     d, n = pi.degrees, pi.n
     if d[-1] != 1:
-        raise MinDegreeNotOneError(f"minimum degree is {d[-1]}, need 1")
+        raise ValidationError(f"minimum degree is {d[-1]}, need 1")
     c = validate_connected_c_cyclic(pi)
     if c > 2:
-        raise UnsupportedCyclomaticError(
-            f"no canonical construction for c = {c}; use the oracle"
-        )
+        raise ValidationError(f"no canonical construction for c = {c}; use the oracle")
     klass = ("tree", "unicyclic", "bicyclic")[c]
     case = None if c < 2 else "i" if d[1] >= 3 else "ii"
     # a pendant pi has n >= 4 for c = 1 and n >= 5 for c = 2: the seed fits
@@ -83,8 +80,6 @@ def extremal_graph(pi: DegreeSequence) -> ConstructionResult:
             used[child] += 1
         placed = max(placed, stop)
     if placed != n or tuple(used) != d:
-        raise InfeasibleCaseError(
-            f"the BFS fill placed {placed} of {n} vertices with degrees {used}"
-        )
+        raise ValidationError(f"the BFS fill placed {placed} of {n} vertices with degrees {used}")
     return ConstructionResult(Graph(n, edges), tuple(range(n)), tuple(layers),
                               klass, case)

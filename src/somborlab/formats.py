@@ -17,14 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import (
-    AcyclicError,
-    Graph6LengthError,
-    MalformedHeaderError,
-    NonPositiveEntryError,
-    SequenceSyntaxError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .graphs import DegreeSequence, Graph
 
 
@@ -46,7 +39,7 @@ def reduced_graph(g: Graph) -> Graph:
                         nxt.append(w)
         pend = nxt
     if len(alive) < 3:
-        raise AcyclicError("graph has no cycle: reduction deletes every vertex")
+        raise ValidationError("graph has no cycle: reduction deletes every vertex")
     order = sorted(alive)
     relabel = {v: i for i, v in enumerate(order)}
     edges = [(relabel[u], relabel[v]) for u, v in g.edges if u in alive and v in alive]
@@ -64,42 +57,42 @@ def parse_graph6(text: str) -> Graph:
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
-        raise MalformedHeaderError("empty graph6 string")
+        raise ValidationError("empty graph6 string")
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError:
-        raise MalformedHeaderError("graph6 strings are printable ASCII")
+        raise ValidationError("graph6 strings are printable ASCII")
     if any(b < 63 or b > 126 for b in data):
-        raise MalformedHeaderError("graph6 bytes must be in range 63..126")
+        raise ValidationError("graph6 bytes must be in range 63..126")
     pos = 0
     if data[0] != 126:
         n = data[0] - 63
         pos = 1
     elif len(data) >= 2 and data[1] != 126:
         if len(data) < 4:
-            raise MalformedHeaderError("truncated 3-byte vertex count")
+            raise ValidationError("truncated 3-byte vertex count")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         pos = 4
     else:
         if len(data) < 8:
-            raise MalformedHeaderError("truncated 6-byte vertex count")
+            raise ValidationError("truncated 6-byte vertex count")
         n = 0
         for b in data[2:8]:
             n = (n << 6) | (b - 63)
         pos = 8
     if n < 2:
-        raise MalformedHeaderError(f"graphs with n = {n} are rejected (need n >= 2)")
+        raise ValidationError(f"graphs with n = {n} are rejected (need n >= 2)")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     body = data[pos:]
     if len(body) != need:
-        raise Graph6LengthError(f"expected {need} data bytes for n={n}, got {len(body)}")
+        raise ValidationError(f"expected {need} data bytes for n={n}, got {len(body)}")
     bits = 0
     for b in body:
         bits = (bits << 6) | (b - 63)
     pad = 6 * need - nbits
     if pad and bits & ((1 << pad) - 1):
-        raise Graph6LengthError("nonzero padding bits")
+        raise ValidationError("nonzero padding bits")
     bits >>= pad
     return Graph(n, _kernels.bits_to_edges(n, bits))
 
@@ -131,6 +124,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ValidationError(f"edge list line {ln}: non-integer label in {raw!r}")
         if u < 0 or v < 0:
             raise ValidationError(f"edge list line {ln}: negative label in {raw!r}")
+        if u == v:
+            raise ValidationError(f"edge list line {ln}: self-loop at vertex {u}")
         top = max(top, u, v)
         edges.append((u, v))
     if not edges:
@@ -157,18 +152,18 @@ def parse_degree_sequence(text: str) -> DegreeSequence:
     """Parse "5,4,3^3,2^10,1^8"-style text; unsorted input is sorted and flagged."""
     s = text.strip()
     if not s:
-        raise SequenceSyntaxError("empty degree sequence")
+        raise ValidationError("empty degree sequence")
     degrees: list[int] = []
     for part in s.split(","):
         m = _TERM_RE.match(part.strip())
         if not m:
-            raise SequenceSyntaxError(f"bad term {part.strip()!r} (expected INT or INT^INT)")
+            raise ValidationError(f"bad term {part.strip()!r} (expected INT or INT^INT)")
         value = int(m.group(1))
         count = int(m.group(2)) if m.group(2) else 1
         if value < 1:
-            raise NonPositiveEntryError(f"degree {value} must be >= 1")
+            raise ValidationError(f"degree {value} must be >= 1")
         if count < 1:
-            raise SequenceSyntaxError(f"repetition count {count} must be >= 1")
+            raise ValidationError(f"repetition count {count} must be >= 1")
         degrees.extend([value] * count)
     ordered = sorted(degrees, reverse=True)
     return DegreeSequence(tuple(ordered), resorted=(ordered != degrees))

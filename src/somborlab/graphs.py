@@ -31,16 +31,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from ._value import _Value, _as_int
-from .errors import (
-    DegreeTooLargeError,
-    GraphStructureError,
-    LengthMismatchError,
-    NonPositiveEntryError,
-    NotGraphicalError,
-    OddSumError,
-    TooSparseError,
-    ValidationError,
-)
+from .errors import UnrealizableError, ValidationError
 
 
 class Graph(_Value):
@@ -52,22 +43,22 @@ class Graph(_Value):
     def __init__(self, n: int, edges) -> None:
         n = _as_int(n, "n")
         if n < 2:
-            raise GraphStructureError(f"need n >= 2 vertices, got {n}")
+            raise ValidationError(f"need n >= 2 vertices, got {n}")
         seen = set()
         norm = []
         for edge in edges:
             try:
                 u, v = edge
             except (TypeError, ValueError):
-                raise GraphStructureError(f"edge {edge!r} is not a pair") from None
+                raise ValidationError(f"edge {edge!r} is not a pair") from None
             u, v = _as_int(u, "a vertex"), _as_int(v, "a vertex")
             if u == v:
-                raise GraphStructureError(f"self-loop at vertex {u}")
+                raise ValidationError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphStructureError(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise ValidationError(f"edge ({u},{v}) outside 0..{n - 1}")
             e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise GraphStructureError(f"duplicate edge {e}")
+                raise ValidationError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
         object.__setattr__(self, "n", n)
@@ -113,7 +104,7 @@ class Graph(_Value):
         """Graph with vertex v renamed perm[v]."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.n)):
-            raise GraphStructureError("relabel needs a permutation of 0..n-1")
+            raise ValidationError("relabel needs a permutation of 0..n-1")
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def __repr__(self) -> str:
@@ -137,7 +128,7 @@ class DegreeSequence(_Value):
         if len(degs) < 2:
             raise ValidationError(f"need at least 2 degrees, got {len(degs)}")
         if any(d < 1 for d in degs):
-            raise NonPositiveEntryError(f"degrees must be >= 1: {degs}")
+            raise ValidationError(f"degrees must be >= 1: {degs}")
         if any(degs[i] < degs[i + 1] for i in range(len(degs) - 1)):
             raise ValidationError(f"degrees must be non-increasing: {degs}")
         object.__setattr__(self, "degrees", degs)
@@ -162,7 +153,7 @@ class DegreeSequence(_Value):
     def c(self) -> int:
         """Cyclomatic number (sum/2 - n + 1); requires an even degree sum."""
         if self.total % 2:
-            raise OddSumError(f"degree sum {self.total} is odd")
+            raise UnrealizableError(f"degree sum {self.total} is odd")
         return self.total // 2 - self.n + 1
 
     def __len__(self) -> int:
@@ -186,7 +177,7 @@ class MajorizationVerdict(NamedTuple):
 def is_majorized(x: DegreeSequence, y: DegreeSequence) -> MajorizationVerdict:
     """x majorized by y: equal totals, prefix sums of x never exceed y's, x != y."""
     if len(x) != len(y):
-        raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
+        raise ValidationError(f"lengths differ: {len(x)} vs {len(y)}")
     if x.degrees == y.degrees:
         return MajorizationVerdict(False, None)
     px = py = 0
@@ -219,11 +210,11 @@ def validate_connected_c_cyclic(pi: DegreeSequence) -> int:
     n = len(degs)
     total = sum(degs)
     if total % 2:
-        raise OddSumError(f"degree sum {total} is odd")
+        raise UnrealizableError(f"degree sum {total} is odd")
     if degs[0] > n - 1:
-        raise DegreeTooLargeError(f"d1 = {degs[0]} exceeds n-1 = {n - 1}")
+        raise UnrealizableError(f"d1 = {degs[0]} exceeds n-1 = {n - 1}")
     if total < 2 * (n - 1):
-        raise TooSparseError(f"degree sum {total} below 2(n-1) = {2 * (n - 1)}")
+        raise UnrealizableError(f"degree sum {total} below 2(n-1) = {2 * (n - 1)}")
     # Erdos-Gallai: sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k), in one
     # pass. The p degrees >= k come first, and p only falls as k grows, so
     # with q = max(p, k) the tail is k(q-k) plus the sum of the d_i with i > q,
@@ -236,7 +227,7 @@ def validate_connected_c_cyclic(pi: DegreeSequence) -> int:
         q = max(p, k)
         rhs = k * (q - 1) + total - prefix[q]
         if prefix[k] > rhs:
-            raise NotGraphicalError(f"Erdos-Gallai fails at k={k}: {prefix[k]} > {rhs}")
+            raise UnrealizableError(f"Erdos-Gallai fails at k={k}: {prefix[k]} > {rhs}")
     return total // 2 - n + 1
 
 

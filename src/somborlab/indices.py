@@ -45,12 +45,7 @@ from operator import gt, lt
 from typing import NamedTuple
 
 from ._value import _Value, _as_int
-from .errors import (
-    FunctionNotFiniteError,
-    FunctionUnderflowError,
-    GridResolutionError,
-    ValidationError,
-)
+from .errors import GridResolutionError, ValidationError
 from .sombor import REL_TOL, _check_alpha, alpha_key
 
 #: counterexamples a report keeps, the first in grid order
@@ -82,7 +77,7 @@ class BivariateFunction(_Value):
     Custom callables have their symmetry spot-checked on a small integer grid
     at construction, with == where the values are exact (callables are opaque;
     this is a sanity check, not a proof). A NaN or infinite value there raises
-    `FunctionNotFiniteError`. `fn` takes no part in equality or hashing.
+    `ValidationError`. `fn` takes no part in equality or hashing.
     """
 
     kind: str
@@ -118,7 +113,7 @@ class BivariateFunction(_Value):
                 exact = _exact([(a, b)])
                 for (p, q), v in (((x, y), a), ((y, x), b)):
                     if not (exact or math.isfinite(v)):
-                        raise FunctionNotFiniteError(f"{name}({p}, {q}) = {v!r} is not finite")
+                        raise ValidationError(f"{name}({p}, {q}) = {v!r} is not finite")
                 if not (a == b if exact else math.isclose(a, b, rel_tol=REL_TOL)):
                     raise ValidationError(
                         f"{name} is not symmetric: f({x},{y})={a!r} != f({y},{x})={b!r}"
@@ -190,9 +185,9 @@ def _table(f: BivariateFunction, rows: int, cols: int | None = None) -> list[lis
             continue
         for y, v in zip(ys, row):
             if not math.isfinite(v):
-                raise FunctionNotFiniteError(f"{f.name}({x}, {y}) = {v!r} is not finite")
+                raise ValidationError(f"{f.name}({x}, {y}) = {v!r} is not finite")
             if sombor and v < sys.float_info.min:
-                raise FunctionUnderflowError(
+                raise ValidationError(
                     f"{f.name}({x}, {y}) = {v!r} is below the normal float range; "
                     f"use a smaller |alpha| or grid bound"
                 )
@@ -284,9 +279,9 @@ def check_escalating(f: BivariateFunction, grid: GridSpec | None = None,
     definition cell by cell; tests compare against that per-call definition.
 
     f is evaluated once per grid point (a NaN or infinite value raises
-    `FunctionNotFiniteError`; an h_alpha value of 0.0 or a subnormal raises
-    `FunctionUnderflowError`; a float table whose 4 max|t| overflows raises
-    `OverflowError`, since a sum of four of its values need not be finite).
+    `ValidationError`, as does an h_alpha value of 0.0 or a subnormal; a
+    float table whose 4 max|t| overflows raises `OverflowError`, since a sum
+    of four of its values need not be finite).
     The table is certified from its units
     Delta(i, j) = t[i+1][j+1] - t[i+1][j] - t[i][j+1] + t[i][j], 1 <= i, j < B,
     computed in that order; in exact arithmetic on the table's values a

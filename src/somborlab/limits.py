@@ -12,7 +12,7 @@ import os
 import time
 from typing import NamedTuple
 
-from .errors import CapsSyntaxError, TimeBudgetExceededError, ValidationError
+from .errors import TimeBudgetExceededError, ValidationError
 
 #: default desk-scale cap on n for `enumerate` and every `verify` sweep
 ENUM_N_MAX = 10
@@ -26,7 +26,7 @@ class Caps(NamedTuple):
 def load_caps(text: str | None = None) -> Caps:
     """Parse a SOMBOR_CAPS-style override, e.g. "enum=8".
 
-    An unknown key or a non-integer value raises `CapsSyntaxError`.
+    An unknown key or a non-integer value raises `ValidationError`.
     """
     if text is None:
         text = os.environ.get("SOMBOR_CAPS", "")
@@ -38,11 +38,11 @@ def load_caps(text: str | None = None) -> Caps:
         key, _, val = part.partition("=")
         key = key.strip()
         if key not in Caps._fields:
-            raise CapsSyntaxError(f"unknown cap {key!r} in SOMBOR_CAPS")
+            raise ValidationError(f"unknown cap {key!r} in SOMBOR_CAPS")
         try:
             values[key] = int(val)
         except ValueError:
-            raise CapsSyntaxError(f"cap {key!r} in SOMBOR_CAPS needs an integer, "
+            raise ValidationError(f"cap {key!r} in SOMBOR_CAPS needs an integer, "
                                   f"got {val.strip()!r}") from None
     return Caps(**values)
 

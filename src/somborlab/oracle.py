@@ -61,14 +61,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernels
-from .errors import (
-    EmptySweepError,
-    ExtremumResolutionError,
-    MinDegreeNotOneError,
-    TooLargeError,
-    UnrealizableError,
-    ValidationError,
-)
+from .errors import ExtremumResolutionError, UnrealizableError, ValidationError
 from .graphs import (
     DegreeSequence,
     Graph,
@@ -115,7 +108,7 @@ def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
     built from it) is deterministic. Gamma(pi) is cached per degree sequence
     (`GammaRecord`), and this labels every class of it; the returned list is
     a fresh copy. An n above the kernel's `MAX_VERTICES` raises
-    `TooLargeError`; the desk-scale cap is the CLI's.
+    `ValidationError`; the desk-scale cap is the CLI's.
     """
     record = gamma_record(pi)
     return [record.graph(bits) for bits, _ in record.labeled()]
@@ -123,8 +116,8 @@ def enumerate_gamma(pi: DegreeSequence) -> list[Graph]:
 
 def _check_kernel_bound(n: int) -> None:
     if n > _kernels.MAX_VERTICES:
-        raise TooLargeError(f"enumeration capped at n <= {_kernels.MAX_VERTICES}, "
-                            f"got n = {n}")
+        raise ValidationError(f"enumeration capped at n <= {_kernels.MAX_VERTICES}, "
+                              f"got n = {n}")
 
 
 class GammaRecord:
@@ -362,7 +355,7 @@ def verify_theorem2(n: int, c: int, alphas=DEFAULT_T2_ALPHAS, *,
     t0 = time.monotonic()
     alphas = tuple(alphas)
     if not alphas:
-        raise EmptySweepError("theorem 2 needs at least one alpha")
+        raise ValidationError("theorem 2 needs at least one alpha")
     for a in alphas:
         objective_for_alpha(a)
     _check_kernel_bound(n)
@@ -454,7 +447,7 @@ def verify_theorem3(n: int, c: int, alphas=DEFAULT_T3_ALPHAS, *,
     t0 = time.monotonic()
     alphas = tuple(alphas)
     if not alphas:
-        raise EmptySweepError("theorem 3 needs at least one alpha")
+        raise ValidationError("theorem 3 needs at least one alpha")
     objectives = tuple(map(objective_for_alpha, alphas))
     if min(alphas) < 0:
         raise ValidationError(f"theorem 3 needs alpha > 0, got {min(alphas)}: for alpha < 0, "
@@ -520,7 +513,7 @@ def verify_special_bfs_existence(pi: DegreeSequence, alpha: float) -> ExistenceR
     """
     objective = objective_for_alpha(alpha)
     if pi.degrees[-1] != 1:
-        raise MinDegreeNotOneError("theorem 1 needs a pendant sequence (d_n = 1)")
+        raise ValidationError("theorem 1 needs a pendant sequence (d_n = 1)")
     record = gamma_record(pi)
     value, winners = record.extremum(values_by_key(record.keys, (alpha,)), alpha, objective)
     for bits in winners:

@@ -27,13 +27,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    AlphaDegenerateError,
-    AlphaNotFiniteError,
-    AlphaZeroError,
-    DisconnectedError,
-    FunctionUnderflowError,
-)
+from .errors import ValidationError
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -51,9 +45,9 @@ class AlphaRegime(enum.Enum):
 
 def _check_alpha(alpha: float) -> None:
     if alpha == 0:
-        raise AlphaZeroError("alpha must be nonzero")
+        raise ValidationError("alpha must be nonzero")
     if not math.isfinite(alpha):
-        raise AlphaNotFiniteError(f"alpha must be finite, got {alpha!r}")
+        raise ValidationError(f"alpha must be finite, got {alpha!r}")
 
 
 def alpha_key(alpha: float) -> str:
@@ -84,11 +78,11 @@ def objective_for_alpha(alpha: float) -> Objective:
     It follows from `classify_alpha`: MIN where h_alpha de-escalates
     (0 < alpha < 1), MAX where it escalates (alpha > 1 or alpha < 0). At
     alpha = 1 every graph in Gamma(pi) ties, which raises
-    `AlphaDegenerateError`; classify_alpha rejects zero and non-finite alpha.
+    `ValidationError`; classify_alpha rejects zero and non-finite alpha.
     """
     regime = classify_alpha(alpha)
     if regime is AlphaRegime.DEGENERATE:
-        raise AlphaDegenerateError("alpha = 1: all graphs in Gamma(pi) tie")
+        raise ValidationError("alpha = 1: all graphs in Gamma(pi) tie")
     return Objective.MIN if regime is AlphaRegime.DE_ESCALATING else Objective.MAX
 
 
@@ -130,7 +124,7 @@ def connectivity_function(g: Graph, f: BivariateFunction) -> float:
 
     from .graphs import is_connected
     if not is_connected(g):
-        raise DisconnectedError("connectivity functions are defined on connected graphs")
+        raise ValidationError("connectivity functions are defined on connected graphs")
     terms = [cnt * f(a, b) for (a, b), cnt in edge_pair_counts(g)]
     exact = all(isinstance(v, (int, Fraction)) for v in terms)
     return sum(terms) if exact else math.fsum(terms)
@@ -141,7 +135,7 @@ def values(key: JdmKey, alphas) -> dict[float, float]:
 
     `fsum` is correctly rounded, so equal keys give bit-identical floats. No
     graphs may tie at 0.0 or infinity: a term of 0.0 or a subnormal raises
-    `FunctionUnderflowError` (for alpha < 0 the smallest term is that of the
+    `ValidationError` (for alpha < 0 the smallest term is that of the
     most negative alpha at the largest x^2 + y^2, so one term is checked), and
     a sum past the float range raises `OverflowError`.
     """
@@ -150,7 +144,7 @@ def values(key: JdmKey, alphas) -> dict[float, float]:
         top = max(x * x + y * y for (x, y), _ in key)
         v = top ** low
         if v < sys.float_info.min:
-            raise FunctionUnderflowError(
+            raise ValidationError(
                 f"h_{alpha_key(low)} = {v!r} at x^2 + y^2 = {top} is below the normal float "
                 f"range; use a smaller |alpha|"
             )
@@ -171,11 +165,11 @@ def values_by_key(keys, alphas) -> dict[JdmKey, dict[float, float]]:
 def sombor_general(g: Graph, alpha: float) -> float:
     """General Sombor index SO_alpha(g); alpha = 0.5 is the Sombor index.
 
-    An h_alpha term that underflows raises `FunctionUnderflowError`, and a
+    An h_alpha term that underflows raises `ValidationError`, and a
     value past the float range `OverflowError` (`values`).
     """
     from .graphs import is_connected
     _check_alpha(alpha)
     if not is_connected(g):
-        raise DisconnectedError("SO_alpha is defined on connected graphs")
+        raise ValidationError("SO_alpha is defined on connected graphs")
     return values(edge_pair_counts(g), (alpha,))[alpha]

@@ -16,7 +16,7 @@ from somborlab import (
     witness_violation,
 )
 from somborlab import _kernels
-from somborlab.errors import DisconnectedError, MinDegreeNotOneError
+from somborlab.errors import ValidationError
 
 
 def spider(legs):
@@ -65,13 +65,14 @@ def test_h1_is_bfs_h2_is_not():
 
 
 def test_recognizer_requires_connected():
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(ValidationError, match=r"^BFS-graph recognition needs a connected graph$"):
         is_bfs_graph(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_special_needs_pendant_and_triangle():
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(MinDegreeNotOneError):
+    with pytest.raises(ValidationError,
+                       match=r"^special extremal BFS-graphs need a pendant vertex$"):
         is_special_extremal_bfs(k3)
     um = extremal_graph(parse_degree_sequence("3,2,2,2,1"))
     assert is_special_extremal_bfs(um.graph) is not None

@@ -791,3 +791,52 @@ def test_usage_error_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct"])
     assert exc.value.code == 2
+
+
+#: argv, stdin, SOMBOR_CAPS -> the whole stderr; one row per refusal that the
+#: CLI tells apart by its message alone (each ends in exit 2)
+_REFUSALS = [
+    (("construct", "--pi", "2,1,1,1"), None, None, "degree sum 5 is odd"),
+    (("construct", "--pi", "1,1,1,1"), None, None, "degree sum 4 below 2(n-1) = 6"),
+    (("construct", "--pi", "3,3,1,1"), None, None, "Erdos-Gallai fails at k=2: 6 > 4"),
+    (("construct", "--pi", "4,2,1,1"), None, None, "d1 = 4 exceeds n-1 = 3"),
+    (("construct", "--pi", "3,x"), None, None, "bad term 'x' (expected INT or INT^INT)"),
+    (("construct", "--pi", "2,2,2"), None, None, "minimum degree is 2, need 1"),
+    (("construct", "--pi", "4,3,3,3,1"), None, None,
+     "no canonical construction for c = 3; use the oracle"),
+    (("construct", "--pi", "3,1,1,1", "--alpha", "2", "--objective", "min"), None, None,
+     "objective min does not pair with alpha = 2"),
+    (("enumerate", "--pi", "0^3"), None, None, "degree 0 must be >= 1"),
+    (("verify", "--theorem", "2", "--alpha", "nan"), None, None,
+     "alpha must be finite, got nan"),
+    (("verify", "--theorem", "2", "--alpha", "1"), None, None,
+     "alpha = 1: all graphs in Gamma(pi) tie"),
+    (("verify", "--theorem", "prop1", "--alpha=-200"), None, None,
+     "h_-200(1, 6) = 2.289049512e-314 is below the normal float range; "
+     "use a smaller |alpha| or grid bound"),
+    (("verify", "--theorem", "2", "--n-max", "11"), None, None,
+     "enumeration capped at n <= 10, got n = 11; SOMBOR_CAPS=enum=N sets the cap, up to 16"),
+    (("verify", "--theorem", "3", "--n-max", "3"), None, None,
+     "theorem 3 with --n-max 3 and --c 0,1,2 has no majorization pair to check"),
+    (("verify", "--theorem", "1"), None, "bogus=1", "unknown cap 'bogus' in SOMBOR_CAPS"),
+    (("majorize", "2,2", "3,1,1"), None, None, "lengths differ: 2 vs 3"),
+    (("eval", "--graph", "-", "--alpha", "0"), "Bw\n", None, "alpha must be nonzero"),
+    (("eval", "--graph", "-"), "@\n", None,
+     "graphs with n = 1 are rejected (need n >= 2)"),
+    (("eval", "--graph", "-"), "D\n", None, "expected 2 data bytes for n=5, got 0"),
+    # a self-loop is refused on its line, before Graph counts the vertices
+    (("eval", "--graph", "-"), "0 0\n", None, "edge list line 1: self-loop at vertex 0"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, caps, message", _REFUSALS,
+                         ids=[row[-1] for row in _REFUSALS])
+def test_refusal_stderr_pinned(capsys, monkeypatch, argv, stdin, caps, message):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    if caps is None:
+        monkeypatch.delenv("SOMBOR_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("SOMBOR_CAPS", caps)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -17,13 +17,7 @@ from somborlab import (
 )
 from somborlab import _kernels, construct
 from somborlab.bfs import witness_violation
-from somborlab.errors import (
-    AlphaDegenerateError,
-    InfeasibleCaseError,
-    MinDegreeNotOneError,
-    NotGraphicalError,
-    UnsupportedCyclomaticError,
-)
+from somborlab.errors import UnrealizableError, ValidationError
 from somborlab.oracle import generate_c_cyclic_sequences
 
 
@@ -53,7 +47,7 @@ def test_greedy_tree_examples():
 
 
 def test_greedy_tree_rejections():
-    with pytest.raises(NotGraphicalError):
+    with pytest.raises(UnrealizableError, match=r"^Erdos-Gallai fails at k=2: 6 > 4$"):
         extremal_graph(DegreeSequence((3, 3, 1, 1)))
 
 
@@ -61,7 +55,7 @@ def test_bfs_unicyclic_examples():
     r = extremal_graph(parse_degree_sequence("3,2,2,2,1"))
     assert set(r.graph.edges) == {(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)}
     assert r.layers == (0, 1, 1, 1, 2)
-    with pytest.raises(MinDegreeNotOneError):
+    with pytest.raises(ValidationError, match=r"^minimum degree is 2, need 1$"):
         extremal_graph(DegreeSequence((2, 2, 2)))
 
 
@@ -135,15 +129,16 @@ def test_extremal_graph_dispatch_and_pairing():
     assert extremal_graph(uni).klass == "unicyclic"
     bi = parse_degree_sequence("3,3,3,2,1")
     assert extremal_graph(bi).klass == "bicyclic"
-    with pytest.raises(UnsupportedCyclomaticError):
+    with pytest.raises(ValidationError,
+                       match=r"^no canonical construction for c = 3; use the oracle$"):
         extremal_graph(parse_degree_sequence("3,3,3,3,3,2,1"))
-    with pytest.raises(MinDegreeNotOneError):
+    with pytest.raises(ValidationError, match=r"^minimum degree is 2, need 1$"):
         extremal_graph(DegreeSequence((2, 2, 2)))
     # the pairing is the alpha rule alone: which extremum the one graph attains
     assert objective_for_alpha(0.5) is Objective.MIN
     assert objective_for_alpha(2) is Objective.MAX
     assert objective_for_alpha(-1) is Objective.MAX
-    with pytest.raises(AlphaDegenerateError):
+    with pytest.raises(ValidationError, match=r"^alpha = 1: all graphs in Gamma\(pi\) tie$"):
         objective_for_alpha(1)
 
 
@@ -161,7 +156,7 @@ def test_extremal_graph_decides_realizability_once(text, monkeypatch):
     extremal_graph(parse_degree_sequence(text))
     assert len(calls) == 1
     for _ in range(2):
-        with pytest.raises(NotGraphicalError):
+        with pytest.raises(UnrealizableError, match=r"^Erdos-Gallai fails at k=2: 6 > 4$"):
             extremal_graph(DegreeSequence((3, 3, 1, 1)))
     assert len(calls) == 3
 
@@ -187,8 +182,8 @@ def test_extremal_graph_pinned():
 def test_extremal_graph_post_condition(monkeypatch):
     # a seed the fill cannot complete is a usage error, never an IndexError
     monkeypatch.setitem(construct._SEEDS, "tree", ((1, 2),))
-    with pytest.raises(InfeasibleCaseError):
+    with pytest.raises(ValidationError, match=r"^the BFS fill placed 6 of 6 vertices with "):
         extremal_graph(parse_degree_sequence("3,2,2,1,1,1"))
     monkeypatch.setitem(construct._SEEDS, "unicyclic", ((1, 2), (1, 3)))
-    with pytest.raises(InfeasibleCaseError):
+    with pytest.raises(ValidationError, match=r"^the BFS fill placed 5 of 5 vertices with "):
         extremal_graph(parse_degree_sequence("3,2,2,2,1"))

@@ -22,16 +22,7 @@ from somborlab import (
     sombor_general,
 )
 from somborlab import cli, indices
-from somborlab.errors import (
-    AlphaNotFiniteError,
-    AlphaZeroError,
-    DisconnectedError,
-    FunctionNotFiniteError,
-    FunctionUnderflowError,
-    GridResolutionError,
-    TimeBudgetExceededError,
-    ValidationError,
-)
+from somborlab.errors import GridResolutionError, TimeBudgetExceededError, ValidationError
 from somborlab.indices import (
     DEFAULT_GRID_MAX,
     DEFAULT_PROP1_ALPHAS,
@@ -58,21 +49,21 @@ def test_sombor_hand_values():
 
 
 def test_sombor_rejects_bad_inputs():
-    with pytest.raises(AlphaZeroError):
+    with pytest.raises(ValidationError, match=r"^alpha must be nonzero$"):
         sombor_general(K3, 0.0)
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(ValidationError, match=r"^SO_alpha is defined on connected graphs$"):
         sombor_general(Graph(4, [(0, 1), (2, 3)]), 0.5)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_non_finite_alpha_rejected(alpha):
-    with pytest.raises(AlphaNotFiniteError):
+    message = f"^alpha must be finite, got {alpha!r}$"
+    with pytest.raises(ValidationError, match=message):
         sombor_general(K3, alpha)
-    with pytest.raises(AlphaNotFiniteError):
+    with pytest.raises(ValidationError, match=message):
         BivariateFunction.sombor(alpha)
-    with pytest.raises(AlphaNotFiniteError):
+    with pytest.raises(ValidationError, match=message):
         classify_alpha(alpha)
-    assert issubclass(AlphaNotFiniteError, ValidationError)
 
 
 def test_connectivity_function_examples():
@@ -109,7 +100,7 @@ def test_classify_alpha():
     assert classify_alpha(2) is AlphaRegime.ESCALATING
     assert classify_alpha(-1) is AlphaRegime.ESCALATING
     assert classify_alpha(1) is AlphaRegime.DEGENERATE
-    with pytest.raises(AlphaZeroError):
+    with pytest.raises(ValidationError, match=r"^alpha must be nonzero$"):
         classify_alpha(0)
 
 
@@ -737,13 +728,12 @@ def test_non_finite_function_value_rejected(value):
     # (6, 6) lies outside the symmetry spot-check of BivariateFunction.custom
     f = BivariateFunction.custom(lambda x, y: value if x == y == 6 else x * y,
                                  name="spiky")
-    with pytest.raises(FunctionNotFiniteError, match=r"spiky\(6, 6\)"):
+    with pytest.raises(ValidationError, match=r"^spiky\(6, 6\) = (nan|-?inf) is not finite$"):
         check_escalating(f, GridSpec(8))
-    assert issubclass(FunctionNotFiniteError, ValidationError)
     # inside the spot-check the value is named too, not taken for an asymmetry
-    with pytest.raises(FunctionNotFiniteError, match=r"flat\(1, 1\) = (nan|-?inf) is not finite"):
+    with pytest.raises(ValidationError, match=r"^flat\(1, 1\) = (nan|-?inf) is not finite$"):
         BivariateFunction.custom(lambda x, y: value, name="flat")
-    with pytest.raises(FunctionNotFiniteError, match=r"edge\(1, 2\)"):
+    with pytest.raises(ValidationError, match=r"^edge\(1, 2\) = (nan|-?inf) is not finite$"):
         BivariateFunction.custom(lambda x, y: value if (x, y) == (1, 2) else 1.0,
                                  name="edge")
 
@@ -767,11 +757,11 @@ def test_grid_overflow_is_rejected():
 
 def test_underflow_rejected_for_h_alpha_only():
     # at B = 20, h_alpha(20, 20) = 800**alpha is subnormal from alpha = -106
-    with pytest.raises(FunctionUnderflowError, match=r"h_-106\(20, 20\)"):
+    with pytest.raises(ValidationError,
+                       match=r"^h_-106\(20, 20\) = \S+ is below the normal float range"):
         check_escalating(BivariateFunction.sombor(-106), GridSpec(20))
     report = check_escalating(BivariateFunction.sombor(-100), GridSpec(20))
     assert report.verdict == "escalating"
-    assert issubclass(FunctionUnderflowError, ValidationError)
     # 0 is a legitimate value of a custom f
     zero = BivariateFunction.custom(lambda x, y: 0.0, name="zero")
     report = check_escalating(zero, GridSpec(5))
@@ -870,7 +860,8 @@ def test_good_escalating_rejects_underflow_before_partials():
     # the table over 1..B+1 rejects any h_alpha value below the normal
     # range, 0 and below included, before any condition is checked:
     # h_-200(1, 6) = 37**-200 is subnormal
-    with pytest.raises(FunctionUnderflowError, match=r"h_-200\(1, 6\)"):
+    with pytest.raises(ValidationError,
+                       match=r"^h_-200\(1, 6\) = \S+ is below the normal float range"):
         check_good_escalating(BivariateFunction.sombor(-200), GridSpec(20))
 
 

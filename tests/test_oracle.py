@@ -26,20 +26,8 @@ from somborlab import (
     verify_theorem3,
 )
 from somborlab import _kernels, construct, oracle, sombor
-from somborlab.errors import (
-    AlphaDegenerateError,
-    AlphaNotFiniteError,
-    CapsSyntaxError,
-    EmptySweepError,
-    ExtremumResolutionError,
-    LengthMismatchError,
-    MinDegreeNotOneError,
-    NotGraphicalError,
-    TimeBudgetExceededError,
-    TooLargeError,
-    UnsupportedCyclomaticError,
-    ValidationError,
-)
+from somborlab.errors import (ExtremumResolutionError, TimeBudgetExceededError,
+                              UnrealizableError, ValidationError)
 from somborlab.limits import ENUM_N_MAX, load_caps
 from somborlab.oracle import DEFAULT_T1_ALPHAS, Deadline, _gamma
 
@@ -72,12 +60,12 @@ def test_enumerate_gamma_returns_fresh_lists():
 
 
 def test_enumerate_gamma_caps_and_errors():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValidationError, match=r"^enumeration capped at n <= 16, got n = 20$"):
         enumerate_gamma(parse_degree_sequence("2^18,1^2"))
     # the kernel's 16 vertices are the library's only bound
-    with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
+    with pytest.raises(ValidationError, match=r"^enumeration capped at n <= 16, got n = 17$"):
         enumerate_gamma(parse_degree_sequence("2^17"))
-    with pytest.raises(NotGraphicalError):
+    with pytest.raises(UnrealizableError, match=r"^Erdos-Gallai fails at k=2: 6 > 4$"):
         enumerate_gamma(DegreeSequence((3, 3, 1, 1)))
 
 
@@ -194,7 +182,7 @@ def test_majorization_examples():
     assert not same.holds and same.failing_prefix is None
     rev = is_majorized(DegreeSequence((3, 2, 1)), DegreeSequence((2, 2, 2)))
     assert not rev.holds and rev.failing_prefix == 1
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValidationError, match=r"^lengths differ: 2 vs 3$"):
         is_majorized(DegreeSequence((2, 2)), DegreeSequence((2, 2, 2)))
 
 
@@ -393,10 +381,11 @@ def test_theorem2_builds_one_graph_per_sequence(monkeypatch):
             # the same fsum as a construction built for this alpha alone
             assert check.constructed_value == sombor_general(graphs[check.pi], check.alpha)
     built.clear()
-    with pytest.raises(EmptySweepError):       # nothing to check is not a pass
+    # nothing to check is not a pass
+    with pytest.raises(ValidationError, match=r"^theorem 2 needs at least one alpha$"):
         verify_theorem2(6, 1, ())
     assert built == []
-    with pytest.raises(UnsupportedCyclomaticError):
+    with pytest.raises(ValidationError, match=r"^no canonical construction for c = 3; "):
         verify_theorem2(6, 3, alphas)
 
 
@@ -442,7 +431,8 @@ def test_theorem3_hand_case():
         record = pair[0].to_record()
         assert (record[f"{objective}_so_pi"], record[f"{objective}_so_pi_prime"]) == (
             lower, upper)
-    with pytest.raises(EmptySweepError):       # nothing to check is not a pass
+    # nothing to check is not a pass
+    with pytest.raises(ValidationError, match=r"^theorem 3 needs at least one alpha$"):
         verify_theorem3(6, 0, ())
     with pytest.raises(ValidationError, match="for alpha < 0"):   # neither extremum rises
         verify_theorem3(6, 0, (2.0, -1.0))
@@ -587,16 +577,16 @@ def test_sweeps_check_the_kernel_bound_before_generating(monkeypatch):
     generated = _counted(monkeypatch, oracle, "generate_c_cyclic_sequences")
     for call in (lambda: verify_theorem2(17, 0), lambda: verify_theorem3(17, 0),
                  lambda: verify_theorem3(17, 1)):
-        with pytest.raises(TooLargeError, match="n <= 16, got n = 17"):
+        with pytest.raises(ValidationError,
+                           match=r"^enumeration capped at n <= 16, got n = 17$"):
             call()
     assert generated == []
 
 
 def test_too_small_n_is_a_validation_error():
     for call in (lambda: verify_theorem2(1, 0), lambda: verify_theorem3(1, 0)):
-        with pytest.raises(ValidationError, match="too small") as info:
+        with pytest.raises(ValidationError, match=r"^n = 1 is too small: need n >= 2$"):
             call()
-        assert not isinstance(info.value, TooLargeError)
 
 
 def test_existence_small():
@@ -617,18 +607,18 @@ def test_non_finite_alpha_is_rejected_everywhere(alpha):
                  lambda: verify_special_bfs_existence(pi, alpha),
                  lambda: verify_theorem2(5, 0, (alpha,)),
                  lambda: verify_theorem3(6, 0, (alpha,))):
-        with pytest.raises(AlphaNotFiniteError):
+        with pytest.raises(ValidationError, match=f"^alpha must be finite, got {alpha!r}$"):
             call()
 
 
 def test_degenerate_alpha_pairs_with_no_extremum():
-    with pytest.raises(AlphaDegenerateError):
+    with pytest.raises(ValidationError, match=r"^alpha = 1: all graphs in Gamma\(pi\) tie$"):
         verify_theorem2(5, 0, (1.0,))
-    with pytest.raises(AlphaDegenerateError):
+    with pytest.raises(ValidationError, match=r"^alpha = 1: all graphs in Gamma\(pi\) tie$"):
         verify_special_bfs_existence(parse_degree_sequence("3,2,2,1,1,1"), 1.0)
-    with pytest.raises(AlphaDegenerateError):
+    with pytest.raises(ValidationError, match=r"^alpha = 1: all graphs in Gamma\(pi\) tie$"):
         verify_theorem3(6, 0, (2.0, 1.0))
-    with pytest.raises(MinDegreeNotOneError):
+    with pytest.raises(ValidationError, match=r"^theorem 1 needs a pendant sequence \(d_n = 1\)$"):
         verify_special_bfs_existence(parse_degree_sequence("2,2,2"), 2.0)
 
 
@@ -683,6 +673,9 @@ def test_deadline_fires():
 def test_load_caps():
     assert load_caps(" enum=8 ").enum == 8
     assert load_caps("").enum == ENUM_N_MAX
-    for text in ("bogus=3", "canon=14", "enum=x", "enum="):
-        with pytest.raises(CapsSyntaxError):
+    for text, message in (("bogus=3", r"^unknown cap 'bogus' in SOMBOR_CAPS$"),
+                          ("canon=14", r"^unknown cap 'canon' in SOMBOR_CAPS$"),
+                          ("enum=x", r"^cap 'enum' in SOMBOR_CAPS needs an integer, got 'x'$"),
+                          ("enum=", r"^cap 'enum' in SOMBOR_CAPS needs an integer, got ''$")):
+        with pytest.raises(ValidationError, match=message):
             load_caps(text)
